@@ -43,7 +43,7 @@ from .parser import (
     serialize_axiom,
     serialize_expression,
 )
-from .planner import RstNode, build_rst, leaves, order_groups, render_debug
+from .planner import RstNode, build_rst, leaves, render_debug
 from .realizer import NounPhrase, Paragraph, RealizeOptions, realize, render_expression
 from .survey import PatternStats, survey
 
@@ -85,7 +85,6 @@ __all__ = [
     "levenshtein",
     "load_lexicon",
     "normalize",
-    "order_groups",
     "parse_ontology",
     "pattern_label",
     "realize",

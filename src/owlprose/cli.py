@@ -42,11 +42,18 @@ log = logging.getLogger("owlprose")
 
 def _read_id_list(path: str) -> list[str]:
     ids = []
-    for line in pathlib.Path(path).read_text().splitlines():
+    for line in SourceDocument.from_path(path).text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             ids.append(line)
     return ids
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def cmd_verbalize(args: argparse.Namespace) -> int:
@@ -98,7 +105,6 @@ def cmd_survey(args: argparse.Namespace) -> int:
             log.warning("skipping %s: %s", path, exc)
             skipped += 1
     stats = survey(corpus)
-    stats.skipped = skipped
     if skipped:
         print(f"skipped {skipped} file(s)", file=sys.stderr)
     sys.stdout.write(emit_survey_report(stats))
@@ -192,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mean-only", action="store_true", help="print only the mean score"
     )
     eval_cmd.add_argument(
-        "--cap", type=int, default=DEFAULT_CAP,
+        "--cap", type=positive_int, default=DEFAULT_CAP,
         help="most equivalent versions to scan (default %(default)s)",
     )
     eval_cmd.set_defaults(func=cmd_eval)

@@ -333,7 +333,10 @@ def score_submission(candidate, reference, cap: int = DEFAULT_CAP) -> Similarity
     version's text multiset is contained in the candidate's. That containment
     test is cheap, so the scan looks for a perfect version first and only
     falls back to assignment scoring over the scanned prefix when none exists.
+    A cap below 1 would scan nothing and raises ValueError.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     candidate_axioms = list(candidate.axioms)
     candidate_texts = [normalize(serialize_axiom(ax)) for ax in candidate_axioms]
     candidate_counts = Counter(candidate_texts)

@@ -2,8 +2,9 @@
 and per-class frames.
 
 Identifiers are plain ``:``-prefixed tokens kept as strings (including the
-colon); human-readable names live in the lexicon, not here. Everything in this
-module is immutable after construction and safe to share across threads.
+colon); human-readable names live in the lexicon, not here. Expressions, axioms
+and lexicon entries are frozen; Ontology and ClassFrame are mutable
+dataclasses.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ class Existential:
 
 
 ClassExpression = Named | Intersection | Existential
-
-
-def is_simple(expr: ClassExpression) -> bool:
-    """An expression is simple iff it is a bare named class."""
-    return isinstance(expr, Named)
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +150,12 @@ class LexEntry:
 
 @dataclass
 class Ontology:
-    """Declared ids plus the axiom list, in document order.
-
-    The lexicon is attached by the caller after parsing (the two files are
-    independent); it maps id → LexEntry.
-    """
+    """Declared ids plus the axiom list, in document order."""
 
     classes: set = field(default_factory=set)
     properties: set = field(default_factory=set)
     individuals: set = field(default_factory=set)
     axioms: list = field(default_factory=list)
-    lexicon: dict = field(default_factory=dict)
 
 
 @dataclass

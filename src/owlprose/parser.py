@@ -89,8 +89,25 @@ class SourceDocument:
 
     @classmethod
     def from_path(cls, path) -> "SourceDocument":
-        with open(path, encoding="utf-8") as handle:
-            return cls(handle.read(), str(path))
+        """Read a UTF-8 file with universal newlines; a byte that does not
+        decode raises ParseError at its line and column."""
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = _universal_newlines(data[: exc.start].decode("utf-8"))
+            raise ParseError(
+                f"{path}: byte 0x{data[exc.start]:02x} is not valid UTF-8",
+                before.count("\n") + 1,
+                len(before) - before.rfind("\n"),
+            ) from None
+        return cls(_universal_newlines(text), str(path))
+
+
+def _universal_newlines(text: str) -> str:
+    """Line ends as text-mode open() reads them: \\r\\n and \\r become \\n."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""Discourse planning: sort classified axioms into presentation categories and
-build the nucleus/satellite tree the realizer walks.
+"""Discourse planning: route each classified axiom to a leaf of the
+nucleus/satellite tree the realizer walks (RST, Mann & Thompson 1988).
 
-Category order is simple-direct, complex-direct, indirect; groups within a
-category follow the fixed precedence Sc, Ec, Dc, Ca, Scr, Ecr, and axioms
-within a group keep frame order. Indirect simple axioms are always converted
-to direct form first, so only complex indirect axioms (Scr2/Ecr2) reach the
-trailing list. Car, Dcr and Du axioms are never planned; they land in the
-dropped list.
+The tree has up to three blocks, in paragraph order: simple-direct,
+complex-direct and the indirect list. Leaves follow the group precedence Sc,
+Ec, Dc, Ca, Scr, Ecr inside each block, and axioms within a leaf keep frame
+order. Indirect simple axioms are always converted to direct form first, so
+only complex indirect axioms (Scr2/Ecr2) reach the trailing list, one leaf per
+axiom. Car, Dcr and Du axioms are never planned.
 """
 
 from __future__ import annotations
@@ -23,25 +23,28 @@ ELABORATION = "elaboration"
 CONDITION = "condition"
 LIST = "list"
 
-# leaf traversal order inside each category
-_PRECEDENCE = {"Sc": 0, "Ec": 1, "Dc": 2, "Ca": 3, "Scr": 4, "Ecr": 5}
-
 _DROPPED_GROUPS = ("Car", "Dcr", "Du")
 
-
-@dataclass
-class Buckets:
-    """Classified axioms sorted into presentation categories.
-
-    simple_indirect is kept for shape but is always empty: every simple
-    indirect axiom has a direct form and the conversion is unconditional.
-    """
-
-    simple_direct: list = field(default_factory=list)
-    complex_direct: list = field(default_factory=list)
-    simple_indirect: list = field(default_factory=list)
-    complex_indirect: list = field(default_factory=list)
-    dropped: list = field(default_factory=list)
+# Blocks in paragraph order: label, kind, relation, the connector the block
+# opens with when another block precedes it, and its leaves in plan order as
+# (label, kind, relation). A LIST leaf holds one axiom.
+_SKELETON = (
+    ("simple-direct", NUCLEUS, None, None, (
+        ("sc-super", NUCLEUS, None),
+        ("sc-specialised", NUCLEUS, None),
+        ("ec", SATELLITE, ELABORATION),
+        ("dc", SATELLITE, ELABORATION),
+    )),
+    ("complex-direct", SATELLITE, ELABORATION, "Additionally", (
+        ("ca", SATELLITE, ELABORATION),
+        ("scr", NUCLEUS, None),
+        ("ecr", SATELLITE, CONDITION),
+    )),
+    ("indirect-list", SATELLITE, ELABORATION, None, (
+        ("indirect-scr", NUCLEUS, LIST),
+        ("indirect-ecr", NUCLEUS, LIST),
+    )),
+)
 
 
 @dataclass
@@ -62,55 +65,30 @@ class RstNode:
     designated: str | None = None
 
 
-def _split_named_super(ca: ClassifiedAxiom) -> list[ClassifiedAxiom]:
-    """Decompose a direct SubClassOf whose super is an intersection of named
-    classes only into one simple SubClassOf per conjunct.
-
-    The two forms state the same thing (a subclass of an intersection is a
-    subclass of every conjunct, and vice versa), and the split lets the
-    conjuncts aggregate into the kind-of sentence instead of spawning a
-    separate complex sentence.
-    """
+def _route(ca: ClassifiedAxiom, designated: str) -> list[tuple[str, ClassifiedAxiom]]:
+    """The leaf label of each planned piece of one classified axiom."""
+    if ca.group in _DROPPED_GROUPS:
+        return []
+    if ca.group in ("Sc", "Ec", "Dc"):
+        ca = to_direct(ca, designated)
+    if ca.group == "Sc":
+        return [("sc-specialised" if ca.inverted else "sc-super", ca)]
+    if not ca.direct:  # Scr2, Ecr2
+        return [(f"indirect-{ca.group.lower()}", ca)]
     axiom = ca.axiom
-    return [
-        ClassifiedAxiom(SubClassOf(axiom.sub, conjunct), "Sc", True)
-        for conjunct in axiom.super.operands
-    ]
-
-
-def order_groups(classified: list[ClassifiedAxiom], designated: str) -> Buckets:
-    """Sort classified axioms into buckets, converting what has a direct form."""
-    buckets = Buckets()
-    for ca in classified:
-        if ca.group in _DROPPED_GROUPS:
-            buckets.dropped.append(ca)
-            continue
-        if not ca.direct and ca.group in ("Sc", "Ec", "Dc"):
-            ca = to_direct(ca, designated)
-        if (
-            ca.group == "Scr"
-            and ca.direct
-            and isinstance(ca.axiom, SubClassOf)
-            and isinstance(ca.axiom.super, Intersection)
-            and all(isinstance(op, Named) for op in ca.axiom.super.operands)
-        ):
-            buckets.simple_direct.extend(_split_named_super(ca))
-            continue
-        if ca.group in ("Sc", "Ec", "Dc"):
-            buckets.simple_direct.append(ca)
-        elif ca.direct:  # Scr1, Ecr1, Ca
-            buckets.complex_direct.append(ca)
-        else:  # Scr2, Ecr2
-            buckets.complex_indirect.append(ca)
-    key = lambda ca: _PRECEDENCE[ca.group]
-    buckets.simple_direct.sort(key=key)  # stable: frame order within a group
-    buckets.complex_direct.sort(key=key)
-    buckets.complex_indirect.sort(key=key)
-    return buckets
-
-
-def _leaf(kind: str, relation: str | None, label: str, axioms) -> RstNode:
-    return RstNode(kind, relation, label, axioms=list(axioms))
+    if (
+        ca.group == "Scr"
+        and isinstance(axiom.super, Intersection)
+        and all(isinstance(op, Named) for op in axiom.super.operands)
+    ):
+        # A subclass of an intersection is a subclass of every conjunct, and
+        # the conjuncts then aggregate into the kind-of sentence instead of
+        # spawning a separate complex sentence.
+        return [
+            ("sc-super", ClassifiedAxiom(SubClassOf(axiom.sub, conjunct), "Sc", True))
+            for conjunct in axiom.super.operands
+        ]
+    return [(ca.group.lower(), ca)]  # ec, dc, ca, scr, ecr
 
 
 def build_rst(frame: ClassFrame, classified: list[ClassifiedAxiom]) -> RstNode:
@@ -118,50 +96,27 @@ def build_rst(frame: ClassFrame, classified: list[ClassifiedAxiom]) -> RstNode:
 
     Simple-direct leaves form the main nucleus (kind-of statements first,
     then re-oriented specialisations, then equivalences and disjointness
-    satellites); complex-direct leaves form an elaboration satellite that the
-    realizer opens with "Additionally" whenever the nucleus produced text;
-    indirect axioms form a trailing list, one nucleus per axiom.
+    satellites); complex-direct leaves form an elaboration satellite that
+    opens with "Additionally" after simple-direct text; indirect axioms form a
+    trailing list, one nucleus per axiom.
     """
-    buckets = order_groups(classified, frame.designated)
+    routed = {}
+    for ca in classified:
+        for label, piece in _route(ca, frame.designated):
+            routed.setdefault(label, []).append(piece)
+
     root = RstNode(NUCLEUS, None, f"class {frame.designated}", designated=frame.designated)
-
-    simple = [ca for ca in buckets.simple_direct]
-    if simple:
-        block = RstNode(NUCLEUS, None, "simple-direct")
-        supers = [ca for ca in simple if ca.group == "Sc" and not ca.inverted]
-        specialised = [ca for ca in simple if ca.group == "Sc" and ca.inverted]
-        equivalences = [ca for ca in simple if ca.group == "Ec"]
-        disjoints = [ca for ca in simple if ca.group == "Dc"]
-        if supers:
-            block.children.append(_leaf(NUCLEUS, None, "sc-super", supers))
-        if specialised:
-            block.children.append(_leaf(NUCLEUS, None, "sc-specialised", specialised))
-        if equivalences:
-            block.children.append(_leaf(SATELLITE, ELABORATION, "ec", equivalences))
-        if disjoints:
-            block.children.append(_leaf(SATELLITE, ELABORATION, "dc", disjoints))
-        root.children.append(block)
-
-    if buckets.complex_direct:
-        connector = "Additionally" if simple else None
-        block = RstNode(SATELLITE, ELABORATION, "complex-direct", connector=connector)
-        members = [ca for ca in buckets.complex_direct if ca.group == "Ca"]
-        subclasses = [ca for ca in buckets.complex_direct if ca.group == "Scr"]
-        definitions = [ca for ca in buckets.complex_direct if ca.group == "Ecr"]
-        if members:
-            block.children.append(_leaf(SATELLITE, ELABORATION, "ca", members))
-        if subclasses:
-            block.children.append(_leaf(NUCLEUS, None, "scr", subclasses))
-        if definitions:
-            block.children.append(_leaf(SATELLITE, CONDITION, "ecr", definitions))
-        root.children.append(block)
-
-    if buckets.complex_indirect:
-        block = RstNode(SATELLITE, ELABORATION, "indirect-list")
-        for ca in buckets.complex_indirect:
-            block.children.append(_leaf(NUCLEUS, LIST, f"indirect-{ca.group.lower()}", [ca]))
-        root.children.append(block)
-
+    for block_label, block_kind, block_relation, connector, leaf_specs in _SKELETON:
+        children = []
+        for label, kind, relation in leaf_specs:
+            axioms = routed.get(label)
+            if axioms:
+                pieces = [[ca] for ca in axioms] if relation == LIST else [axioms]
+                children.extend(RstNode(kind, relation, label, axioms=p) for p in pieces)
+        if children:
+            block = RstNode(block_kind, block_relation, block_label, children=children)
+            block.connector = connector if root.children else None
+            root.children.append(block)
     return root
 
 

@@ -1,6 +1,11 @@
 """Surface realization: walk the discourse tree, aggregate shared-subject
 statements, fill the sentence templates, and insert articles.
 
+realize walks the planned tree once, block by block, and hands each leaf to
+the template function its label names. Leaves are taken in plan order except
+the members leaf, which goes last in its block because its clause trails the
+sentence it merges onto.
+
 The template catalogue, with F the described class:
 
   kind-of        "{F} is a kind of {o1, o2 and o3}."
@@ -38,8 +43,7 @@ from .model import (
     Named,
     SubClassOf,
 )
-from .parser import serialize_expression
-from .planner import RstNode, leaves
+from .planner import RstNode
 
 SUBJECT = "subject"
 OBJECT = "object"
@@ -203,19 +207,16 @@ DIFFERENT_FROM = "different-from"
 MEMBERS = "members"
 
 
-def aggregate(pairs: list, template: str) -> str:
-    """One shared-subject sentence body from same-subject (subject, object)
-    pairs. Both slots arrive already rendered (article decisions are the
-    caller's); the body has no final period and no sentence casing yet.
+def aggregate(subject: str, objects: list[str], template: str) -> str:
+    """One shared-subject sentence body from the subject and its objects.
+    Both arrive already rendered (article decisions are the caller's); the
+    body has no final period and no sentence casing yet.
     """
-    assert pairs, "aggregate needs at least one pair"
-    subject = pairs[0][0]
-    assert all(s == subject for s, _ in pairs)
-    joined = comma_and([obj for _, obj in pairs])
+    joined = comma_and(objects)
     if template == KIND_OF:
         return f"{subject} is a kind of {joined}"
     if template == SPECIALISED:
-        if len(pairs) == 1:
+        if len(objects) == 1:
             return f"a more specialised kind of {subject} is {joined}"
         return f"more specialised kinds of {subject} are {joined}"
     if template == DEFINED_AS:
@@ -228,155 +229,132 @@ def aggregate(pairs: list, template: str) -> str:
 
 
 class _ParagraphBuilder:
-    def __init__(self):
+    """The sentences of one class's paragraph, collected block by block."""
+
+    def __init__(self, renderer: _Renderer, designated: str):
+        self.renderer = renderer
+        self.subject = renderer.np(Named(designated), articled=True)
+        self.bare = renderer.np(Named(designated), articled=False)
         self.bodies: list[list] = []  # [labels, body] pairs
+        self.block_start = 0
+        self.embedded: list[tuple[str, str]] = []  # (group, sentence) per indirect axiom
+
+    def start_block(self):
+        self.block_start = len(self.bodies)
 
     def sentence(self, label: str, body: str):
         self.bodies.append([[label], body])
 
-    def merge(self, label: str, clause: str):
-        self.bodies[-1][0].append(label)
-        self.bodies[-1][1] += f", and {clause}"
+    def merge_or_sentence(self, label: str, clause: str, body: str):
+        """Merge the clause onto this block's last sentence, else let the
+        body stand alone."""
+        if len(self.bodies) > self.block_start:
+            self.bodies[-1][0].append(label)
+            self.bodies[-1][1] += f", and {clause}"
+        else:
+            self.sentence(label, body)
 
-    @property
-    def empty(self) -> bool:
-        return not self.bodies
+    def end_block(self, connector: str | None):
+        if connector and len(self.bodies) > self.block_start:
+            first = self.bodies[self.block_start]
+            first[1] = f"{connector.lower()}, {first[1]}"
+
+    def paragraph(self) -> Paragraph:
+        """Finalize the sentences; several indirect axioms become bullets."""
+        paragraph = Paragraph()
+        if len(self.embedded) == 1:
+            group, body = self.embedded[0]
+            self.sentence(group, f"another relevant aspect of {self.bare} is that {body}")
+        for labels, body in self.bodies:
+            text = _sentence_case(body) + "."
+            paragraph.sentences.append(text)
+            paragraph.records.append(("+".join(labels), text))
+        if len(self.embedded) > 1:
+            paragraph.bullet_header = _sentence_case(f"other relevant aspects of {self.bare} are:")
+            paragraph.records.append(("Indirect", paragraph.bullet_header))
+            for group, body in self.embedded:
+                paragraph.bullets.append(_sentence_case(body))
+                paragraph.records.append((group, paragraph.bullets[-1]))
+        return paragraph
 
 
-def _dedup(rendered: list[tuple[str, str]]) -> list[str]:
-    """Keep first occurrence per serialized key, return the rendered texts."""
-    seen = set()
-    out = []
-    for key, text in rendered:
-        if key not in seen:
-            seen.add(key)
-            out.append(text)
-    return out
+def _others(p: _ParagraphBuilder, leaf: RstNode) -> list[str]:
+    """The operands after the described class, first occurrence only, articled."""
+    operands = dict.fromkeys(op for ca in leaf.axioms for op in ca.axiom.operands[1:])
+    return [p.renderer.np(op, articled=True) for op in operands]
+
+
+def _sc_super(p: _ParagraphBuilder, leaf: RstNode):
+    supers = dict.fromkeys(ca.axiom.super for ca in leaf.axioms)
+    objects = [p.renderer.np(expr, articled=False) for expr in supers]
+    p.sentence("Sc", aggregate(p.subject, objects, KIND_OF))
+
+
+def _sc_specialised(p: _ParagraphBuilder, leaf: RstNode):
+    subs = dict.fromkeys(ca.axiom.sub for ca in leaf.axioms)
+    objects = [p.renderer.np(expr, articled=False) for expr in subs]
+    p.sentence("Sc", aggregate(p.bare, objects, SPECIALISED))
+
+
+def _ec(p: _ParagraphBuilder, leaf: RstNode):
+    body = aggregate(p.subject, _others(p, leaf), DEFINED_AS)
+    p.merge_or_sentence("Ec", body, body)
+
+
+def _dc(p: _ParagraphBuilder, leaf: RstNode):
+    p.sentence("Dc", aggregate(p.subject, _others(p, leaf), DIFFERENT_FROM))
+
+
+def _ca(p: _ParagraphBuilder, leaf: RstNode):
+    individuals = dict.fromkeys(ca.axiom.individual for ca in leaf.axioms)
+    members = [p.renderer.name_of(individual) for individual in individuals]
+    clause = f"has members {comma_and(members)}"
+    p.merge_or_sentence("Ca", clause, aggregate(p.subject, members, MEMBERS))
+
+
+def _scr(p: _ParagraphBuilder, leaf: RstNode):
+    for ca in leaf.axioms:
+        super_np = p.renderer.np(ca.axiom.super, articled=False)
+        p.sentence("Scr", aggregate(p.subject, [super_np], KIND_OF))
+
+
+def _ecr(p: _ParagraphBuilder, leaf: RstNode):
+    for ca in leaf.axioms:
+        objects = [p.renderer.np(op, articled=True) for op in ca.axiom.operands[1:]]
+        clause = f"is defined as {comma_and(objects)}"
+        p.merge_or_sentence("Ecr", clause, aggregate(p.subject, objects, DEFINED_AS))
+
+
+def _indirect(p: _ParagraphBuilder, leaf: RstNode):
+    ca = leaf.axioms[0]
+    p.embedded.append((ca.group, _embedded_sentence(p.renderer, ca)))
+
+
+_TEMPLATES = {
+    "sc-super": _sc_super,
+    "sc-specialised": _sc_specialised,
+    "ec": _ec,
+    "dc": _dc,
+    "ca": _ca,
+    "scr": _scr,
+    "ecr": _ecr,
+    "indirect-scr": _indirect,
+    "indirect-ecr": _indirect,
+}
 
 
 def realize(tree: RstNode, lexicon: dict, options: RealizeOptions | None = None) -> Paragraph:
     """Turn a planned tree into a paragraph. Deterministic and total: every
     leaf contributes text, and an empty tree gives an empty paragraph."""
-    options = options or RealizeOptions()
-    renderer = _Renderer(lexicon, options)
-    designated = tree.designated
-    focus_subject = renderer.np(Named(designated), articled=True) if designated else ""
-    focus_bare = renderer.np(Named(designated), articled=False) if designated else ""
-
-    blocks = {child.label: child for child in tree.children}
-    by_label = {
-        leaf.label: leaf
-        for block in blocks.values()
-        for leaf in leaves(block)
-        if not leaf.label.startswith("indirect-")
-    }
-    indirect = leaves(blocks["indirect-list"]) if "indirect-list" in blocks else []
-
-    builder = _ParagraphBuilder()
-
-    # --- simple-direct block ---------------------------------------------
-    leaf = by_label.get("sc-super")
-    if leaf is not None:
-        objects = _dedup(
-            [
-                (serialize_expression(ca.axiom.super), renderer.np(ca.axiom.super, articled=False))
-                for ca in leaf.axioms
-            ]
-        )
-        builder.sentence("Sc", aggregate([(focus_subject, o) for o in objects], KIND_OF))
-    leaf = by_label.get("sc-specialised")
-    if leaf is not None:
-        subs = _dedup(
-            [
-                (serialize_expression(ca.axiom.sub), renderer.np(ca.axiom.sub, articled=False))
-                for ca in leaf.axioms
-            ]
-        )
-        builder.sentence("Sc", aggregate([(focus_bare, s) for s in subs], SPECIALISED))
-    leaf = by_label.get("ec")
-    if leaf is not None:
-        others = _dedup(
-            [
-                (serialize_expression(op), renderer.np(op, articled=True))
-                for ca in leaf.axioms
-                for op in ca.axiom.operands[1:]
-            ]
-        )
-        body = aggregate([(focus_subject, o) for o in others], DEFINED_AS)
-        if builder.empty:
-            builder.sentence("Ec", body)
-        else:
-            builder.merge("Ec", body)
-    leaf = by_label.get("dc")
-    if leaf is not None:
-        others = _dedup(
-            [
-                (serialize_expression(op), renderer.np(op, articled=True))
-                for ca in leaf.axioms
-                for op in ca.axiom.operands[1:]
-            ]
-        )
-        builder.sentence("Dc", aggregate([(focus_subject, o) for o in others], DIFFERENT_FROM))
-
-    # --- complex-direct block ----------------------------------------------
-    # The tree keeps these leaves in precedence order (ca, scr, ecr); the text
-    # linearizes as complex kind-of sentences, then defined-as merges, then
-    # the members clause, which always trails its host sentence.
-    block_start = len(builder.bodies)
-    leaf = by_label.get("scr")
-    if leaf is not None:
-        for ca in leaf.axioms:
-            super_np = renderer.np(ca.axiom.super, articled=False)
-            builder.sentence("Scr", aggregate([(focus_subject, super_np)], KIND_OF))
-    leaf = by_label.get("ecr")
-    if leaf is not None:
-        for ca in leaf.axioms:
-            rendered = comma_and(
-                [renderer.np(op, articled=True) for op in ca.axiom.operands[1:]]
-            )
-            if len(builder.bodies) > block_start:
-                builder.merge("Ecr", f"is defined as {rendered}")
-            else:
-                builder.sentence("Ecr", aggregate([(focus_subject, rendered)], DEFINED_AS))
-    leaf = by_label.get("ca")
-    if leaf is not None:
-        members = _dedup(
-            [(ca.axiom.individual, renderer.name_of(ca.axiom.individual)) for ca in leaf.axioms]
-        )
-        clause = f"has members {comma_and(members)}"
-        if len(builder.bodies) > block_start:
-            builder.merge("Ca", clause)
-        else:
-            builder.sentence("Ca", aggregate([(focus_subject, comma_and(members))], MEMBERS))
-    connector = blocks.get("complex-direct") and blocks["complex-direct"].connector
-    if connector and len(builder.bodies) > block_start:
-        labels, body = builder.bodies[block_start]
-        builder.bodies[block_start] = [labels, f"{connector.lower()}, {body}"]
-
-    # --- indirect list -----------------------------------------------------
-    paragraph = Paragraph()
-    embedded = [(leaf.axioms[0], _embedded_sentence(renderer, leaf.axioms[0])) for leaf in indirect]
-    if len(embedded) == 1:
-        ca, body = embedded[0]
-        builder.sentence(
-            ca.group, f"another relevant aspect of {focus_bare} is that {body}"
-        )
-    elif embedded:
-        paragraph.bullet_header = _sentence_case(
-            f"other relevant aspects of {focus_bare} are:"
-        )
-        paragraph.records.append(("Indirect", paragraph.bullet_header))
-        for ca, body in embedded:
-            bullet = _sentence_case(body)
-            paragraph.bullets.append(bullet)
-            paragraph.records.append((ca.group, bullet))
-
-    for labels, body in builder.bodies:
-        paragraph.sentences.append(_sentence_case(body) + ".")
-    paragraph.records = [
-        ("+".join(labels), _sentence_case(body) + ".") for labels, body in builder.bodies
-    ] + paragraph.records
-    return paragraph
+    builder = _ParagraphBuilder(_Renderer(lexicon, options or RealizeOptions()), tree.designated)
+    for block in tree.children:
+        builder.start_block()
+        # The plan keeps precedence order (ca, scr, ecr), but the members
+        # clause always trails the sentence it merges onto.
+        for leaf in sorted(block.children, key=lambda node: node.label == "ca"):
+            _TEMPLATES[leaf.label](builder, leaf)
+        builder.end_block(block.connector)
+    return builder.paragraph()
 
 
 def _embedded_sentence(renderer: _Renderer, ca) -> str:

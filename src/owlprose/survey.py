@@ -32,33 +32,16 @@ ROLES = {
 
 @dataclass
 class PatternStats:
-    """Tallies from one survey run.
-
-    skipped counts input files that failed to parse; survey itself only sees
-    parsed ontologies, so the walker that feeds it maintains the counter.
-    """
+    """Tallies from one survey run."""
 
     per_pattern: Counter = field(default_factory=Counter)
     total_classes: int = 0
     role_containment: Counter = field(default_factory=Counter)
     group_containment: Counter = field(default_factory=Counter)
-    skipped: int = 0
 
     @property
     def nonempty_classes(self) -> int:
         return self.total_classes - self.per_pattern.get("", 0)
-
-    @property
-    def role_frequency(self) -> dict[str, float]:
-        if not self.total_classes:
-            return {}
-        return {r: c / self.total_classes for r, c in self.role_containment.items()}
-
-    @property
-    def group_frequency(self) -> dict[str, float]:
-        if not self.total_classes:
-            return {}
-        return {g: c / self.total_classes for g, c in self.group_containment.items()}
 
 
 def survey(corpus: list[Ontology]) -> PatternStats:

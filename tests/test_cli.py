@@ -135,6 +135,25 @@ def test_parse_error_exits_1(capsys, tmp_path):
     assert err.startswith("owlprose: ")
 
 
+NOT_UTF8 = b"SubClassOf(:A \xff:B)\n"
+
+
+@pytest.mark.parametrize("command", ["verbalize", "lexicon", "eval"])
+def test_undecodable_input_exits_1_with_one_line(capsys, tmp_path, ontology_path, command):
+    bad = tmp_path / "latin1.ofs"
+    bad.write_bytes(NOT_UTF8)
+    argv = {
+        "verbalize": ["verbalize", "--ontology", str(bad), "--class", ":A"],
+        "lexicon": ["verbalize", "--ontology", ontology_path, "--lexicon", str(bad),
+                    "--class", ":Fever"],
+        "eval": ["eval", "--reference", str(bad), "--candidate", str(bad), "--class", ":A"],
+    }[command]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"owlprose: {bad}: byte 0xff is not valid UTF-8 at line 1, column 15\n"
+
+
 def test_strict_mode_reaches_the_parser(capsys, tmp_path):
     undeclared = tmp_path / "undeclared.ofs"
     undeclared.write_text("SubClassOf(:A :B)\n", encoding="utf-8")
@@ -166,6 +185,15 @@ def test_survey_reports_and_counts_skips(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0] == "pattern,count,fraction,fraction_nonempty"
     assert "Sc,2,1.0000,1.0000" in lines
+
+
+def test_survey_skips_an_undecodable_file(capsys, tmp_path):
+    (tmp_path / "good.ofs").write_text("SubClassOf(:A :B)\n", encoding="utf-8")
+    (tmp_path / "latin1.ofs").write_bytes(NOT_UTF8)
+    assert main(["survey", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert "skipped 1 file(s)" in err
+    assert "Sc,2,1.0000,1.0000" in out.splitlines()
 
 
 def test_survey_walks_subdirectories(capsys, tmp_path):
@@ -216,6 +244,17 @@ def test_eval_unknown_class_exits_2(capsys, ontology_path):
     )
     assert status == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_eval_rejects_a_cap_below_1(capsys, ontology_path, cap):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "--reference", ontology_path, "--candidate", ontology_path,
+              "--class", ":Fever", "--cap", cap])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--cap" in err and "at least 1" in err
 
 
 def test_version_string(capsys):

@@ -214,6 +214,13 @@ def test_truncated_scan_flags_and_still_scores():
     assert 0.0 < report.mean < 1.0
 
 
+def test_cap_below_one_is_rejected():
+    reference = frame([SubClassOf(A, B)])
+    with pytest.raises(ValueError):
+        score_submission(reference, reference, cap=0)
+    assert score_submission(reference, reference, cap=1).mean == 1.0
+
+
 def test_emit_report_shape():
     reference = frame([SubClassOf(A, B)])
     text = emit_report(score_submission(reference, reference))

@@ -15,7 +15,6 @@ from owlprose.model import (
     UnknownClass,
     collect_frame,
     expressions_of,
-    is_simple,
     mentions,
 )
 
@@ -37,12 +36,6 @@ def test_nary_axioms_require_two_operands(maker):
 def test_disjoint_union_requires_two_disjuncts():
     with pytest.raises(ValueError):
         DisjointUnion(":A", (B,))
-
-
-def test_is_simple():
-    assert is_simple(A)
-    assert not is_simple(Intersection((A, B)))
-    assert not is_simple(Existential(":p", A))
 
 
 def test_expressions_of_covers_every_axiom_kind():

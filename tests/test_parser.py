@@ -121,6 +121,23 @@ def test_source_document_from_path(tmp_path):
     assert len(parse_ontology(doc).axioms) == 1
 
 
+def test_source_document_reads_universal_newlines(tmp_path):
+    path = tmp_path / "mixed.ofs"
+    path.write_bytes(b"SubClassOf(:A :B)\r\n# x\rSubClassOf(:B :C)\n")
+    assert SourceDocument.from_path(path).text == "SubClassOf(:A :B)\n# x\nSubClassOf(:B :C)\n"
+
+
+def test_undecodable_byte_is_a_parse_error_at_its_position(tmp_path):
+    path = tmp_path / "latin1.ofs"
+    # the column counts characters, so the two-byte e-acute is one column
+    path.write_bytes(b"SubClassOf(:A :B)\r\n# caf\xc3\xa9 \xff\n")
+    with pytest.raises(ParseError) as err:
+        SourceDocument.from_path(path)
+    assert (err.value.line, err.value.column) == (2, 8)
+    assert str(path) in str(err.value)
+    assert "0xff" in str(err.value)
+
+
 def test_serialize_expression_nests():
     expr = Intersection((Named(":A"), Existential(":p", Named(":B"))))
     assert (

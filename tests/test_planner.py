@@ -1,5 +1,11 @@
-"""Discourse planning: bucket routing, the named-super split, tree shape."""
+"""Discourse planning: leaf routing, the named-super split, tree shape."""
 
+import random
+from collections import Counter
+
+from hypothesis import given, strategies as st
+
+import genutil
 from owlprose.classifier import classify
 from owlprose.model import (
     ClassAssertion,
@@ -12,7 +18,7 @@ from owlprose.model import (
     Named,
     SubClassOf,
 )
-from owlprose.planner import build_rst, leaves, order_groups, render_debug
+from owlprose.planner import build_rst, leaves, render_debug
 
 D = ":F"
 F, A, B, C = Named(D), Named(":A"), Named(":B"), Named(":C")
@@ -23,7 +29,13 @@ def classify_all(axioms):
     return [classify(ax, D) for ax in axioms]
 
 
-def test_buckets_route_and_sort_by_precedence():
+def plan(axioms):
+    """(label, classified axioms) for each leaf of the planned frame."""
+    tree = build_rst(ClassFrame(D, list(axioms)), classify_all(axioms))
+    return [(leaf.label, leaf.axioms) for leaf in leaves(tree)]
+
+
+def test_leaves_route_and_sort_by_precedence():
     axioms = [
         EquivalentClasses((F, A)),  # Ec, simple direct
         SubClassOf(F, COMPLEX),  # Scr1, complex direct
@@ -31,12 +43,11 @@ def test_buckets_route_and_sort_by_precedence():
         ClassAssertion(F, ":x"),  # Ca, complex direct block
         SubClassOf(A, Intersection((B, F))),  # Scr2, indirect
     ]
-    buckets = order_groups(classify_all(axioms), D)
-    assert [ca.group for ca in buckets.simple_direct] == ["Sc", "Ec"]
-    assert [ca.group for ca in buckets.complex_direct] == ["Ca", "Scr"]
-    assert [ca.group for ca in buckets.complex_indirect] == ["Scr"]
-    assert buckets.simple_indirect == []
-    assert buckets.dropped == []
+    planned = plan(axioms)
+    assert [label for label, _ in planned] == ["sc-super", "ec", "ca", "scr", "indirect-scr"]
+    assert [[ca.group for ca in group] for _, group in planned] == [
+        ["Sc"], ["Ec"], ["Ca"], ["Scr"], ["Scr"]
+    ]
 
 
 def test_simple_indirect_axioms_are_always_converted():
@@ -45,13 +56,14 @@ def test_simple_indirect_axioms_are_always_converted():
         EquivalentClasses((A, F)),
         DisjointClasses((B, F, A)),
     ]
-    buckets = order_groups(classify_all(axioms), D)
-    assert buckets.simple_indirect == []
-    assert all(ca.direct for ca in buckets.simple_direct)
-    inverted = [ca for ca in buckets.simple_direct if ca.inverted]
-    assert len(inverted) == 1 and isinstance(inverted[0].axiom, SubClassOf)
-    rotated = [ca.axiom for ca in buckets.simple_direct if isinstance(ca.axiom, DisjointClasses)]
-    assert rotated == [DisjointClasses((F, B, A))]
+    planned = plan(axioms)
+    assert [label for label, _ in planned] == ["sc-specialised", "ec", "dc"]
+    (specialised,), (equivalence,), (disjoint,) = [group for _, group in planned]
+    assert all(ca.direct for ca in (specialised, equivalence, disjoint))
+    assert specialised.inverted and specialised.axiom == SubClassOf(A, F)
+    assert not equivalence.inverted and not disjoint.inverted
+    assert equivalence.axiom == EquivalentClasses((F, A))
+    assert disjoint.axiom == DisjointClasses((F, B, A))
 
 
 def test_car_dcr_du_are_dropped():
@@ -60,37 +72,64 @@ def test_car_dcr_du_are_dropped():
         DisjointClasses((F, COMPLEX)),
         DisjointUnion(D, (A, B)),
     ]
-    buckets = order_groups(classify_all(axioms), D)
-    assert [ca.group for ca in buckets.dropped] == ["Car", "Dcr", "Du"]
-    assert not buckets.simple_direct
-    assert not buckets.complex_direct
-    assert not buckets.complex_indirect
+    assert [classify(ax, D).group for ax in axioms] == ["Car", "Dcr", "Du"]
+    tree = build_rst(ClassFrame(D, axioms), classify_all(axioms))
+    assert tree.children == []
+    assert leaves(tree) == []
 
 
 def test_named_super_intersection_splits_into_conjuncts():
-    buckets = order_groups(classify_all([SubClassOf(F, Intersection((A, B, C)))]), D)
-    assert [ca.axiom for ca in buckets.simple_direct] == [
+    [(label, group)] = plan([SubClassOf(F, Intersection((A, B, C)))])
+    assert label == "sc-super"
+    assert [ca.axiom for ca in group] == [
         SubClassOf(F, A),
         SubClassOf(F, B),
         SubClassOf(F, C),
     ]
-    assert all(ca.group == "Sc" and ca.direct for ca in buckets.simple_direct)
-    assert not buckets.complex_direct
+    assert all(ca.group == "Sc" and ca.direct for ca in group)
 
 
 def test_super_intersection_with_structure_is_not_split():
     axiom = SubClassOf(F, Intersection((A, COMPLEX)))
-    buckets = order_groups(classify_all([axiom]), D)
-    assert not buckets.simple_direct
-    assert [ca.axiom for ca in buckets.complex_direct] == [axiom]
+    [(label, group)] = plan([axiom])
+    assert label == "scr"
+    assert [ca.axiom for ca in group] == [axiom]
 
 
 def test_indirect_scr_is_not_split():
     # same named-only intersection, but the frame class sits on the sub side
     axiom = SubClassOf(B, Intersection((A, F)))
-    buckets = order_groups(classify_all([axiom]), D)
-    assert not buckets.simple_direct
-    assert [ca.axiom for ca in buckets.complex_indirect] == [axiom]
+    [(label, group)] = plan([axiom])
+    assert label == "indirect-scr"
+    assert [ca.axiom for ca in group] == [axiom]
+
+
+def derives_from(planned, source) -> bool:
+    """The planned axiom is the frame axiom itself, the same Ec/Dc operands
+    with the frame class moved first, or one conjunct of a split super."""
+    if planned == source:
+        return True
+    if type(planned) is type(source) and isinstance(source, (EquivalentClasses, DisjointClasses)):
+        return planned.operands[0] == F and Counter(planned.operands) == Counter(source.operands)
+    return (
+        isinstance(planned, SubClassOf)
+        and isinstance(source, SubClassOf)
+        and isinstance(source.super, Intersection)
+        and planned.sub == source.sub
+        and planned.super in source.super.operands
+    )
+
+
+@given(st.integers(0, 10**9))
+def test_plan_covers_the_frame_and_adds_nothing(seed):
+    frame = genutil.gen_frame(random.Random(seed))
+    tree = build_rst(frame, [classify(ax, frame.designated) for ax in frame.axioms])
+    planned = [ca.axiom for leaf in leaves(tree) for ca in leaf.axioms]
+    for axiom in planned:
+        assert any(derives_from(axiom, source) for source in frame.axioms), axiom
+    for source in frame.axioms:
+        if genutil.oracle_group(source, frame.designated) not in ("Car", "Dcr", "Du"):
+            assert any(derives_from(axiom, source) for axiom in planned), source
 
 
 FULL_FRAME = [
