@@ -7,9 +7,11 @@ Usage:
 
 The class selector is a single id (":Settlement"), "@FILE" naming a file with
 one id per line, or "all". Batch selections are verbalized in sorted id order
-with each paragraph preceded by its class id. Diagnostics go to stderr; only
-data is written to stdout. Exit status: 0 on success, 1 on parse trouble or
-an unreadable input, 2 on an unknown class.
+with each paragraph preceded by its class id; each paragraph is written as
+soon as it is made, and an unknown id in a batch is reported without losing
+the others. Diagnostics go to stderr; only data is written to stdout. Exit
+status: 0 on success, 1 on parse trouble or an unreadable input, 2 on an
+unknown class.
 """
 
 from __future__ import annotations
@@ -73,9 +75,15 @@ def cmd_verbalize(args: argparse.Namespace) -> int:
     options = RealizeOptions(
         elide_rolegroup=args.elide_rolegroup, guess_articles=args.guess_articles
     )
-    chunks = []
+    unknown = 0
+    separator = ""  # a blank line between batch paragraphs
     for class_id in ids:
-        frame = collect_frame(ontology, class_id)
+        try:
+            frame = collect_frame(ontology, class_id)
+        except UnknownClass:
+            print(f"owlprose: unknown class {class_id}", file=sys.stderr)
+            unknown += 1
+            continue
         classified = [classify(axiom, class_id) for axiom in frame.axioms]
         tree = build_rst(frame, classified)
         if args.rst_debug:
@@ -85,10 +93,9 @@ def cmd_verbalize(args: argparse.Namespace) -> int:
             body = "\n".join(f"{label}\t{text}" for label, text in paragraph.records)
         else:
             body = paragraph.text
-        chunks.append(f"{class_id}\n{body}" if batch else body)
-    if chunks:
-        sys.stdout.write("\n\n".join(chunks) + "\n")
-    return 0
+        sys.stdout.write(f"{separator}{class_id}\n{body}\n" if batch else f"{body}\n")
+        separator = "\n"
+    return 2 if unknown else 0
 
 
 def cmd_survey(args: argparse.Namespace) -> int:
@@ -101,7 +108,10 @@ def cmd_survey(args: argparse.Namespace) -> int:
     for path in sorted(directory.rglob("*.ofs")):
         try:
             corpus.append(parse_ontology(SourceDocument.from_path(path), strict=args.strict))
-        except (ParseError, UndeclaredEntity, OSError) as exc:
+        except (ParseError, UndeclaredEntity) as exc:  # the message names the file
+            log.warning("skipping %s", exc)
+            skipped += 1
+        except OSError as exc:
             log.warning("skipping %s: %s", path, exc)
             skipped += 1
     stats = survey(corpus)

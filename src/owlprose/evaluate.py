@@ -21,6 +21,7 @@ import itertools
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 from .model import (
     Axiom,
@@ -58,17 +59,46 @@ def normalize(text: str) -> str:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance with unit-cost insert, delete and substitute."""
+    """Edit distance with unit-cost insert, delete and substitute.
+
+    The common prefix and suffix are trimmed first. The rest is computed
+    bit-parallel (Myers 1999, in Hyyrö's 2001 formulation): a Python int holds
+    one bit per character of the shorter text, and each character of the
+    longer text updates the whole column of vertical deltas at once.
+    """
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ch_a in enumerate(a, start=1):
-        current = [i]
-        for j, ch_b in enumerate(b, start=1):
-            cost = 0 if ch_a == ch_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[len(b)]
+    start, end_a, end_b = 0, len(a), len(b)
+    while start < end_b and a[start] == b[start]:
+        start += 1
+    while end_b > start and a[end_a - 1] == b[end_b - 1]:
+        end_a -= 1
+        end_b -= 1
+    if start == end_b:
+        return end_a - end_b
+    peq: dict = {}
+    bit = 1
+    for ch in b[start:end_b]:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    distance = end_b - start
+    pv, mv = mask, 0
+    for ch in a[start:end_a]:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            distance += 1
+        elif mh & last:
+            distance -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return distance
 
 
 def similarity(candidate: str, reference: str) -> float:
@@ -93,19 +123,52 @@ class EquivalentSet:
     versions: list = field(default_factory=list)
 
 
-def _expression_variants(expr: ClassExpression) -> list:
+_END = object()
+
+
+def _lazy_product(factories: list):
+    """Tuples in itertools.product order over the iterables factories[k]().
+
+    Unlike itertools.product, no factor is stored: each factory must return a
+    fresh iterator, and factor k is re-created once per combination of the
+    factors before it. The first tuple therefore costs one item per factor,
+    however large the factors are.
+    """
+    if not factories:
+        yield ()
+        return
+    iterators = [iter(factories[0]())]
+    items: list = []  # current items of every factor but the last iterator's
+    while iterators:
+        item = next(iterators[-1], _END)
+        if item is _END:
+            iterators.pop()
+            if items:
+                items.pop()
+        elif len(iterators) == len(factories):
+            yield (*items, item)
+        else:
+            items.append(item)
+            iterators.append(iter(factories[len(iterators)]()))
+
+
+def _variant_factories(expressions) -> list:
+    return [partial(_expression_variants, expr) for expr in expressions]
+
+
+def _expression_variants(expr: ClassExpression):
     """All reorderings of the expression's intersections, original form first."""
     if isinstance(expr, Named):
-        return [expr]
-    if isinstance(expr, Existential):
-        return [Existential(expr.prop, v) for v in _expression_variants(expr.filler)]
-    if isinstance(expr, Intersection):
-        out = []
+        yield expr
+    elif isinstance(expr, Existential):
+        for variant in _expression_variants(expr.filler):
+            yield Existential(expr.prop, variant)
+    elif isinstance(expr, Intersection):
         for perm in itertools.permutations(expr.operands):
-            for combo in itertools.product(*[_expression_variants(op) for op in perm]):
-                out.append(Intersection(combo))
-        return out
-    raise TypeError(f"not a class expression: {expr!r}")
+            for combo in _lazy_product(_variant_factories(perm)):
+                yield Intersection(combo)
+    else:
+        raise TypeError(f"not a class expression: {expr!r}")
 
 
 def _conjuncts(expr: ClassExpression) -> tuple:
@@ -145,27 +208,20 @@ def _subclass_pool_variants(sub: ClassExpression, axioms: list):
     the head of the stream is always the verbatim input.
     """
     elements = [c for axiom in axioms for c in _conjuncts(axiom.super)]
-    variants = [_expression_variants(e) for e in elements]
-    sub_variants = _expression_variants(sub)
-
-    def with_subs(supers: list):
-        for sub_combo in itertools.product(sub_variants, repeat=len(supers)):
-            yield [SubClassOf(s, sup) for s, sup in zip(sub_combo, supers)]
-
     yield list(axioms)
     for blocks in _set_partitions(len(elements)):
-        orderings = [itertools.permutations(block) for block in blocks]
-        for ordered_blocks in itertools.product(*orderings):
-            flat_indices = [i for block in ordered_blocks for i in block]
-            variant_lists = [variants[i] for i in flat_indices]
-            for combo in itertools.product(*variant_lists):
+        orderings = [partial(itertools.permutations, block) for block in blocks]
+        for ordered_blocks in _lazy_product(orderings):
+            flat = [elements[i] for block in ordered_blocks for i in block]
+            for combo in _lazy_product(_variant_factories(flat)):
                 position = 0
                 supers = []
                 for block in ordered_blocks:
                     chosen = combo[position : position + len(block)]
                     position += len(block)
-                    supers.append(chosen[0] if len(chosen) == 1 else Intersection(tuple(chosen)))
-                yield from with_subs(supers)
+                    supers.append(chosen[0] if len(chosen) == 1 else Intersection(chosen))
+                for sub_combo in _lazy_product(_variant_factories([sub] * len(supers))):
+                    yield [SubClassOf(s, sup) for s, sup in zip(sub_combo, supers)]
 
 
 def _axiom_unit_variants(axiom: Axiom):
@@ -173,14 +229,14 @@ def _axiom_unit_variants(axiom: Axiom):
     if isinstance(axiom, (EquivalentClasses, DisjointClasses)):
         maker = type(axiom)
         for perm in itertools.permutations(axiom.operands):
-            for combo in itertools.product(*[_expression_variants(op) for op in perm]):
-                yield [maker(tuple(combo))]
+            for combo in _lazy_product(_variant_factories(perm)):
+                yield [maker(combo)]
     elif isinstance(axiom, ClassAssertion):
         for variant in _expression_variants(axiom.expr):
             yield [ClassAssertion(variant, axiom.individual)]
     elif isinstance(axiom, DisjointUnion):
-        for combo in itertools.product(*[_expression_variants(d) for d in axiom.disjuncts]):
-            yield [DisjointUnion(axiom.union_class, tuple(combo))]
+        for combo in _lazy_product(_variant_factories(axiom.disjuncts)):
+            yield [DisjointUnion(axiom.union_class, combo)]
     else:
         raise TypeError(f"not an axiom: {axiom!r}")
 
@@ -198,9 +254,9 @@ def _units(axioms: list) -> list:
                 continue
             pools[key] = [axiom]
             group = pools[key]
-            units.append(lambda g=group, s=axiom.sub: _subclass_pool_variants(s, g))
+            units.append(partial(_subclass_pool_variants, axiom.sub, group))
         else:
-            units.append(lambda a=axiom: _axiom_unit_variants(a))
+            units.append(partial(_axiom_unit_variants, axiom))
     return units
 
 
@@ -211,18 +267,9 @@ def version_key(version: list) -> tuple:
 
 def _equivalent_stream(axioms: list):
     """Deduplicated stream of equivalent versions, verbatim reference first."""
-    units = _units(list(axioms))
     seen = set()
-
-    def walk(index: int):
-        if index == len(units):
-            yield []
-            return
-        for head in units[index]():
-            for tail in walk(index + 1):
-                yield head + tail
-
-    for version in walk(0):
+    for heads in _lazy_product(_units(list(axioms))):
+        version = [axiom for head in heads for axiom in head]
         key = version_key(version)
         if key not in seen:
             seen.add(key)
@@ -270,18 +317,23 @@ def _assignment_mean(reference_texts: list, candidate_texts: list, pair_cache: d
     if n == 0:
         return 1.0, []
 
-    def pair(i: int, j: int) -> float:
-        key = (reference_texts[i], candidate_texts[j])
-        if key not in pair_cache:
-            pair_cache[key] = similarity(key[1], key[0])
-        return pair_cache[key]
+    # every (i, j) is scored below: mask 0 is reachable in every row
+    matrix = []
+    for reference in reference_texts:
+        row = []
+        for candidate in candidate_texts:
+            key = (reference, candidate)
+            if key not in pair_cache:
+                pair_cache[key] = similarity(candidate, reference)
+            row.append(pair_cache[key])
+        matrix.append(row)
 
     size = 1 << m
     NEG = float("-inf")
     best = [[NEG] * size for _ in range(n + 1)]
     best[0][0] = 0.0
     for i in range(n):
-        row, nxt = best[i], best[i + 1]
+        row, nxt, scores = best[i], best[i + 1], matrix[i]
         for mask in range(size):
             base = row[mask]
             if base == NEG:
@@ -291,7 +343,7 @@ def _assignment_mean(reference_texts: list, candidate_texts: list, pair_cache: d
             for j in range(m):
                 bit = 1 << j
                 if not mask & bit:
-                    value = base + pair(i, j)
+                    value = base + scores[j]
                     if value > nxt[mask | bit]:
                         nxt[mask | bit] = value
     total, final_mask = max((v, mask) for mask, v in enumerate(best[n]))
@@ -303,12 +355,13 @@ def _assignment_mean(reference_texts: list, candidate_texts: list, pair_cache: d
     for i in range(n - 1, -1, -1):
         if best[i][mask] == remaining:  # reference i was left unmatched
             continue
+        scores = matrix[i]
         for j in range(m):
             bit = 1 << j
-            if mask & bit and best[i][mask ^ bit] + pair(i, j) == remaining:
+            if mask & bit and best[i][mask ^ bit] + scores[j] == remaining:
                 chosen[i] = j
                 mask ^= bit
-                remaining -= pair(i, j)
+                remaining -= scores[j]
                 break
     return total / n, chosen
 

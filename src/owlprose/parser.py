@@ -58,15 +58,25 @@ _AXIOM_KEYWORDS = (
 
 _DECL_KINDS = ("Class", "ObjectProperty", "NamedIndividual")
 
+_CONSTRUCTORS = ("ObjectIntersectionOf", "ObjectSomeValuesFrom")
+
+# Deepest nesting of ObjectIntersectionOf/ObjectSomeValuesFrom accepted. Every
+# recursive consumer of an expression (serializer, frame collection, realizer,
+# the equivalence family) spends at most about five interpreter frames per
+# level, so this keeps all of them well under the default recursion limit.
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
-    """Syntax error with position and the token set that was expected."""
+    """Syntax error with the document's path, the position and the token set
+    that was expected."""
 
-    def __init__(self, message: str, line: int, column: int, expected=()):
+    def __init__(self, message: str, path: str, line: int, column: int, expected=()):
+        self.path = path
         self.line = line
         self.column = column
         self.expected = tuple(expected)
-        detail = f"{message} at line {line}, column {column}"
+        detail = f"{path}: {message} at line {line}, column {column}"
         if self.expected:
             detail += " (expected " + " or ".join(self.expected) + ")"
         super().__init__(detail)
@@ -98,7 +108,8 @@ class SourceDocument:
         except UnicodeDecodeError as exc:
             before = _universal_newlines(data[: exc.start].decode("utf-8"))
             raise ParseError(
-                f"{path}: byte 0x{data[exc.start]:02x} is not valid UTF-8",
+                f"byte 0x{data[exc.start]:02x} is not valid UTF-8",
+                str(path),
                 before.count("\n") + 1,
                 len(before) - before.rfind("\n"),
             ) from None
@@ -135,7 +146,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, path: str):
     tokens = []
     line, line_start = 1, 0
     pos = 0
@@ -143,7 +154,7 @@ def _tokenize(text: str):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
             raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
+                f"unexpected character {text[pos]!r}", path, line, pos - line_start + 1
             )
         kind = match.lastgroup
         value = match.group()
@@ -192,6 +203,7 @@ class _Parser:
             expected = value if value is not None else kind
             raise ParseError(
                 f"unexpected {token.value!r}" if token.kind != "eof" else "unexpected end of input",
+                self.path,
                 token.line,
                 token.column,
                 expected=(expected,),
@@ -218,7 +230,7 @@ class _Parser:
             return
         if self.strict:
             raise UndeclaredEntity(
-                f"{iri} referenced at line {token.line} but never declared in {self.path}"
+                f"{self.path}: {iri} referenced at line {token.line} but never declared"
             )
         if iri not in self.auto:
             self.auto[iri] = kind
@@ -250,6 +262,7 @@ class _Parser:
         if token.kind != "keyword":
             raise ParseError(
                 f"unexpected {token.value!r}",
+                self.path,
                 token.line,
                 token.column,
                 expected=("Declaration",) + _AXIOM_KEYWORDS,
@@ -261,6 +274,7 @@ class _Parser:
         else:
             raise ParseError(
                 f"unexpected keyword {token.value!r}",
+                self.path,
                 token.line,
                 token.column,
                 expected=("Declaration",) + _AXIOM_KEYWORDS,
@@ -273,6 +287,7 @@ class _Parser:
         if kind_token.kind != "keyword" or kind_token.value not in _DECL_KINDS:
             raise ParseError(
                 f"unexpected {kind_token.value!r}",
+                self.path,
                 kind_token.line,
                 kind_token.column,
                 expected=_DECL_KINDS,
@@ -319,18 +334,26 @@ class _Parser:
         self.expect(")")
         return axiom
 
-    def parse_expression(self) -> ClassExpression:
+    def parse_expression(self, depth: int = 1) -> ClassExpression:
+        """One expression; a constructor here sits at nesting level depth."""
         token = self.peek()
         if token.kind == "id":
             self.advance()
             self.reference(token.value, "class", token)
             return Named(token.value)
+        if depth > MAX_NESTING and token.kind == "keyword" and token.value in _CONSTRUCTORS:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels",
+                self.path,
+                token.line,
+                token.column,
+            )
         if token.kind == "keyword" and token.value == "ObjectIntersectionOf":
             self.advance()
             self.expect("(")
-            operands = [self.parse_expression(), self.parse_expression()]
+            operands = [self.parse_expression(depth + 1), self.parse_expression(depth + 1)]
             while self.peek().kind in ("id", "keyword"):
-                operands.append(self.parse_expression())
+                operands.append(self.parse_expression(depth + 1))
             self.expect(")")
             return Intersection(tuple(operands))
         if token.kind == "keyword" and token.value == "ObjectSomeValuesFrom":
@@ -338,14 +361,15 @@ class _Parser:
             self.expect("(")
             prop_token = self.expect("id")
             self.reference(prop_token.value, "property", prop_token)
-            filler = self.parse_expression()
+            filler = self.parse_expression(depth + 1)
             self.expect(")")
             return Existential(prop_token.value, filler)
         raise ParseError(
             f"unexpected {token.value!r}" if token.kind != "eof" else "unexpected end of input",
+            self.path,
             token.line,
             token.column,
-            expected=(":id", "ObjectIntersectionOf", "ObjectSomeValuesFrom"),
+            expected=(":id",) + _CONSTRUCTORS,
         )
 
 
@@ -353,7 +377,7 @@ def parse_ontology(doc: SourceDocument | str, strict: bool = False) -> Ontology:
     """Parse a document into an Ontology, axioms in document order."""
     if isinstance(doc, str):
         doc = SourceDocument(doc)
-    tokens = _tokenize(doc.text)
+    tokens = _tokenize(doc.text, doc.path)
     return _Parser(tokens, strict, doc.path).parse_document()
 
 

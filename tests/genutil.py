@@ -2,8 +2,9 @@
 
 The oracles are deliberately separate implementations of behavior the package
 computes elsewhere (group labels by direct case analysis, edit distance by
-plain recursion, the split/permutation family by brute force), so tests can
-hold the production code to an answer derived another way.
+plain recursion and by the textbook dynamic program, assignments and the
+split/permutation family by brute force), so tests can hold the production
+code to an answer derived another way.
 """
 
 from __future__ import annotations
@@ -172,6 +173,32 @@ def lev_oracle(a: str, b: str) -> int:
         lev_oracle(a, b[1:]),
         lev_oracle(a[1:], b[1:]),
     )
+
+
+def lev_dp_oracle(a: str, b: str) -> int:
+    """The textbook O(len(a) * len(b)) dynamic program, one row at a time."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, ch_a in enumerate(a, start=1):
+        current = [i]
+        for j, ch_b in enumerate(b, start=1):
+            cost = 0 if ch_a == ch_b else 1
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        previous = current
+    return previous[len(b)]
+
+
+def assignment_oracle(matrix: list, m: int) -> float:
+    """Mean over rows of the best injective partial assignment of rows to
+    columns, by trying every assignment (-1 leaves a row unmatched)."""
+    n = len(matrix)
+    best = 0.0
+    for chosen in itertools.product(range(-1, m), repeat=n):
+        used = [j for j in chosen if j >= 0]
+        if len(used) == len(set(used)):
+            best = max(best, sum(matrix[i][j] for i, j in enumerate(chosen) if j >= 0))
+    return best / n
 
 
 def split_permutation_oracle(sub, conjuncts) -> set:

@@ -1,8 +1,11 @@
 """Command-line behavior: selectors, formats, exit codes, stream separation."""
 
+import logging
+
 import pytest
 
 from owlprose.cli import main
+from owlprose.parser import MAX_NESTING
 
 ONTOLOGY = """\
 Ontology(
@@ -83,6 +86,24 @@ def test_id_file_selector(capsys, tmp_path, ontology_path, lexicon_path):
     assert [c.splitlines()[0] for c in chunks] == [":Ague", ":Fever"]
 
 
+def test_batch_reports_unknown_ids_and_keeps_the_rest(capsys, tmp_path, ontology_path,
+                                                     lexicon_path):
+    known, mixed = tmp_path / "known.txt", tmp_path / "mixed.txt"
+    known.write_text(":Fever\n:Ague\n", encoding="utf-8")
+    mixed.write_text(":Zilch\n:Fever\n:Nope\n:Ague\n", encoding="utf-8")
+    assert verbalize(
+        "--ontology", ontology_path, "--lexicon", lexicon_path, "--class", f"@{known}"
+    ) == 0
+    expected, _ = capsys.readouterr()
+    status = verbalize(
+        "--ontology", ontology_path, "--lexicon", lexicon_path, "--class", f"@{mixed}"
+    )
+    assert status == 2
+    out, err = capsys.readouterr()
+    assert out == expected
+    assert err.splitlines() == ["owlprose: unknown class :Nope", "owlprose: unknown class :Zilch"]
+
+
 def test_records_format_labels_each_sentence(capsys, ontology_path, lexicon_path):
     verbalize(
         "--ontology", ontology_path, "--lexicon", lexicon_path,
@@ -154,6 +175,55 @@ def test_undecodable_input_exits_1_with_one_line(capsys, tmp_path, ontology_path
     assert err == f"owlprose: {bad}: byte 0xff is not valid UTF-8 at line 1, column 15\n"
 
 
+def deep_ontology(tmp_path, depth: int):
+    """:F under intersections nested depth deep, each in the last operand of
+    the one outside it: the shape that costs the realizer most frames."""
+    path = tmp_path / f"deep{depth}.ofs"
+    expression = "ObjectIntersectionOf(:A " * depth + ":C" + ")" * depth
+    path.write_text(f"Declaration(Class(:F))\nSubClassOf(:F\n{expression})\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["verbalize", "eval"])
+def test_nesting_bound_in_verbalize_and_eval(capsys, tmp_path, command):
+    for depth in (MAX_NESTING, MAX_NESTING + 1):
+        path = deep_ontology(tmp_path, depth)
+        argv = {
+            "verbalize": ["verbalize", "--ontology", path, "--class", ":F"],
+            "eval": ["eval", "--reference", path, "--candidate", path, "--class", ":F"],
+        }[command]
+        status = main(argv)
+        out, err = capsys.readouterr()
+        if depth == MAX_NESTING:
+            assert status == 0
+            assert out.startswith("F is a kind of") or out.endswith("mean,1.0000\n")
+        else:
+            assert status == 1
+            assert out == ""
+            assert err == (
+                f"owlprose: {path}: expression nested deeper than {MAX_NESTING} levels "
+                f"at line 3, column {len('ObjectIntersectionOf(:A ') * MAX_NESTING + 1}\n"
+            )
+
+
+def test_nesting_bound_in_survey(capsys, caplog, tmp_path):
+    deep_ontology(tmp_path, MAX_NESTING)
+    assert main(["survey", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert "Scr,3,1.0000,1.0000" in out.splitlines()
+    assert "skipped" not in err
+    too_deep = deep_ontology(tmp_path, MAX_NESTING + 1)
+    with caplog.at_level(logging.WARNING, logger="owlprose"):
+        assert main(["survey", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert "Scr,3,1.0000,1.0000" in out.splitlines()
+    assert "skipped 1 file(s)" in err
+    assert [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()] == [
+        f"skipping {too_deep}: expression nested deeper than {MAX_NESTING} levels "
+        f"at line 3, column {len('ObjectIntersectionOf(:A ') * MAX_NESTING + 1}"
+    ]
+
+
 def test_strict_mode_reaches_the_parser(capsys, tmp_path):
     undeclared = tmp_path / "undeclared.ofs"
     undeclared.write_text("SubClassOf(:A :B)\n", encoding="utf-8")
@@ -174,14 +244,19 @@ def test_missing_ontology_file_exits_1(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_survey_reports_and_counts_skips(capsys, tmp_path):
+def test_survey_reports_and_counts_skips(capsys, caplog, tmp_path):
     (tmp_path / "good.ofs").write_text("SubClassOf(:A :B)\n", encoding="utf-8")
-    (tmp_path / "bad.ofs").write_text("SubClassOf(:A\n", encoding="utf-8")
+    bad = tmp_path / "bad.ofs"
+    bad.write_text("SubClassOf(:A\n", encoding="utf-8")
     (tmp_path / "unrelated.txt").write_text("not an ontology", encoding="utf-8")
-    status = main(["survey", str(tmp_path)])
+    with caplog.at_level(logging.WARNING, logger="owlprose"):
+        status = main(["survey", str(tmp_path)])
     assert status == 0
     out, err = capsys.readouterr()
     assert "skipped 1 file(s)" in err
+    [warning] = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+    assert warning.startswith(f"skipping {bad}: unexpected end of input at line 2")
+    assert warning.count(str(bad)) == 1
     lines = out.splitlines()
     assert lines[0] == "pattern,count,fraction,fraction_nonempty"
     assert "Sc,2,1.0000,1.0000" in lines
@@ -235,6 +310,19 @@ def test_eval_mean_only(capsys, ontology_path):
     )
     out, _ = capsys.readouterr()
     assert out == "1.0000\n"
+
+
+def test_eval_names_the_broken_file(capsys, tmp_path, ontology_path):
+    truncated = tmp_path / "candidate.ofs"
+    truncated.write_text(ONTOLOGY[: ONTOLOGY.index(":Ague :Fever") + 5], encoding="utf-8")
+    status = main(
+        ["eval", "--reference", ontology_path, "--candidate", str(truncated), "--class", ":Fever"]
+    )
+    assert status == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"owlprose: {truncated}: unexpected end of input at line 6")
+    assert err.count("\n") == 1 and ontology_path not in err
 
 
 def test_eval_unknown_class_exits_2(capsys, ontology_path):

@@ -1,13 +1,18 @@
 """Round-trip evaluation: text measures, the equivalence family, scoring."""
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import genutil
 from owlprose.evaluate import (
     EquivalentExplosion,
+    _assignment_mean,
+    _equivalent_stream,
+    _lazy_product,
     enumerate_equivalents,
     emit_report,
     levenshtein,
@@ -68,6 +73,36 @@ def test_levenshtein_is_symmetric_and_discriminates_identity(a, b):
 )
 def test_levenshtein_triangle_inequality(a, b, c):
     assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+
+
+@given(st.text(alphabet="abcé", max_size=7), st.text(alphabet="abcé", max_size=7))
+def test_levenshtein_matches_the_recursive_oracle(a, b):
+    assert levenshtein(a, b) == genutil.lev_oracle(a, b)
+
+
+@st.composite
+def text_and_edit(draw):
+    """A text of up to 200 characters and a copy with one span replaced, so
+    the pair shares a prefix and a suffix of random lengths."""
+    alphabet = draw(st.sampled_from(["ab", "abc xyz", "aé€😀 ", None]))
+    chars = st.characters() if alphabet is None else st.sampled_from(alphabet)
+    a = draw(st.text(alphabet=chars, max_size=200))
+    i = draw(st.integers(0, len(a)))
+    j = draw(st.integers(i, len(a)))
+    return a, a[:i] + draw(st.text(alphabet=chars, max_size=70)) + a[j:]
+
+
+@given(text_and_edit())
+@example(("", ""))
+@example(("", "x" * 130))
+@example(("a" * 200, "a" * 131))
+@example(("ab" * 100, "ba" * 100))
+@example(("a" * 64 + "b", "b" + "a" * 64))
+@example(("é" * 65, "e" * 65))
+def test_levenshtein_matches_the_dynamic_program_across_machine_words(pair):
+    a, b = pair
+    assert levenshtein(a, b) == genutil.lev_dp_oracle(a, b)
+    assert levenshtein(b, a) == levenshtein(a, b)
 
 
 def test_similarity_examples():
@@ -155,9 +190,92 @@ def test_family_members_are_distinct_and_score_one(seed):
         assert report.mean == 1.0
 
 
+@given(st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=4))
+def test_lazy_product_follows_itertools_product(factors):
+    factories = [lambda f=f: iter(f) for f in factors]
+    assert list(_lazy_product(factories)) == list(itertools.product(*factors))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**9))
+def test_stream_starts_verbatim_and_has_no_duplicates(seed):
+    frame = genutil.gen_frame(random.Random(seed))
+    versions = list(itertools.islice(_equivalent_stream(frame.axioms), 100))
+    # same-sub SubClassOf axioms move next to the first one: compare as sets
+    assert version_key(versions[0]) == version_key(frame.axioms)
+    keys = [version_key(v) for v in versions]
+    assert len(keys) == len(set(keys))
+
+
+@given(st.integers(2, 5), st.sampled_from([A, Existential(":p", B)]))
+def test_stream_of_one_split_super_matches_brute_force(width, sub):
+    conjuncts = tuple(Named(f":K{i}") for i in range(width))
+    versions = list(_equivalent_stream([SubClassOf(sub, Intersection(conjuncts))]))
+    assert {version_key(v) for v in versions} == genutil.split_permutation_oracle(
+        sub, conjuncts
+    )
+
+
+WIDE = tuple(Named(f":W{i}") for i in range(12))
+
+
+@pytest.mark.parametrize(
+    "reference, candidate",
+    [
+        (SubClassOf(A, Intersection(WIDE)), SubClassOf(A, Intersection(WIDE[::-1]))),
+        (
+            SubClassOf(A, Existential(":p", Intersection(WIDE[:10]))),
+            SubClassOf(A, Existential(":p", Intersection(WIDE[9::-1]))),
+        ),
+    ],
+    ids=["12-conjunct-super", "10-conjunct-filler"],
+)
+def test_cap_bounds_memory_on_wide_conjunctions(reference, candidate):
+    tracemalloc.start()
+    try:
+        report = score_submission(frame([candidate]), frame([reference]), cap=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.truncated
+    assert 0.0 < report.mean < 1.0
+    assert peak < 1 << 20, f"traced peak {peak} bytes"
+
+
 # ---------------------------------------------------------------------------
 # Scoring
 # ---------------------------------------------------------------------------
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.integers(0, 4).flatmap(
+            lambda m: st.lists(
+                st.lists(
+                    st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0, 1)),
+                    min_size=m,
+                    max_size=m,
+                ),
+                min_size=n,
+                max_size=n,
+            ).map(lambda rows: (rows, m))
+        )
+    )
+)
+def test_assignment_mean_is_the_best_injective_assignment(matrix_and_width):
+    matrix, m = matrix_and_width
+    references = [f"r{i}" for i in range(len(matrix))]
+    candidates = [f"c{j}" for j in range(m)]
+    pair_cache = {
+        (references[i], candidates[j]): value
+        for i, row in enumerate(matrix)
+        for j, value in enumerate(row)
+    }
+    mean, chosen = _assignment_mean(references, candidates, pair_cache)
+    assert mean == pytest.approx(genutil.assignment_oracle(matrix, m), abs=1e-12)
+    matched = [j for j in chosen if j is not None]
+    assert len(matched) == len(set(matched))
+
 
 
 def frame(axioms):

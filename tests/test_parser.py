@@ -17,6 +17,7 @@ from owlprose.model import (
     SubClassOf,
 )
 from owlprose.parser import (
+    MAX_NESTING,
     LexiconFormatError,
     ParseError,
     SourceDocument,
@@ -79,9 +80,40 @@ def test_disjoint_union_shape():
 
 def test_parse_error_reports_position():
     with pytest.raises(ParseError) as err:
-        parse_ontology("SubClassOf(:A")
+        parse_ontology(SourceDocument("SubClassOf(:A", "broken.ofs"))
     assert err.value.line == 1
     assert err.value.column > 0
+    assert err.value.path == "broken.ofs"
+    assert str(err.value).startswith("broken.ofs: unexpected end of input at line 1")
+
+
+def nested_existentials(depth: int) -> str:
+    return "ObjectSomeValuesFrom(:p " * depth + ":C" + ")" * depth
+
+
+def test_nesting_at_the_bound_parses():
+    expr = parse_ontology(f"SubClassOf(:A {nested_existentials(MAX_NESTING)})").axioms[0].super
+    depth = 0
+    while isinstance(expr, Existential):
+        expr, depth = expr.filler, depth + 1
+    assert depth == MAX_NESTING
+
+
+def test_nesting_past_the_bound_fails_at_the_opening_token():
+    opener = "ObjectIntersectionOf(:B "
+    text = (
+        "SubClassOf(:A\n"
+        + opener * MAX_NESTING
+        + nested_existentials(1)
+        + ")" * MAX_NESTING
+        + ")"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_ontology(SourceDocument(text, "deep.ofs"))
+    assert (err.value.line, err.value.column) == (2, len(opener) * MAX_NESTING + 1)
+    assert str(err.value).startswith(
+        f"deep.ofs: expression nested deeper than {MAX_NESTING} levels"
+    )
 
 
 def test_unbalanced_and_unknown_keyword_are_rejected():
