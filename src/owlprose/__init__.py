@@ -44,7 +44,7 @@ from .parser import (
     serialize_expression,
 )
 from .planner import RstNode, build_rst, leaves, render_debug
-from .realizer import NounPhrase, Paragraph, RealizeOptions, realize, render_expression
+from .realizer import Paragraph, RealizeOptions, realize
 from .survey import PatternStats, survey
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "LexEntry",
     "LexiconFormatError",
     "Named",
-    "NounPhrase",
     "Ontology",
     "Paragraph",
     "ParseError",
@@ -89,7 +88,6 @@ __all__ = [
     "pattern_label",
     "realize",
     "render_debug",
-    "render_expression",
     "score_submission",
     "serialize_axiom",
     "serialize_expression",

@@ -39,9 +39,6 @@ class NotConvertible(ValueError):
     """to_direct was asked to convert an axiom it has no rule for."""
 
 
-GROUPS = ("Ca", "Car", "Dc", "Dcr", "Du", "Ec", "Ecr", "Sc", "Scr")
-
-
 @dataclass(frozen=True)
 class ClassifiedAxiom:
     """An axiom with its group label and orientation w.r.t. a designated class."""

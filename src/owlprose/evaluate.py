@@ -17,7 +17,6 @@ axioms are ignored.
 
 from __future__ import annotations
 
-import itertools
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -152,6 +151,34 @@ def _lazy_product(factories: list):
             iterators.append(iter(factories[len(iterators)]()))
 
 
+def _distinct_permutations(items):
+    """Each distinct ordering of items once, in the order in which
+    itertools.permutations first yields it; equal items are not told apart,
+    so n equal operands give one ordering, not n! of them.
+
+    Depth first over positions, each trying the items left in their order and
+    skipping a value it already tried there. An explicit stack, not recursion,
+    so a long operand list stays under the interpreter's recursion limit.
+    """
+    chosen: list = []
+    levels = [[tuple(items), 0, set()]]  # per position: items left, next to try, values tried
+    while levels:
+        left, start, tried = level = levels[-1]
+        if not left:
+            yield tuple(chosen)
+        for i in range(start, len(left)):
+            if left[i] not in tried:
+                tried.add(left[i])
+                level[1] = i + 1
+                chosen.append(left[i])
+                levels.append([left[:i] + left[i + 1 :], 0, set()])
+                break
+        else:
+            levels.pop()
+            if chosen:
+                chosen.pop()
+
+
 def _variant_factories(expressions) -> list:
     return [partial(_expression_variants, expr) for expr in expressions]
 
@@ -164,7 +191,7 @@ def _expression_variants(expr: ClassExpression):
         for variant in _expression_variants(expr.filler):
             yield Existential(expr.prop, variant)
     elif isinstance(expr, Intersection):
-        for perm in itertools.permutations(expr.operands):
+        for perm in _distinct_permutations(expr.operands):
             for combo in _lazy_product(_variant_factories(perm)):
                 yield Intersection(combo)
     else:
@@ -210,9 +237,11 @@ def _subclass_pool_variants(sub: ClassExpression, axioms: list):
     elements = [c for axiom in axioms for c in _conjuncts(axiom.super)]
     yield list(axioms)
     for blocks in _set_partitions(len(elements)):
-        orderings = [partial(itertools.permutations, block) for block in blocks]
+        orderings = [
+            partial(_distinct_permutations, [elements[i] for i in block]) for block in blocks
+        ]
         for ordered_blocks in _lazy_product(orderings):
-            flat = [elements[i] for block in ordered_blocks for i in block]
+            flat = [element for block in ordered_blocks for element in block]
             for combo in _lazy_product(_variant_factories(flat)):
                 position = 0
                 supers = []
@@ -228,7 +257,7 @@ def _axiom_unit_variants(axiom: Axiom):
     """Variants of one non-SubClassOf axiom, original form first."""
     if isinstance(axiom, (EquivalentClasses, DisjointClasses)):
         maker = type(axiom)
-        for perm in itertools.permutations(axiom.operands):
+        for perm in _distinct_permutations(axiom.operands):
             for combo in _lazy_product(_variant_factories(perm)):
                 yield [maker(combo)]
     elif isinstance(axiom, ClassAssertion):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
     Axiom,
@@ -48,15 +48,14 @@ log = logging.getLogger(__name__)
 
 GRAMMAR_VERSION = "1"
 
-_AXIOM_KEYWORDS = (
+_ITEM_KEYWORDS = (
+    "Declaration",
     "SubClassOf",
     "EquivalentClasses",
     "DisjointClasses",
     "ClassAssertion",
     "DisjointUnion",
 )
-
-_DECL_KINDS = ("Class", "ObjectProperty", "NamedIndividual")
 
 _CONSTRUCTORS = ("ObjectIntersectionOf", "ObjectSomeValuesFrom")
 
@@ -110,8 +109,7 @@ class SourceDocument:
             raise ParseError(
                 f"byte 0x{data[exc.start]:02x} is not valid UTF-8",
                 str(path),
-                before.count("\n") + 1,
-                len(before) - before.rfind("\n"),
+                *_position(before, len(before)),
             ) from None
         return cls(_universal_newlines(text), str(path))
 
@@ -122,135 +120,98 @@ def _universal_newlines(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokenizer and recursive-descent parser
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "(", ")", "keyword", "id", "eof"
-    value: str
-    line: int
-    column: int
-
-
+# A token is (kind, text, offset): kind is "id", "keyword", "eof" or the
+# parenthesis itself. Positions are worked out from the offset only for errors.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<open>\()
-  | (?P<close>\))
+    (?P<skip>\s+|\#[^\n]*)
+  | (?P<paren>[()])
   | (?P<id>:[^\s()#]+)
   | (?P<keyword>[A-Za-z][A-Za-z0-9]*)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-def _tokenize(text: str, path: str):
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", path, line, pos - line_start + 1
-            )
-        kind = match.lastgroup
-        value = match.group()
-        column = pos - line_start + 1
-        if kind == "open":
-            tokens.append(_Token("(", value, line, column))
-        elif kind == "close":
-            tokens.append(_Token(")", value, line, column))
-        elif kind in ("id", "keyword"):
-            tokens.append(_Token(kind, value, line, column))
-        # whitespace and comments are skipped, but newlines advance the counter
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + value.rfind("\n") + 1
-        pos = match.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """Line and column, both counted from 1, of a character offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
-
-# ---------------------------------------------------------------------------
-# Recursive-descent parser
-# ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens, strict: bool, path: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.strict = strict
-        self.path = path
-        self.ontology = Ontology()
-        # ids referenced before any declaration, id → inferred kind
-        self.auto: dict[str, str] = {}
+    """Tokenizes a whole document up front, then parses it by recursive
+    descent into a fresh Ontology."""
 
-    def peek(self) -> _Token:
+    def __init__(self, doc: SourceDocument, strict: bool):
+        self.text = doc.text
+        self.path = doc.path
+        self.strict = strict
+        self.ontology = Ontology()
+        # declaration keyword -> the kind named in warnings, the id set it fills
+        self.declarations = {
+            "Class": ("class", self.ontology.classes),
+            "ObjectProperty": ("property", self.ontology.properties),
+            "NamedIndividual": ("individual", self.ontology.individuals),
+        }
+        self.tokens = []
+        for match in _TOKEN_RE.finditer(self.text):
+            kind, value = match.lastgroup, match.group()
+            if kind == "bad":
+                token = (kind, value, match.start())
+                raise self.error(token, message=f"unexpected character {value!r}")
+            if kind != "skip":
+                self.tokens.append((value if kind == "paren" else kind, value, match.start()))
+        self.tokens.append(("eof", "", len(self.text)))
+        self.pos = 0
+
+    def error(self, token, expected=(), message: str | None = None) -> ParseError:
+        """The ParseError at a token; the message defaults to naming the token
+        (or the end of input) as unexpected."""
+        kind, value, offset = token
+        if message is None:
+            message = "unexpected end of input" if kind == "eof" else f"unexpected {value!r}"
+        return ParseError(message, self.path, *_position(self.text, offset), expected)
+
+    def peek(self):
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def expect(self, kind: str, value: str | None = None):
         token = self.tokens[self.pos]
+        if token[0] != kind or (value is not None and token[1] != value):
+            raise self.error(token, (kind if value is None else value,))
         self.pos += 1
         return token
 
-    def expect(self, kind: str, value: str | None = None) -> _Token:
-        token = self.peek()
-        if token.kind != kind or (value is not None and token.value != value):
-            expected = value if value is not None else kind
-            raise ParseError(
-                f"unexpected {token.value!r}" if token.kind != "eof" else "unexpected end of input",
-                self.path,
-                token.line,
-                token.column,
-                expected=(expected,),
-            )
-        return self.advance()
-
-    # -- entities ---------------------------------------------------------
-
-    def register(self, iri: str, kind: str):
-        pool = {
-            "class": self.ontology.classes,
-            "property": self.ontology.properties,
-            "individual": self.ontology.individuals,
-        }[kind]
-        pool.add(iri)
-
-    def reference(self, iri: str, kind: str, token: _Token):
-        declared = (
-            iri in self.ontology.classes
-            or iri in self.ontology.properties
-            or iri in self.ontology.individuals
-        )
-        if declared:
-            return
+    def reference(self, token, declaration: str) -> str:
+        """The id of token; an undeclared id is auto-declared as the kind
+        the declaration keyword names, or rejected in strict mode."""
+        iri, ontology = token[1], self.ontology
+        if iri in ontology.classes or iri in ontology.properties or iri in ontology.individuals:
+            return iri
         if self.strict:
-            raise UndeclaredEntity(
-                f"{self.path}: {iri} referenced at line {token.line} but never declared"
-            )
-        if iri not in self.auto:
-            self.auto[iri] = kind
-            log.warning("%s: auto-declaring undeclared %s %s", self.path, kind, iri)
-            self.register(iri, kind)
+            line = _position(self.text, token[2])[0]
+            raise UndeclaredEntity(f"{self.path}: {iri} referenced at line {line} but never declared")
+        kind, pool = self.declarations[declaration]
+        log.warning("%s: auto-declaring undeclared %s %s", self.path, kind, iri)
+        pool.add(iri)
+        return iri
 
     # -- grammar ----------------------------------------------------------
 
     def parse_document(self) -> Ontology:
-        token = self.peek()
-        wrapped = token.kind == "keyword" and token.value == "Ontology"
+        wrapped = self.peek()[:2] == ("keyword", "Ontology")
         if wrapped:
             self.advance()
             self.expect("(")
-        while True:
-            token = self.peek()
-            if token.kind == "eof":
-                break
-            if token.kind == ")" and wrapped:
-                break
+        while self.peek()[0] != "eof" and not (wrapped and self.peek()[0] == ")"):
             self.parse_item()
         if wrapped:
             self.expect(")")
@@ -258,127 +219,68 @@ class _Parser:
         return self.ontology
 
     def parse_item(self):
-        token = self.peek()
-        if token.kind != "keyword":
-            raise ParseError(
-                f"unexpected {token.value!r}",
-                self.path,
-                token.line,
-                token.column,
-                expected=("Declaration",) + _AXIOM_KEYWORDS,
-            )
-        if token.value == "Declaration":
-            self.parse_declaration()
-        elif token.value in _AXIOM_KEYWORDS:
-            self.ontology.axioms.append(self.parse_axiom())
-        else:
-            raise ParseError(
-                f"unexpected keyword {token.value!r}",
-                self.path,
-                token.line,
-                token.column,
-                expected=("Declaration",) + _AXIOM_KEYWORDS,
-            )
-
-    def parse_declaration(self):
-        self.expect("keyword", "Declaration")
+        kind, keyword, _ = token = self.advance()
+        if keyword not in _ITEM_KEYWORDS:
+            message = f"unexpected keyword {keyword!r}" if kind == "keyword" else None
+            raise self.error(token, _ITEM_KEYWORDS, message)
         self.expect("(")
-        kind_token = self.peek()
-        if kind_token.kind != "keyword" or kind_token.value not in _DECL_KINDS:
-            raise ParseError(
-                f"unexpected {kind_token.value!r}",
-                self.path,
-                kind_token.line,
-                kind_token.column,
-                expected=_DECL_KINDS,
-            )
-        self.advance()
-        self.expect("(")
-        id_token = self.expect("id")
-        self.expect(")")
-        self.expect(")")
-        kind = {
-            "Class": "class",
-            "ObjectProperty": "property",
-            "NamedIndividual": "individual",
-        }[kind_token.value]
-        self.register(id_token.value, kind)
-
-    def parse_axiom(self) -> Axiom:
-        keyword = self.advance()
-        self.expect("(")
-        if keyword.value == "SubClassOf":
-            sub = self.parse_expression()
-            super_ = self.parse_expression()
-            axiom = SubClassOf(sub, super_)
-        elif keyword.value in ("EquivalentClasses", "DisjointClasses"):
-            operands = [self.parse_expression(), self.parse_expression()]
-            while self.peek().kind in ("id", "keyword"):
-                operands.append(self.parse_expression())
-            maker = EquivalentClasses if keyword.value == "EquivalentClasses" else DisjointClasses
-            axiom = maker(tuple(operands))
-        elif keyword.value == "ClassAssertion":
+        if keyword == "Declaration":
+            token = self.advance()
+            if token[1] not in self.declarations:
+                raise self.error(token, tuple(self.declarations))
+            _, ids = self.declarations[token[1]]
+            self.expect("(")
+            iri = self.expect("id")[1]
+            self.expect(")")
+            self.expect(")")
+            ids.add(iri)
+            return
+        if keyword == "SubClassOf":
+            axiom = SubClassOf(self.parse_expression(), self.parse_expression())
+        elif keyword == "EquivalentClasses":
+            axiom = EquivalentClasses(self.parse_operands())
+        elif keyword == "DisjointClasses":
+            axiom = DisjointClasses(self.parse_operands())
+        elif keyword == "ClassAssertion":
             expr = self.parse_expression()
-            ind_token = self.expect("id")
-            self.reference(ind_token.value, "individual", ind_token)
-            axiom = ClassAssertion(expr, ind_token.value)
-        elif keyword.value == "DisjointUnion":
-            union_token = self.expect("id")
-            self.reference(union_token.value, "class", union_token)
-            disjuncts = [self.parse_expression(), self.parse_expression()]
-            while self.peek().kind in ("id", "keyword"):
-                disjuncts.append(self.parse_expression())
-            axiom = DisjointUnion(union_token.value, tuple(disjuncts))
-        else:  # unreachable: parse_item filtered the keyword
-            raise AssertionError(keyword.value)
+            axiom = ClassAssertion(expr, self.reference(self.expect("id"), "NamedIndividual"))
+        else:
+            union_class = self.reference(self.expect("id"), "Class")
+            axiom = DisjointUnion(union_class, self.parse_operands())
         self.expect(")")
-        return axiom
+        self.ontology.axioms.append(axiom)
+
+    def parse_operands(self, depth: int = 1) -> tuple:
+        """Two or more expressions, as many as follow."""
+        operands = [self.parse_expression(depth), self.parse_expression(depth)]
+        while self.peek()[0] in ("id", "keyword"):
+            operands.append(self.parse_expression(depth))
+        return tuple(operands)
 
     def parse_expression(self, depth: int = 1) -> ClassExpression:
         """One expression; a constructor here sits at nesting level depth."""
-        token = self.peek()
-        if token.kind == "id":
-            self.advance()
-            self.reference(token.value, "class", token)
-            return Named(token.value)
-        if depth > MAX_NESTING and token.kind == "keyword" and token.value in _CONSTRUCTORS:
-            raise ParseError(
-                f"expression nested deeper than {MAX_NESTING} levels",
-                self.path,
-                token.line,
-                token.column,
-            )
-        if token.kind == "keyword" and token.value == "ObjectIntersectionOf":
-            self.advance()
-            self.expect("(")
-            operands = [self.parse_expression(depth + 1), self.parse_expression(depth + 1)]
-            while self.peek().kind in ("id", "keyword"):
-                operands.append(self.parse_expression(depth + 1))
-            self.expect(")")
-            return Intersection(tuple(operands))
-        if token.kind == "keyword" and token.value == "ObjectSomeValuesFrom":
-            self.advance()
-            self.expect("(")
-            prop_token = self.expect("id")
-            self.reference(prop_token.value, "property", prop_token)
-            filler = self.parse_expression(depth + 1)
-            self.expect(")")
-            return Existential(prop_token.value, filler)
-        raise ParseError(
-            f"unexpected {token.value!r}" if token.kind != "eof" else "unexpected end of input",
-            self.path,
-            token.line,
-            token.column,
-            expected=(":id",) + _CONSTRUCTORS,
-        )
+        kind, value, _ = token = self.advance()
+        if kind == "id":
+            return Named(self.reference(token, "Class"))
+        if kind != "keyword" or value not in _CONSTRUCTORS:
+            raise self.error(token, (":id",) + _CONSTRUCTORS)
+        if depth > MAX_NESTING:
+            raise self.error(token, message=f"expression nested deeper than {MAX_NESTING} levels")
+        self.expect("(")
+        if value == "ObjectIntersectionOf":
+            expr = Intersection(self.parse_operands(depth + 1))
+        else:
+            prop = self.reference(self.expect("id"), "ObjectProperty")
+            expr = Existential(prop, self.parse_expression(depth + 1))
+        self.expect(")")
+        return expr
 
 
 def parse_ontology(doc: SourceDocument | str, strict: bool = False) -> Ontology:
     """Parse a document into an Ontology, axioms in document order."""
     if isinstance(doc, str):
         doc = SourceDocument(doc)
-    tokens = _tokenize(doc.text, doc.path)
-    return _Parser(tokens, strict, doc.path).parse_document()
+    return _Parser(doc, strict).parse_document()
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +332,7 @@ def load_lexicon(doc: SourceDocument | str) -> dict[str, LexEntry]:
     if isinstance(doc, str):
         doc = SourceDocument(doc)
     entries: dict[str, LexEntry] = {}
-    for lineno, raw in enumerate(doc.text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(doc.text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         cells = line.split("\t")

@@ -45,21 +45,10 @@ from .model import (
 )
 from .planner import RstNode
 
-SUBJECT = "subject"
-OBJECT = "object"
-CLAUSE = "clause"
-
-
 @dataclass(frozen=True)
 class RealizeOptions:
     elide_rolegroup: bool = False
     guess_articles: bool = False
-
-
-@dataclass(frozen=True)
-class NounPhrase:
-    text: str
-    article_applied: bool
 
 
 @dataclass
@@ -184,20 +173,6 @@ class _Renderer:
 
     def clauses(self, operands) -> str:
         return ", and ".join(self.clause(op) for op in operands)
-
-
-def render_expression(expr, lexicon: dict, role: str, options: RealizeOptions | None = None) -> NounPhrase:
-    """Public expression rendering: subject and object roles give an articled
-    noun phrase, clause role gives the that-clause form."""
-    renderer = _Renderer(lexicon, options or RealizeOptions())
-    if role in (SUBJECT, OBJECT):
-        text = renderer.np(expr, articled=True)
-    elif role == CLAUSE:
-        text = renderer.clause(expr)
-    else:
-        raise ValueError(f"unknown role {role!r}")
-    bare = renderer.np(expr, articled=False) if role != CLAUSE else text
-    return NounPhrase(text, article_applied=text != bare)
 
 
 KIND_OF = "kind-of"

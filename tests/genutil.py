@@ -3,8 +3,8 @@
 The oracles are deliberately separate implementations of behavior the package
 computes elsewhere (group labels by direct case analysis, edit distance by
 plain recursion and by the textbook dynamic program, assignments and the
-split/permutation family by brute force), so tests can hold the production
-code to an answer derived another way.
+split/permutation family by brute force, text positions by walking the text),
+so tests can hold the production code to an answer derived another way.
 """
 
 from __future__ import annotations
@@ -199,6 +199,23 @@ def assignment_oracle(matrix: list, m: int) -> float:
         if len(used) == len(set(used)):
             best = max(best, sum(matrix[i][j] for i, j in enumerate(chosen) if j >= 0))
     return best / n
+
+
+def distinct_permutations_oracle(items) -> list:
+    """Every ordering itertools.permutations yields, first occurrences only."""
+    return list(dict.fromkeys(itertools.permutations(items)))
+
+
+def line_column(text: str, offset: int) -> tuple:
+    """Line and column, both counted from 1, of a character offset, found by
+    walking the text one character at a time."""
+    line, column = 1, 1
+    for ch in text[:offset]:
+        if ch == "\n":
+            line, column = line + 1, 1
+        else:
+            column += 1
+    return line, column
 
 
 def split_permutation_oracle(sub, conjuncts) -> set:

@@ -1,8 +1,14 @@
 """Command-line behavior: selectors, formats, exit codes, stream separation."""
 
+import io
+import json
 import logging
+import pathlib
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from owlprose.cli import main
 from owlprose.parser import MAX_NESTING
@@ -351,3 +357,59 @@ def test_version_string(capsys):
     assert exit_info.value.code == 0
     out, _ = capsys.readouterr()
     assert out == "owlprose 0.1.0 (grammar 1)\n"
+
+
+# ---------------------------------------------------------------------------
+# any input
+# ---------------------------------------------------------------------------
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+DESIGNATED = {
+    entry["ontology"]: entry["designated"]
+    for entry in json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8")).values()
+}
+OPENERS = ("ObjectIntersectionOf(:A ", "ObjectSomeValuesFrom(:p ")
+
+
+@st.composite
+def any_input(draw):
+    """(bytes of the input, a class id, an intact file to pair it with):
+    random bytes, a fixture cut short, or nesting around MAX_NESTING."""
+    kind = draw(st.sampled_from(["bytes", "truncated", "nested"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=300)), ":A", FIXTURES / "appendix_01.ofs"
+    if kind == "truncated":
+        name = draw(st.sampled_from(sorted(DESIGNATED)))
+        data = (FIXTURES / name).read_bytes()
+        return data[: draw(st.integers(0, len(data)))], DESIGNATED[name], FIXTURES / name
+    depth = draw(st.integers(MAX_NESTING - 2, MAX_NESTING + 2))
+    openers = draw(st.lists(st.sampled_from(OPENERS), min_size=depth, max_size=depth))
+    text = f"Declaration(Class(:F))\nSubClassOf(:F\n{''.join(openers)}:C{')' * depth})\n"
+    data = text.encode()
+    return data[: draw(st.integers(len(data) - 4, len(data)))], ":F", FIXTURES / "appendix_01.ofs"
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_input())
+def test_no_input_ends_in_a_traceback(case):
+    data, class_id, intact = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "input.ofs")
+        path.write_bytes(data)
+        runs = [
+            ["verbalize", "--ontology", str(path), "--class", "all"],
+            ["verbalize", "--ontology", str(path), "--class", class_id, "--strict"],
+            ["verbalize", "--ontology", str(intact), "--class", f"@{path}"],
+            ["survey", tmp],
+            ["eval", "--reference", str(intact), "--candidate", str(path),
+             "--class", class_id, "--cap", "3"],
+            ["eval", "--reference", str(path), "--candidate", str(path), "--class", class_id],
+        ]
+        for argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                status = main(argv)
+            assert status in (0, 1, 2), argv
+            if status == 1:
+                assert err.getvalue().startswith("owlprose: "), argv
+                assert err.getvalue().count("\n") == 1, argv

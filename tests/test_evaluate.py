@@ -11,7 +11,10 @@ import genutil
 from owlprose.evaluate import (
     EquivalentExplosion,
     _assignment_mean,
+    _axiom_unit_variants,
+    _distinct_permutations,
     _equivalent_stream,
+    _expression_variants,
     _lazy_product,
     enumerate_equivalents,
     emit_report,
@@ -194,6 +197,21 @@ def test_family_members_are_distinct_and_score_one(seed):
 def test_lazy_product_follows_itertools_product(factors):
     factories = [lambda f=f: iter(f) for f in factors]
     assert list(_lazy_product(factories)) == list(itertools.product(*factors))
+
+
+@given(st.lists(st.integers(0, 2), max_size=6))
+def test_distinct_permutations_follow_first_occurrences_in_itertools(items):
+    assert list(_distinct_permutations(items)) == genutil.distinct_permutations_oracle(items)
+
+
+def test_equal_operands_give_one_ordering():
+    nine = Intersection((A,) * 9)
+    assert list(_expression_variants(nine)) == [nine]
+    assert list(_axiom_unit_variants(EquivalentClasses((A,) * 9))) == [[EquivalentClasses((A,) * 9)]]
+    # a scan that once walked 9! orderings of the filler stops at the cap
+    reference = [SubClassOf(A, Existential(":p", nine)), SubClassOf(A, B)]
+    report = score_submission(frame([SubClassOf(A, C)]), frame(reference), cap=3)
+    assert not report.truncated
 
 
 @settings(deadline=None)

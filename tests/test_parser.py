@@ -2,6 +2,8 @@
 
 import logging
 import random
+import re
+import tempfile
 
 import pytest
 from hypothesis import given, strategies as st
@@ -85,6 +87,90 @@ def test_parse_error_reports_position():
     assert err.value.column > 0
     assert err.value.path == "broken.ofs"
     assert str(err.value).startswith("broken.ofs: unexpected end of input at line 1")
+
+
+def test_truncated_declaration_reports_end_of_input():
+    with pytest.raises(ParseError) as err:
+        parse_ontology(SourceDocument("Declaration(\n", "cut.ofs"))
+    assert str(err.value) == (
+        "cut.ofs: unexpected end of input at line 2, column 1 "
+        "(expected Class or ObjectProperty or NamedIndividual)"
+    )
+
+
+SEPARATORS = ("", " ", "\n", "  \t", "\n\n  ", " # note é ∀ (x)\n")
+
+
+def layout(rng: random.Random):
+    """A valid document with every id declared before use, laid out with
+    random separators. Returns the text, its tokens, the start offset of each
+    token and the index of the first token after the declarations."""
+    classes, props, inds = genutil.make_pools()
+    accent = rng.choice(["", "é", "∀x"])
+    axioms = [
+        genutil.gen_axiom(rng, classes, props, inds, depth=rng.randint(0, 2))
+        for _ in range(rng.randint(1, 5))
+    ]
+    declarations = " ".join(
+        [f"Declaration(Class({c}))" for c in classes]
+        + [f"Declaration(ObjectProperty({p}))" for p in props]
+        + [f"Declaration(NamedIndividual({i}))" for i in inds]
+    )
+    tokens = re.findall(r"[()]|[^\s()]+", declarations)
+    first_axiom = len(tokens)
+    for axiom in axioms:
+        tokens += re.findall(r"[()]|[^\s()]+", serialize_axiom(axiom))
+    if rng.random() < 0.5:
+        tokens = ["Ontology", "("] + tokens + [")"]
+        first_axiom += 2
+    tokens = [t + accent if t.startswith(":") else t for t in tokens]
+    text, starts = "", []
+    for previous, token in zip([None] + tokens, tokens):
+        separator = rng.choice(SEPARATORS)
+        if not separator and previous not in (None, "(", ")") and token not in ("(", ")"):
+            separator = " "
+        text += separator
+        starts.append(len(text))
+        text += token
+    return text, tokens, starts, first_axiom
+
+
+@given(st.integers(0, 10**9), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_error_positions_match_the_offset(seed, newline):
+    """A bad character, a misplaced "(" and, in strict mode, an undeclared id
+    are each reported at the line and column of the offset they were put at."""
+    rng = random.Random(seed)
+    text, tokens, starts, first_axiom = layout(rng)
+    cases = []
+    g = rng.randrange(len(tokens) + 1)
+    offset = starts[g] if g < len(tokens) else len(text)
+    bad = rng.choice("$é∀1_;%")
+    cases.append((text[:offset] + " " + bad + text[offset:], offset + 1, False))
+    gaps = [k for k in range(len(tokens) + 1) if k == 0 or not tokens[k - 1][0].isalpha()]
+    g = rng.choice(gaps)
+    offset = starts[g] if g < len(tokens) else len(text)
+    cases.append((text[:offset] + "(" + text[offset:], offset, False))
+    ids = [k for k in range(first_axiom, len(tokens)) if tokens[k].startswith(":")]
+    k = rng.choice(ids)
+    undeclared = text[: starts[k]] + ":Undeclaredé" + text[starts[k] + len(tokens[k]) :]
+    cases.append((undeclared, starts[k], True))
+    for broken, offset, strict in cases:
+        line, column = genutil.line_column(broken, offset)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/doc.ofs"
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(broken.replace("\n", newline))
+            doc = SourceDocument.from_path(path)
+        assert doc.text == broken
+        if strict:
+            with pytest.raises(UndeclaredEntity) as err:
+                parse_ontology(doc, strict=True)
+            assert f"referenced at line {line} but never declared" in str(err.value)
+        else:
+            with pytest.raises(ParseError) as err:
+                parse_ontology(doc)
+            assert (err.value.line, err.value.column) == (line, column)
+            assert str(err.value).startswith(f"{path}: unexpected ")
 
 
 def nested_existentials(depth: int) -> str:

@@ -14,18 +14,14 @@ from owlprose.model import (
 )
 from owlprose.planner import build_rst
 from owlprose.realizer import (
-    CLAUSE,
     KIND_OF,
-    OBJECT,
     SPECIALISED,
-    SUBJECT,
-    NounPhrase,
     Paragraph,
     RealizeOptions,
+    _Renderer,
     aggregate,
     comma_and,
     realize,
-    render_expression,
 )
 
 D = ":Fever"
@@ -54,71 +50,76 @@ def verbalize(axioms, options=None):
 # ---------------------------------------------------------------------------
 
 
+def renderer(lexicon=LEXICON, options=RealizeOptions()):
+    return _Renderer(lexicon, options)
+
+
 def test_named_subject_takes_lexicon_article():
-    np = render_expression(Named(":City"), LEXICON, SUBJECT)
-    assert np == NounPhrase("a city", article_applied=True)
+    r = renderer()
+    assert r.np(Named(":City"), articled=True) == "a city"
+    assert r.np(Named(":City"), articled=False) == "city"
 
 
 def test_named_without_article_stays_bare():
-    np = render_expression(F, LEXICON, SUBJECT)
-    assert np == NounPhrase("fever", article_applied=False)
+    r = renderer()
+    assert r.np(F, articled=True) == r.np(F, articled=False) == "fever"
 
 
 def test_missing_lexicon_entry_falls_back_to_raw_id():
-    np = render_expression(Named(":Settlement"), {}, OBJECT)
-    assert np.text == "Settlement"
+    assert renderer({}).np(Named(":Settlement"), articled=True) == "Settlement"
 
 
 def test_existential_uses_property_phrase_and_articles_its_filler():
     expr = Existential(":partOf", Named(":City"))
-    assert render_expression(expr, LEXICON, OBJECT).text == "is part of a city"
+    assert renderer().np(expr, articled=True) == "is part of a city"
+    assert renderer().np(expr, articled=False) == "is part of a city"
 
 
 def test_has_phrase_gets_the_in_joiner():
     expr = Existential(":site", Named(":City"))
-    assert render_expression(expr, LEXICON, OBJECT).text == "has procedure site in a city"
+    assert renderer().np(expr, articled=True) == "has procedure site in a city"
 
 
 def test_lexicon_joiner_wins():
     expr = Existential(":locatedIn", Named(":City"))
-    assert render_expression(expr, LEXICON, OBJECT).text == "is located in a city"
+    assert renderer().np(expr, articled=True) == "is located in a city"
 
 
 def test_named_intersection_renders_as_list():
     expr = Intersection((A, B, C))
-    assert render_expression(expr, LEXICON, OBJECT).text == "disease, ague and pyrexia"
+    assert renderer().np(expr, articled=True) == "disease, ague and pyrexia"
 
 
 def test_intersection_with_named_head_hangs_clauses_off_that():
     expr = Intersection((A, Existential(":partOf", Named(":City")), B))
-    np = render_expression(expr, LEXICON, SUBJECT)
-    assert np.text == "disease that is part of a city, and is ague"
+    assert renderer().np(expr, articled=True) == "disease that is part of a city, and is ague"
 
 
 def test_intersection_without_named_head_uses_something_that():
     expr = Intersection((Existential(":partOf", Named(":City")), A))
-    np = render_expression(expr, LEXICON, SUBJECT)
-    assert np.text == "something that is part of a city, and is disease"
+    text = renderer().np(expr, articled=True)
+    assert text == "something that is part of a city, and is disease"
 
 
 def test_clause_role_wraps_named_expression_with_is():
-    np = render_expression(Named(":City"), LEXICON, CLAUSE)
-    assert np.text == "is a city"
-    assert not np.article_applied
+    r = renderer()
+    assert r.clause(Named(":City")) == "is a city"
+    assert r.clause(Named(":City")) == "is " + r.np(Named(":City"), articled=True)
 
 
 def test_rolegroup_elision_skips_to_the_filler():
     expr = Existential(":RoleGroup", Existential(":partOf", Named(":City")))
-    plain = render_expression(expr, LEXICON, OBJECT)
-    assert plain.text == "RoleGroup is part of a city"
-    elided = render_expression(expr, LEXICON, OBJECT, RealizeOptions(elide_rolegroup=True))
-    assert elided.text == "is part of a city"
+    assert renderer().np(expr, articled=True) == "RoleGroup is part of a city"
+    elided = renderer(options=RealizeOptions(elide_rolegroup=True))
+    assert elided.np(expr, articled=True) == "is part of a city"
+    assert elided.clause(expr) == "is part of a city"
 
 
 def test_guessed_articles_follow_the_vowel_rule():
-    options = RealizeOptions(guess_articles=True)
-    assert render_expression(B, LEXICON, SUBJECT, options).text == "an ague"
-    assert render_expression(F, LEXICON, SUBJECT, options).text == "a fever"
+    r = renderer(options=RealizeOptions(guess_articles=True))
+    assert r.np(B, articled=True) == "an ague"
+    assert r.np(F, articled=True) == "a fever"
+    assert r.np(B, articled=False) == "ague"
 
 
 # ---------------------------------------------------------------------------
