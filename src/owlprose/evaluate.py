@@ -48,12 +48,25 @@ class EquivalentExplosion(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+# the ASCII characters whose Unicode category is punctuation, mapped to None
+_ASCII_PUNCTUATION = dict.fromkeys(
+    code for code in range(128) if unicodedata.category(chr(code)).startswith("P")
+)
+
+
 def normalize(text: str) -> str:
-    """Case-fold, drop punctuation, collapse all whitespace to single spaces."""
+    """Case-fold, drop punctuation, collapse all whitespace to single spaces.
+
+    Text that is ASCII once folded drops its punctuation through one
+    translate table; other text is checked one character at a time.
+    """
     folded = text.casefold()
-    stripped = "".join(
-        ch for ch in folded if not unicodedata.category(ch).startswith("P")
-    )
+    if folded.isascii():
+        stripped = folded.translate(_ASCII_PUNCTUATION)
+    else:
+        stripped = "".join(
+            ch for ch in folded if not unicodedata.category(ch).startswith("P")
+        )
     return " ".join(stripped.split())
 
 
@@ -202,33 +215,54 @@ def _conjuncts(expr: ClassExpression) -> tuple:
     return expr.operands if isinstance(expr, Intersection) else (expr,)
 
 
-def _set_partitions(n: int):
-    """All partitions of range(n) as block lists, in restricted-growth order.
+def _distinct_partitions(elements: list):
+    """Partitions of range(len(elements)) as block lists, in restricted-growth
+    order, skipping each partition whose blocks hold the same multisets of
+    elements as one already given: equal elements make many partitions alike.
 
     Blocks appear by first element, so the single-block partition comes first
-    and the all-singletons partition last.
+    and the all-singletons partition last. The walk still visits all Bell(n)
+    restricted-growth strings; only a new shape builds its block lists.
     """
+    n = len(elements)
     if n == 0:
         return
-
-    def extend(assignment: list, used: int):
-        if len(assignment) == n:
-            blocks = [[] for _ in range(used)]
-            for index, block in enumerate(assignment):
-                blocks[block].append(index)
+    # a block's multiset is the sum of its weights: one base-(n + 1) digit
+    # per distinct element, counting its copies
+    weight = [(n + 1) ** elements.index(element) for element in elements]
+    growth = [0] * n  # block of each position
+    top = [0] * n  # top[i] == max(growth[: i + 1])
+    shapes = set()
+    while True:
+        sums = [0] * (top[-1] + 1)
+        for i, block in enumerate(growth):
+            sums[block] += weight[i]
+        shape = tuple(sorted(sums))
+        if shape not in shapes:
+            shapes.add(shape)
+            blocks = [[] for _ in sums]
+            for i, block in enumerate(growth):
+                blocks[block].append(i)
             yield blocks
+        # next string: raise the last position that may grow, zero the rest
+        i = n - 1
+        while i > 0 and growth[i] > top[i - 1]:
+            i -= 1
+        if i == 0:
             return
-        for block in range(used + 1):
-            yield from extend(assignment + [block], max(used, block + 1))
-
-    yield from extend([0], 1)
+        growth[i] += 1
+        top[i] = max(top[i - 1], growth[i])
+        for k in range(i + 1, n):
+            growth[k] = 0
+            top[k] = top[i]
 
 
 def _subclass_pool_variants(sub: ClassExpression, axioms: list):
     """Variants of a group of SubClassOf axioms sharing one sub side.
 
     The supers' top-level conjuncts are pooled; every set partition of the
-    pool yields one version fragment, each block realized as a bare super or
+    pool (one per shape, see _distinct_partitions) yields one version
+    fragment, each block realized as a bare super or
     an intersection, combined with every conjunct ordering inside each block,
     every variant of each conjunct expression, and every variant of the sub
     expression per produced axiom. The original grouping is emitted first so
@@ -236,7 +270,7 @@ def _subclass_pool_variants(sub: ClassExpression, axioms: list):
     """
     elements = [c for axiom in axioms for c in _conjuncts(axiom.super)]
     yield list(axioms)
-    for blocks in _set_partitions(len(elements)):
+    for blocks in _distinct_partitions(elements):
         orderings = [
             partial(_distinct_permutations, [elements[i] for i in block]) for block in blocks
         ]
@@ -289,26 +323,27 @@ def _units(axioms: list) -> list:
     return units
 
 
-def version_key(version: list) -> tuple:
-    """Order-insensitive identity of a version: sorted canonical serializations."""
-    return tuple(sorted(serialize_axiom(ax) for ax in version))
-
-
 def _equivalent_stream(axioms: list):
-    """Deduplicated stream of equivalent versions, verbatim reference first."""
+    """Deduplicated stream of equivalent versions, verbatim reference first.
+
+    Yields (version, texts): texts holds the canonical serialization of each
+    axiom of the version, in order, and their sorted tuple is the version's
+    order-insensitive identity.
+    """
     seen = set()
     for heads in _lazy_product(_units(list(axioms))):
         version = [axiom for head in heads for axiom in head]
-        key = version_key(version)
+        texts = [serialize_axiom(ax) for ax in version]
+        key = tuple(sorted(texts))
         if key not in seen:
             seen.add(key)
-            yield version
+            yield version, texts
 
 
 def enumerate_equivalents(axioms: list, cap: int = DEFAULT_CAP) -> EquivalentSet:
     """Materialize the whole equivalence family, or fail once it passes cap."""
     versions = []
-    for version in _equivalent_stream(axioms):
+    for version, _ in _equivalent_stream(axioms):
         if len(versions) >= cap:
             raise EquivalentExplosion(f"more than {cap} equivalent versions")
         versions.append(version)
@@ -335,19 +370,27 @@ class SimilarityReport:
     truncated: bool = False
 
 
-def _assignment_mean(reference_texts: list, candidate_texts: list, pair_cache: dict) -> tuple:
+def _assignment_mean(
+    reference_texts: list, candidate_texts: list, pair_cache: dict, best_mean: float
+) -> tuple | None:
     """Best one-to-one assignment of candidates to references.
 
     Returns (mean over reference axioms, chosen candidate index per reference
     or None). Small frames make exact search affordable: a bitmask DP over
     candidate subsets, n_reference x 2^n_candidate states.
+
+    Returns None, leaving the rest of the matrix unscored, as soon as the mean
+    provably cannot exceed best_mean. After each row the bound is the row
+    maxima so far plus 1.0 for each row still to fill (no similarity exceeds
+    1.0), added in row order as the DP adds its row scores. Float addition and
+    division are monotone, so the DP's mean cannot exceed bound / n.
     """
     n, m = len(reference_texts), len(candidate_texts)
     if n == 0:
         return 1.0, []
 
-    # every (i, j) is scored below: mask 0 is reachable in every row
     matrix = []
+    maxima = 0.0  # sum of the filled rows' maxima, in row order
     for reference in reference_texts:
         row = []
         for candidate in candidate_texts:
@@ -356,6 +399,12 @@ def _assignment_mean(reference_texts: list, candidate_texts: list, pair_cache: d
                 pair_cache[key] = similarity(candidate, reference)
             row.append(pair_cache[key])
         matrix.append(row)
+        maxima += max(row, default=0.0)
+        bound = maxima
+        for _ in range(n - len(matrix)):
+            bound += 1.0
+        if bound / n <= best_mean:
+            return None
 
     size = 1 << m
     NEG = float("-inf")
@@ -395,6 +444,17 @@ def _assignment_mean(reference_texts: list, candidate_texts: list, pair_cache: d
     return total / n, chosen
 
 
+def _normalize_all(texts, normalized: dict) -> list:
+    """normalize(text) for each text, normalizing each distinct text once per
+    dict."""
+    result = []
+    for text in texts:
+        if text not in normalized:
+            normalized[text] = normalize(text)
+        result.append(normalized[text])
+    return result
+
+
 def _perfect_assignment(version_texts: list, candidate_texts: list) -> list:
     """Candidate index per reference axiom when texts match exactly."""
     unused: dict = {}
@@ -420,18 +480,19 @@ def score_submission(candidate, reference, cap: int = DEFAULT_CAP) -> Similarity
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     candidate_axioms = list(candidate.axioms)
-    candidate_texts = [normalize(serialize_axiom(ax)) for ax in candidate_axioms]
+    normalized: dict = {}  # serialized text -> normalize(text), for this call only
+    candidate_texts = _normalize_all(map(serialize_axiom, candidate_axioms), normalized)
     candidate_counts = Counter(candidate_texts)
     pair_cache: dict = {}
 
     scanned: list = []
     truncated = False
     perfect: tuple | None = None
-    for index, version in enumerate(_equivalent_stream(list(reference.axioms))):
+    for index, (version, texts) in enumerate(_equivalent_stream(list(reference.axioms))):
         if index >= cap:
             truncated = True
             break
-        version_texts = [normalize(serialize_axiom(ax)) for ax in version]
+        version_texts = _normalize_all(texts, normalized)
         scanned.append((version, version_texts))
         if Counter(version_texts) <= candidate_counts:
             perfect = (index, version, version_texts)
@@ -449,9 +510,10 @@ def score_submission(candidate, reference, cap: int = DEFAULT_CAP) -> Similarity
     best_index = 0
     best_detail: tuple = ([], [], [])
     for index, (version, version_texts) in enumerate(scanned):
-        mean, chosen = _assignment_mean(version_texts, candidate_texts, pair_cache)
-        if mean > best_mean:
-            best_mean, best_index, best_detail = mean, index, (version, version_texts, chosen)
+        scored = _assignment_mean(version_texts, candidate_texts, pair_cache, best_mean)
+        if scored is not None and scored[0] > best_mean:
+            best_mean, chosen = scored
+            best_index, best_detail = index, (version, version_texts, chosen)
 
     version, version_texts, chosen = best_detail
     per_axiom = []

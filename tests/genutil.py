@@ -3,14 +3,18 @@
 The oracles are deliberately separate implementations of behavior the package
 computes elsewhere (group labels by direct case analysis, edit distance by
 plain recursion and by the textbook dynamic program, assignments and the
-split/permutation family by brute force, text positions by walking the text),
-so tests can hold the production code to an answer derived another way.
+split/permutation family by brute force, text positions by walking the text,
+normalization one character at a time, scoring by the plain scan without
+pruning), so tests can hold the production code to an answer derived another
+way.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import unicodedata
+from collections import Counter
 
 from owlprose.model import (
     ClassAssertion,
@@ -24,6 +28,7 @@ from owlprose.model import (
     Ontology,
     SubClassOf,
 )
+from owlprose import evaluate
 from owlprose.parser import serialize_axiom
 
 DESIGNATED = ":F"
@@ -201,6 +206,11 @@ def assignment_oracle(matrix: list, m: int) -> float:
     return best / n
 
 
+def version_key(version: list) -> tuple:
+    """Order-insensitive identity of a version: sorted canonical serializations."""
+    return tuple(sorted(serialize_axiom(ax) for ax in version))
+
+
 def distinct_permutations_oracle(items) -> list:
     """Every ordering itertools.permutations yields, first occurrences only."""
     return list(dict.fromkeys(itertools.permutations(items)))
@@ -268,3 +278,110 @@ def conjunct_permuted_candidate(frame: ClassFrame) -> ClassFrame:
             axioms[i] = type(axiom)(tuple(reversed(axiom.operands)))
             return ClassFrame(frame.designated, axioms)
     return frame
+
+
+def distinct_partitions_oracle(elements) -> list:
+    """Set partitions of range(len(elements)) as block lists, found by
+    filtering every string in range(n)^n (in lexicographic order) down to the
+    restricted-growth ones, keeping the first partition of each shape: the
+    multiset of the blocks' element multisets."""
+    n = len(elements)
+    partitions, shapes = [], set()
+    for growth in itertools.product(range(n), repeat=n):
+        if any(growth[i] > max(growth[:i], default=-1) + 1 for i in range(n)):
+            continue
+        blocks = [[i for i in range(n) if growth[i] == b] for b in range(max(growth) + 1)]
+        shape = tuple(sorted(tuple(sorted(repr(elements[i]) for i in block)) for block in blocks))
+        if shape not in shapes:
+            shapes.add(shape)
+            partitions.append(blocks)
+    return partitions
+
+
+def normalize_oracle(text: str) -> str:
+    """Case-fold, then drop every character whose Unicode category is
+    punctuation, one character at a time; collapse whitespace runs."""
+    folded = text.casefold()
+    kept = "".join(ch for ch in folded if not unicodedata.category(ch).startswith("P"))
+    return " ".join(kept.split())
+
+
+def score_oracle(candidate, reference, cap: int) -> evaluate.SimilarityReport:
+    """score_submission by the plain scan: every scanned version normalized
+    from scratch, one full similarity matrix and one assignment DP per
+    version, no pruning. similarity is looked up on the evaluate module at
+    call time, so a test that wraps it counts the oracle's calls too."""
+    candidate_axioms = list(candidate.axioms)
+    candidate_texts = [normalize_oracle(serialize_axiom(ax)) for ax in candidate_axioms]
+    scanned, truncated = [], False
+    for index, (version, _) in enumerate(evaluate._equivalent_stream(list(reference.axioms))):
+        if index >= cap:
+            truncated = True
+            break
+        version_texts = [normalize_oracle(serialize_axiom(ax)) for ax in version]
+        if Counter(version_texts) <= Counter(candidate_texts):
+            unused: dict = {}
+            for j, text in enumerate(candidate_texts):
+                unused.setdefault(text, []).append(j)
+            per_axiom = [
+                evaluate.AxiomScore(ax, candidate_axioms[unused[text].pop(0)], 1.0)
+                for ax, text in zip(version, version_texts)
+            ]
+            return evaluate.SimilarityReport(per_axiom, 1.0, index, truncated)
+        scanned.append((version, version_texts))
+
+    pair_cache: dict = {}
+    best_mean, best_index, best_detail = -1.0, 0, ([], [], [])
+    for index, (version, version_texts) in enumerate(scanned):
+        matrix = []
+        for reference_text in version_texts:
+            for candidate_text in candidate_texts:
+                key = (reference_text, candidate_text)
+                if key not in pair_cache:
+                    pair_cache[key] = evaluate.similarity(candidate_text, reference_text)
+            matrix.append([pair_cache[(reference_text, c)] for c in candidate_texts])
+        mean, chosen = _assignment_dp(matrix, len(candidate_texts))
+        if mean > best_mean:
+            best_mean, best_index, best_detail = mean, index, (version, version_texts, chosen)
+
+    version, version_texts, chosen = best_detail
+    per_axiom = []
+    for i, axiom in enumerate(version):
+        j = chosen[i] if i < len(chosen) else None
+        matched = candidate_axioms[j] if j is not None else None
+        score = pair_cache[(version_texts[i], candidate_texts[j])] if j is not None else 0.0
+        per_axiom.append(evaluate.AxiomScore(axiom, matched, score))
+    return evaluate.SimilarityReport(per_axiom, max(best_mean, 0.0), best_index, truncated)
+
+
+def _assignment_dp(matrix: list, m: int) -> tuple:
+    """The bitmask assignment DP and its traceback, step for step as the
+    scorer runs them, float-equality traceback included: (mean, chosen)."""
+    n = len(matrix)
+    if n == 0:
+        return 1.0, []
+    neg = float("-inf")
+    best = [[neg] * (1 << m) for _ in range(n + 1)]
+    best[0][0] = 0.0
+    for i in range(n):
+        for mask in range(1 << m):
+            base = best[i][mask]
+            if base == neg:
+                continue
+            best[i + 1][mask] = max(best[i + 1][mask], base)
+            for j in range(m):
+                if not mask & (1 << j):
+                    value = base + matrix[i][j]
+                    if value > best[i + 1][mask | (1 << j)]:
+                        best[i + 1][mask | (1 << j)] = value
+    total, mask = max((v, mask) for mask, v in enumerate(best[n]))
+    chosen: list = [None] * n
+    remaining = total
+    for i in range(n - 1, -1, -1):
+        if best[i][mask] == remaining:
+            continue
+        for j in range(m):
+            if mask & (1 << j) and best[i][mask ^ (1 << j)] + matrix[i][j] == remaining:
+                chosen[i], mask, remaining = j, mask ^ (1 << j), remaining - matrix[i][j]
+                break
+    return total / n, chosen

@@ -1,17 +1,23 @@
 """Round-trip evaluation: text measures, the equivalence family, scoring."""
 
+import dataclasses
 import itertools
 import random
+import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import genutil
+from genutil import version_key
+from owlprose import evaluate
 from owlprose.evaluate import (
     EquivalentExplosion,
     _assignment_mean,
     _axiom_unit_variants,
+    _distinct_partitions,
     _distinct_permutations,
     _equivalent_stream,
     _expression_variants,
@@ -22,7 +28,6 @@ from owlprose.evaluate import (
     normalize,
     score_submission,
     similarity,
-    version_key,
 )
 from owlprose.model import (
     ClassFrame,
@@ -34,6 +39,7 @@ from owlprose.model import (
     Named,
     SubClassOf,
 )
+from owlprose.parser import serialize_axiom
 
 A, B, C, D = Named(":A"), Named(":B"), Named(":C"), Named(":D")
 
@@ -54,6 +60,19 @@ def test_normalize_folds_case_punctuation_and_whitespace():
 def test_normalize_is_idempotent(text):
     once = normalize(text)
     assert normalize(once) == once
+
+
+# ASCII punctuation, ASCII symbols that are not punctuation, non-ASCII
+# punctuation, and characters whose case fold changes the text (the Kelvin
+# sign and sharp s fold to ASCII, dotted capital I does not)
+TRICKY = "(),.:;!?\"'-_#%&*@[]{}/\\" + "$+<=>^`|~" + "«»—¿" + "ßİ\u212a" + "aZ \t\n"
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from(TRICKY), st.characters()), max_size=40))
+@example("SubClassOf(:Ab ObjectIntersectionOf(:C $x))")
+@example("«Straße» — \u212aelvin İ")
+def test_normalize_matches_the_per_character_definition(text):
+    assert normalize(text) == genutil.normalize_oracle(text)
 
 
 def test_levenshtein_known_distances():
@@ -199,6 +218,22 @@ def test_lazy_product_follows_itertools_product(factors):
     assert list(_lazy_product(factories)) == list(itertools.product(*factors))
 
 
+@given(st.lists(st.sampled_from([A, B, Existential(":p", A)]), min_size=1, max_size=6))
+def test_distinct_partitions_keep_the_first_partition_of_each_shape(elements):
+    assert list(_distinct_partitions(elements)) == genutil.distinct_partitions_oracle(elements)
+
+
+def test_equal_conjuncts_walk_each_partition_shape_once():
+    # 10 copies: Bell(10) = 115975 set partitions, but only 42 block-size shapes
+    reference = frame([SubClassOf(D, Intersection((A,) * 10))])
+    started = time.perf_counter()
+    report = score_submission(frame([SubClassOf(D, C)]), reference)
+    elapsed = time.perf_counter() - started
+    assert not report.truncated
+    assert len(list(_equivalent_stream(reference.axioms))) == 42
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
 @given(st.lists(st.integers(0, 2), max_size=6))
 def test_distinct_permutations_follow_first_occurrences_in_itertools(items):
     assert list(_distinct_permutations(items)) == genutil.distinct_permutations_oracle(items)
@@ -218,17 +253,21 @@ def test_equal_operands_give_one_ordering():
 @given(st.integers(0, 10**9))
 def test_stream_starts_verbatim_and_has_no_duplicates(seed):
     frame = genutil.gen_frame(random.Random(seed))
-    versions = list(itertools.islice(_equivalent_stream(frame.axioms), 100))
+    stream = list(itertools.islice(_equivalent_stream(frame.axioms), 100))
+    versions = [version for version, _ in stream]
     # same-sub SubClassOf axioms move next to the first one: compare as sets
     assert version_key(versions[0]) == version_key(frame.axioms)
     keys = [version_key(v) for v in versions]
     assert len(keys) == len(set(keys))
+    # each version comes with its own axioms' serializations, in order
+    for version, texts in stream:
+        assert texts == [serialize_axiom(ax) for ax in version]
 
 
 @given(st.integers(2, 5), st.sampled_from([A, Existential(":p", B)]))
 def test_stream_of_one_split_super_matches_brute_force(width, sub):
     conjuncts = tuple(Named(f":K{i}") for i in range(width))
-    versions = list(_equivalent_stream([SubClassOf(sub, Intersection(conjuncts))]))
+    versions = [v for v, _ in _equivalent_stream([SubClassOf(sub, Intersection(conjuncts))])]
     assert {version_key(v) for v in versions} == genutil.split_permutation_oracle(
         sub, conjuncts
     )
@@ -265,22 +304,20 @@ def test_cap_bounds_memory_on_wide_conjunctions(reference, candidate):
 # ---------------------------------------------------------------------------
 
 
+SCORES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0, 1))
+
+
 @given(
     st.integers(1, 4).flatmap(
         lambda n: st.integers(0, 4).flatmap(
             lambda m: st.lists(
-                st.lists(
-                    st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0, 1)),
-                    min_size=m,
-                    max_size=m,
-                ),
-                min_size=n,
-                max_size=n,
+                st.lists(SCORES, min_size=m, max_size=m), min_size=n, max_size=n
             ).map(lambda rows: (rows, m))
         )
-    )
+    ),
+    st.one_of(st.just(-1.0), SCORES),
 )
-def test_assignment_mean_is_the_best_injective_assignment(matrix_and_width):
+def test_assignment_mean_is_the_best_injective_assignment(matrix_and_width, best_mean):
     matrix, m = matrix_and_width
     references = [f"r{i}" for i in range(len(matrix))]
     candidates = [f"c{j}" for j in range(m)]
@@ -289,10 +326,19 @@ def test_assignment_mean_is_the_best_injective_assignment(matrix_and_width):
         for i, row in enumerate(matrix)
         for j, value in enumerate(row)
     }
-    mean, chosen = _assignment_mean(references, candidates, pair_cache)
-    assert mean == pytest.approx(genutil.assignment_oracle(matrix, m), abs=1e-12)
+    expected = genutil.assignment_oracle(matrix, m)
+    scored = _assignment_mean(references, candidates, pair_cache, best_mean)
+    if scored is None:  # pruned: only when the best assignment cannot win
+        assert expected <= best_mean + 1e-12
+        return
+    mean, chosen = scored
+    assert mean == pytest.approx(expected, abs=1e-12)
     matched = [j for j in chosen if j is not None]
     assert len(matched) == len(set(matched))
+    if best_mean < 0:
+        return
+    # not pruned: the bound with every row filled exceeded best_mean
+    assert sum(max(row, default=0.0) for row in matrix) / len(matrix) > best_mean - 1e-12
 
 
 
@@ -364,3 +410,121 @@ def test_emit_report_shape():
     assert lines[0] == "reference_axiom,candidate_axiom,score"
     assert lines[1] == "SubClassOf(:A :B),SubClassOf(:A :B),1.0000"
     assert lines[-1] == "mean,1.0000"
+
+
+def substitute_id(node, old: str, new: str):
+    """node with every Named(old) inside it replaced by Named(new)."""
+    if isinstance(node, Named):
+        return Named(new) if node.iri == old else node
+    if isinstance(node, tuple):
+        return tuple(substitute_id(item, old, new) for item in node)
+    if dataclasses.is_dataclass(node):
+        fields = dataclasses.fields(node)
+        return type(node)(*(substitute_id(getattr(node, f.name), old, new) for f in fields))
+    return node
+
+
+def named_ids(node) -> list:
+    if isinstance(node, Named):
+        return [node.iri]
+    if isinstance(node, tuple):
+        return [iri for item in node for iri in named_ids(item)]
+    if dataclasses.is_dataclass(node):
+        return [iri for f in dataclasses.fields(node) for iri in named_ids(getattr(node, f.name))]
+    return []
+
+
+@st.composite
+def scoring_cases(draw):
+    """A gen_frame reference, sometimes with repeated operands and a repeated
+    axiom (which make tied means likely), and a candidate that permutes its
+    conjuncts, drops one axiom or substitutes one id in one axiom."""
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    reference = genutil.gen_frame(rng)
+    axioms = list(reference.axioms)
+    if draw(st.booleans()):
+        x, y = (Named(f":C{k}") for k in rng.sample(range(6), 2))
+        axioms.append(SubClassOf(Named(genutil.DESIGNATED), Intersection((x, x, y))))
+        axioms.append(rng.choice(axioms))
+    reference = ClassFrame(genutil.DESIGNATED, axioms)
+    kind = draw(st.sampled_from(["permuted", "dropped", "substituted"]))
+    if kind == "permuted":
+        candidate = genutil.conjunct_permuted_candidate(reference)
+    elif kind == "dropped":
+        k = rng.randrange(len(axioms))
+        candidate = ClassFrame(genutil.DESIGNATED, axioms[:k] + axioms[k + 1 :])
+    else:
+        k = rng.randrange(len(axioms))
+        old = rng.choice(named_ids(axioms[k]))
+        changed = axioms[:k] + [substitute_id(axioms[k], old, ":Z")] + axioms[k + 1 :]
+        candidate = ClassFrame(genutil.DESIGNATED, changed)
+    return candidate, reference, draw(st.sampled_from([1, 5, 20]))
+
+
+def assert_same_report(report, expected):
+    assert emit_report(report) == emit_report(expected)
+    assert (report.best_version_index, report.truncated) == (
+        expected.best_version_index,
+        expected.truncated,
+    )
+
+
+@settings(deadline=None)
+@given(scoring_cases())
+def test_score_submission_matches_the_plain_scan(case):
+    candidate, reference, cap = case
+    assert_same_report(
+        score_submission(candidate, reference, cap=cap),
+        genutil.score_oracle(candidate, reference, cap),
+    )
+
+
+@pytest.mark.parametrize("cap", [1, 5, 20])
+@pytest.mark.parametrize(
+    "reference, candidate",
+    [
+        # both orders of the conjunction tie; the split version ties with neither
+        ([SubClassOf(D, Intersection((A, B)))], [SubClassOf(D, C)]),
+        ([SubClassOf(D, Intersection((A, A, B))), SubClassOf(D, B)], [SubClassOf(D, C)]),
+        ([EquivalentClasses((A, B)), EquivalentClasses((A, B))], [EquivalentClasses((A, C))]),
+    ],
+    ids=["two-orders", "repeated-operand", "repeated-axiom"],
+)
+def test_tied_versions_keep_the_earliest_as_the_plain_scan(reference, candidate, cap):
+    assert_same_report(
+        score_submission(frame(candidate), frame(reference), cap=cap),
+        genutil.score_oracle(frame(candidate), frame(reference), cap),
+    )
+
+
+def test_pruning_shows_in_the_module_level_calls(monkeypatch):
+    """The benchmark's tracer wraps evaluate.similarity and
+    evaluate.normalize; pruned versions must show there as fewer calls."""
+    counts: Counter = Counter()
+
+    def counting(name):
+        wrapped = getattr(evaluate, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return wrapped(*args)
+
+        monkeypatch.setattr(evaluate, name, wrapper)
+
+    counting("similarity")
+    counting("normalize")
+    c0, c1, c4, c5, f = (Named(iri) for iri in (":C0", ":C1", ":C4", ":C5", ":F"))
+    kept = SubClassOf(c0, Intersection((f, Intersection((c4, c1, c0)))))
+    reference = frame([SubClassOf(c5, f), kept])
+    candidate = frame([kept])  # the first axiom dropped
+    report = score_submission(candidate, reference, cap=20)
+    scored = Counter(counts)
+    counts.clear()
+    expected = genutil.score_oracle(candidate, reference, 20)
+    assert_same_report(report, expected)
+    assert 0 < scored["similarity"] < counts["similarity"]
+    # each distinct serialized text, of the candidate and the scanned versions, once
+    texts = {t for _, version_texts in itertools.islice(_equivalent_stream(reference.axioms), 20)
+             for t in version_texts}
+    texts.update(serialize_axiom(ax) for ax in candidate.axioms)
+    assert scored["normalize"] == len(texts)
