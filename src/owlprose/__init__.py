@@ -8,10 +8,7 @@ entry points reuse the same parsed model.
 
 from .classifier import ClassifiedAxiom, classify, frame_groups, pattern_label, to_direct
 from .evaluate import (
-    EquivalentExplosion,
-    EquivalentSet,
     SimilarityReport,
-    enumerate_equivalents,
     levenshtein,
     normalize,
     score_submission,
@@ -56,8 +53,6 @@ __all__ = [
     "DisjointClasses",
     "DisjointUnion",
     "EquivalentClasses",
-    "EquivalentExplosion",
-    "EquivalentSet",
     "Existential",
     "GRAMMAR_VERSION",
     "Intersection",
@@ -78,7 +73,6 @@ __all__ = [
     "build_rst",
     "classify",
     "collect_frame",
-    "enumerate_equivalents",
     "frame_groups",
     "leaves",
     "levenshtein",

@@ -223,10 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownClass as exc:
         print(f"owlprose: unknown class {exc.args[0]}", file=sys.stderr)
         return 2
-    except (ParseError, UndeclaredEntity, LexiconFormatError) as exc:
-        print(f"owlprose: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParseError, UndeclaredEntity, LexiconFormatError, OSError) as exc:
         print(f"owlprose: {exc}", file=sys.stderr)
         return 1
 

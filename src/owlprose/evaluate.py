@@ -34,7 +34,7 @@ from .model import (
     Named,
     SubClassOf,
 )
-from .parser import serialize_axiom, serialize_expression
+from .parser import serialize_axiom
 
 DEFAULT_CAP = 10_000
 
@@ -196,6 +196,13 @@ def _variant_factories(expressions) -> list:
     return [partial(_expression_variants, expr) for expr in expressions]
 
 
+def _ordered_variants(operands):
+    """Every distinct ordering of the operands, times every variant of each
+    operand, as tuples: the orderings outermost, the original order first."""
+    for perm in _distinct_permutations(operands):
+        yield from _lazy_product(_variant_factories(perm))
+
+
 def _expression_variants(expr: ClassExpression):
     """All reorderings of the expression's intersections, original form first."""
     if isinstance(expr, Named):
@@ -204,9 +211,8 @@ def _expression_variants(expr: ClassExpression):
         for variant in _expression_variants(expr.filler):
             yield Existential(expr.prop, variant)
     elif isinstance(expr, Intersection):
-        for perm in _distinct_permutations(expr.operands):
-            for combo in _lazy_product(_variant_factories(perm)):
-                yield Intersection(combo)
+        for combo in _ordered_variants(expr.operands):
+            yield Intersection(combo)
     else:
         raise TypeError(f"not a class expression: {expr!r}")
 
@@ -290,10 +296,8 @@ def _subclass_pool_variants(sub: ClassExpression, axioms: list):
 def _axiom_unit_variants(axiom: Axiom):
     """Variants of one non-SubClassOf axiom, original form first."""
     if isinstance(axiom, (EquivalentClasses, DisjointClasses)):
-        maker = type(axiom)
-        for perm in _distinct_permutations(axiom.operands):
-            for combo in _lazy_product(_variant_factories(perm)):
-                yield [maker(combo)]
+        for combo in _ordered_variants(axiom.operands):
+            yield [type(axiom)(combo)]
     elif isinstance(axiom, ClassAssertion):
         for variant in _expression_variants(axiom.expr):
             yield [ClassAssertion(variant, axiom.individual)]
@@ -311,13 +315,10 @@ def _units(axioms: list) -> list:
     units = []
     for axiom in axioms:
         if isinstance(axiom, SubClassOf):
-            key = serialize_expression(axiom.sub)
-            if key in pools:
-                pools[key].append(axiom)
-                continue
-            pools[key] = [axiom]
-            group = pools[key]
-            units.append(partial(_subclass_pool_variants, axiom.sub, group))
+            if axiom.sub not in pools:
+                pools[axiom.sub] = []
+                units.append(partial(_subclass_pool_variants, axiom.sub, pools[axiom.sub]))
+            pools[axiom.sub].append(axiom)
         else:
             units.append(partial(_axiom_unit_variants, axiom))
     return units

@@ -135,9 +135,9 @@ def mentions(axiom: Axiom, iri: str) -> bool:
 @dataclass(frozen=True)
 class LexEntry:
     """One lexicon row: surface name plus optional article, property phrase
-    and joiner for an id (class, property or individual)."""
+    and joiner for an id (class, property or individual); the lexicon dict
+    is keyed by that id."""
 
-    id: str
     preferred_name: str
     article: str | None = None  # "a" | "an" | "the" | None
     property_phrase: str | None = None

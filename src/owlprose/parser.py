@@ -351,7 +351,6 @@ def load_lexicon(doc: SourceDocument | str) -> dict[str, LexEntry]:
                 f"{doc.path}:{lineno}: article must be one of a/an/the or empty, got {article!r}"
             )
         entries[id_] = LexEntry(
-            id=id_,
             preferred_name=name,
             article=article or None,
             property_phrase=phrase or None,

@@ -175,34 +175,6 @@ class _Renderer:
         return ", and ".join(self.clause(op) for op in operands)
 
 
-KIND_OF = "kind-of"
-SPECIALISED = "specialised"
-DEFINED_AS = "defined-as"
-DIFFERENT_FROM = "different-from"
-MEMBERS = "members"
-
-
-def aggregate(subject: str, objects: list[str], template: str) -> str:
-    """One shared-subject sentence body from the subject and its objects.
-    Both arrive already rendered (article decisions are the caller's); the
-    body has no final period and no sentence casing yet.
-    """
-    joined = comma_and(objects)
-    if template == KIND_OF:
-        return f"{subject} is a kind of {joined}"
-    if template == SPECIALISED:
-        if len(objects) == 1:
-            return f"a more specialised kind of {subject} is {joined}"
-        return f"more specialised kinds of {subject} are {joined}"
-    if template == DEFINED_AS:
-        return f"{subject} is defined as {joined}"
-    if template == DIFFERENT_FROM:
-        return f"also {subject} is different from {joined}"
-    if template == MEMBERS:
-        return f"{subject} has members {joined}"
-    raise ValueError(f"unknown template {template!r}")
-
-
 class _ParagraphBuilder:
     """The sentences of one class's paragraph, collected block by block."""
 
@@ -261,43 +233,45 @@ def _others(p: _ParagraphBuilder, leaf: RstNode) -> list[str]:
 
 def _sc_super(p: _ParagraphBuilder, leaf: RstNode):
     supers = dict.fromkeys(ca.axiom.super for ca in leaf.axioms)
-    objects = [p.renderer.np(expr, articled=False) for expr in supers]
-    p.sentence("Sc", aggregate(p.subject, objects, KIND_OF))
+    objects = comma_and([p.renderer.np(expr, articled=False) for expr in supers])
+    p.sentence("Sc", f"{p.subject} is a kind of {objects}")
 
 
 def _sc_specialised(p: _ParagraphBuilder, leaf: RstNode):
     subs = dict.fromkeys(ca.axiom.sub for ca in leaf.axioms)
-    objects = [p.renderer.np(expr, articled=False) for expr in subs]
-    p.sentence("Sc", aggregate(p.bare, objects, SPECIALISED))
+    objects = comma_and([p.renderer.np(expr, articled=False) for expr in subs])
+    if len(subs) == 1:
+        p.sentence("Sc", f"a more specialised kind of {p.bare} is {objects}")
+    else:
+        p.sentence("Sc", f"more specialised kinds of {p.bare} are {objects}")
 
 
 def _ec(p: _ParagraphBuilder, leaf: RstNode):
-    body = aggregate(p.subject, _others(p, leaf), DEFINED_AS)
+    body = f"{p.subject} is defined as {comma_and(_others(p, leaf))}"
     p.merge_or_sentence("Ec", body, body)
 
 
 def _dc(p: _ParagraphBuilder, leaf: RstNode):
-    p.sentence("Dc", aggregate(p.subject, _others(p, leaf), DIFFERENT_FROM))
+    p.sentence("Dc", f"also {p.subject} is different from {comma_and(_others(p, leaf))}")
 
 
 def _ca(p: _ParagraphBuilder, leaf: RstNode):
     individuals = dict.fromkeys(ca.axiom.individual for ca in leaf.axioms)
-    members = [p.renderer.name_of(individual) for individual in individuals]
-    clause = f"has members {comma_and(members)}"
-    p.merge_or_sentence("Ca", clause, aggregate(p.subject, members, MEMBERS))
+    clause = f"has members {comma_and([p.renderer.name_of(i) for i in individuals])}"
+    p.merge_or_sentence("Ca", clause, f"{p.subject} {clause}")
 
 
 def _scr(p: _ParagraphBuilder, leaf: RstNode):
     for ca in leaf.axioms:
         super_np = p.renderer.np(ca.axiom.super, articled=False)
-        p.sentence("Scr", aggregate(p.subject, [super_np], KIND_OF))
+        p.sentence("Scr", f"{p.subject} is a kind of {super_np}")
 
 
 def _ecr(p: _ParagraphBuilder, leaf: RstNode):
     for ca in leaf.axioms:
         objects = [p.renderer.np(op, articled=True) for op in ca.axiom.operands[1:]]
         clause = f"is defined as {comma_and(objects)}"
-        p.merge_or_sentence("Ecr", clause, aggregate(p.subject, objects, DEFINED_AS))
+        p.merge_or_sentence("Ecr", clause, f"{p.subject} {clause}")
 
 
 def _indirect(p: _ParagraphBuilder, leaf: RstNode):

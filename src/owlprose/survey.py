@@ -83,14 +83,9 @@ def emit_report(stats: PatternStats) -> str:
             lines.append(
                 f"{label},{count},{_fraction(count, total)},{_fraction(among_nonempty, nonempty)}"
             )
-    lines.append("")
-    lines.append("role,fraction,fraction_nonempty")
-    for role, count in order(stats.role_containment):
-        if count:
-            lines.append(f"{role},{_fraction(count, total)},{_fraction(count, nonempty)}")
-    lines.append("")
-    lines.append("group,fraction,fraction_nonempty")
-    for group, count in order(stats.group_containment):
-        if count:
-            lines.append(f"{group},{_fraction(count, total)},{_fraction(count, nonempty)}")
+    for header, counter in (("role", stats.role_containment), ("group", stats.group_containment)):
+        lines += ["", f"{header},fraction,fraction_nonempty"]
+        for label, count in order(counter):
+            if count:
+                lines.append(f"{label},{_fraction(count, total)},{_fraction(count, nonempty)}")
     return "\n".join(lines) + "\n"

@@ -122,7 +122,7 @@ def test_records_format_labels_each_sentence(capsys, ontology_path, lexicon_path
     )
 
 
-def test_rst_debug_goes_to_stderr(capsys, ontology_path, lexicon_path):
+def test_rst_debug_goes_to_stderr(capsys, tmp_path, ontology_path, lexicon_path):
     verbalize(
         "--ontology", ontology_path, "--lexicon", lexicon_path,
         "--class", ":Fever", "--rst-debug",
@@ -130,6 +130,22 @@ def test_rst_debug_goes_to_stderr(capsys, ontology_path, lexicon_path):
     out, err = capsys.readouterr()
     assert "sc-super" in err
     assert "sc-super" not in out
+    # a simple and a complex direct axiom: the complex block carries the connector
+    mixed = tmp_path / "mixed.ofs"
+    mixed.write_text(
+        ONTOLOGY.replace(
+            "  SubClassOf(:Ague :Fever)\n",
+            "  Declaration(Class(:City))\n"
+            "  Declaration(ObjectProperty(:partOf))\n"
+            "  SubClassOf(:Fever ObjectSomeValuesFrom(:partOf :City))\n",
+        ),
+        encoding="utf-8",
+    )
+    assert verbalize("--ontology", str(mixed), "--class", ":Fever", "--rst-debug") == 0
+    out, err = capsys.readouterr()
+    assert "  satellite elaboration complex-direct [Additionally]" in err.splitlines()
+    assert out.startswith("Fever is a kind of Disease. Additionally, ")
+    assert "complex-direct" not in out
 
 
 def test_lexicon_env_fallback(capsys, monkeypatch, ontology_path, lexicon_path):
@@ -286,6 +302,19 @@ def test_survey_walks_subdirectories(capsys, tmp_path):
     assert "Sc,2,1.0000,1.0000" in out.splitlines()
 
 
+def test_survey_skips_an_unreadable_match(capsys, caplog, tmp_path):
+    (tmp_path / "good.ofs").write_text("SubClassOf(:A :B)\n", encoding="utf-8")
+    broken = tmp_path / "broken.ofs"
+    broken.mkdir()  # matched by *.ofs, but reading it raises OSError
+    with caplog.at_level(logging.WARNING, logger="owlprose"):
+        assert main(["survey", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert "skipped 1 file(s)" in err
+    [warning] = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+    assert warning.startswith(f"skipping {broken}: [Errno 21] Is a directory")
+    assert "Sc,2,1.0000,1.0000" in out.splitlines()
+
+
 def test_survey_rejects_a_missing_directory(capsys, tmp_path):
     status = main(["survey", str(tmp_path / "nowhere")])
     assert status == 1
@@ -338,6 +367,24 @@ def test_eval_unknown_class_exits_2(capsys, ontology_path):
     )
     assert status == 2
     capsys.readouterr()
+
+
+def test_eval_notes_a_truncated_scan(capsys, tmp_path):
+    reference, candidate = tmp_path / "reference.ofs", tmp_path / "candidate.ofs"
+    declarations = "".join(f"Declaration(Class(:{c}))\n" for c in "FABC")
+    reference.write_text(
+        declarations + "SubClassOf(:F ObjectIntersectionOf(:A :B))\n", encoding="utf-8"
+    )
+    candidate.write_text(declarations + "SubClassOf(:F :C)\n", encoding="utf-8")
+    status = main(["eval", "--reference", str(reference), "--candidate", str(candidate),
+                   "--class", ":F", "--cap", "1"])
+    assert status == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "reference_axiom,candidate_axiom,score"
+    assert out.splitlines()[-1].startswith("mean,")
+    assert err == (
+        "owlprose: equivalence family larger than cap=1; the score is a lower bound\n"
+    )
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])

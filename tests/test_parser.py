@@ -309,10 +309,20 @@ def test_load_lexicon_rejects_bad_article():
         load_lexicon(":A\tthing\tsome\n")
 
 
-@pytest.mark.parametrize("row", [":OnlyId\n", ":Id\ta\tb\tc\td\te\n"])
+# an empty id or preferred_name cell counts as a missing column
+LEXICON_ROW_ERRORS = {
+    ":OnlyId\n": "expected 2 to 5 tab-separated columns, got 1",
+    ":Id\ta\tb\tc\td\te\n": "expected 2 to 5 tab-separated columns, got 6",
+    "\tthing\n": "empty id column",
+    ":A\t\n": "empty preferred_name column",
+}
+
+
+@pytest.mark.parametrize("row", list(LEXICON_ROW_ERRORS))
 def test_load_lexicon_rejects_wrong_column_count(row):
-    with pytest.raises(LexiconFormatError):
+    with pytest.raises(LexiconFormatError) as error:
         load_lexicon(row)
+    assert str(error.value) == f"<string>:1: {LEXICON_ROW_ERRORS[row]}"
 
 
 def test_load_lexicon_accepts_source_document(tmp_path):

@@ -14,12 +14,9 @@ from owlprose.model import (
 )
 from owlprose.planner import build_rst
 from owlprose.realizer import (
-    KIND_OF,
-    SPECIALISED,
     Paragraph,
     RealizeOptions,
     _Renderer,
-    aggregate,
     comma_and,
     realize,
 )
@@ -28,14 +25,14 @@ D = ":Fever"
 F, A, B, C = Named(D), Named(":Disease"), Named(":Ague"), Named(":Pyrexia")
 
 LEXICON = {
-    ":Fever": LexEntry(":Fever", "fever"),
-    ":Disease": LexEntry(":Disease", "disease"),
-    ":Ague": LexEntry(":Ague", "ague"),
-    ":Pyrexia": LexEntry(":Pyrexia", "pyrexia"),
-    ":City": LexEntry(":City", "city", article="a"),
-    ":partOf": LexEntry(":partOf", "part of", property_phrase="is part of"),
-    ":site": LexEntry(":site", "site", property_phrase="has procedure site"),
-    ":locatedIn": LexEntry(":locatedIn", "located", property_phrase="is located", joiner="in"),
+    ":Fever": LexEntry("fever"),
+    ":Disease": LexEntry("disease"),
+    ":Ague": LexEntry("ague"),
+    ":Pyrexia": LexEntry("pyrexia"),
+    ":City": LexEntry("city", article="a"),
+    ":partOf": LexEntry("part of", property_phrase="is part of"),
+    ":site": LexEntry("site", property_phrase="has procedure site"),
+    ":locatedIn": LexEntry("located", property_phrase="is located", joiner="in"),
 }
 
 
@@ -133,22 +130,6 @@ def test_comma_and_has_no_oxford_comma():
     assert comma_and(["a", "b", "c"]) == "a, b and c"
 
 
-def test_aggregate_kind_of_joins_objects():
-    body = aggregate("fever", ["disease", "ague"], KIND_OF)
-    assert body == "fever is a kind of disease and ague"
-
-
-def test_aggregate_specialised_switches_number():
-    assert (
-        aggregate("fever", ["ague"], SPECIALISED)
-        == "a more specialised kind of fever is ague"
-    )
-    assert (
-        aggregate("fever", ["ague", "pyrexia"], SPECIALISED)
-        == "more specialised kinds of fever are ague and pyrexia"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Paragraphs
 # ---------------------------------------------------------------------------
@@ -166,6 +147,8 @@ def test_kind_of_specialised_and_merged_definition():
         ("Sc", "Fever is a kind of disease."),
         ("Sc+Ec", "A more specialised kind of fever is ague, and fever is defined as pyrexia."),
     ]
+    paragraph = verbalize([SubClassOf(B, F), SubClassOf(C, F)])
+    assert paragraph.sentences == ["More specialised kinds of fever are ague and pyrexia."]
 
 
 def test_definition_stands_alone_without_a_host_sentence():
