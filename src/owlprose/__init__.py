@@ -6,7 +6,7 @@ classify each frame axiom, build_rst, realize. The survey and evaluation
 entry points reuse the same parsed model.
 """
 
-from .classifier import ClassifiedAxiom, classify, frame_groups, pattern_label, to_direct
+from .classifier import ClassifiedAxiom, classify, frame_groups, pattern_label
 from .evaluate import (
     SimilarityReport,
     levenshtein,
@@ -87,5 +87,4 @@ __all__ = [
     "serialize_expression",
     "similarity",
     "survey",
-    "to_direct",
 ]

@@ -1,5 +1,4 @@
-"""Classification of frame axioms: group label, complexity, directness, and
-conversion of indirect simple axioms to a direct form.
+"""Classification of frame axioms: group label, complexity and directness.
 
 Group labels pair the axiom kind with a complexity marker: Sc/Scr for
 SubClassOf, Ec/Ecr for EquivalentClasses, Dc/Dcr for DisjointClasses, Ca/Car
@@ -15,7 +14,7 @@ direct when the designated class is the union class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import (
     Axiom,
@@ -35,10 +34,6 @@ class NotInFrame(ValueError):
     """The axiom does not mention the designated class."""
 
 
-class NotConvertible(ValueError):
-    """to_direct was asked to convert an axiom it has no rule for."""
-
-
 @dataclass(frozen=True)
 class ClassifiedAxiom:
     """An axiom with its group label and orientation w.r.t. a designated class."""
@@ -46,7 +41,6 @@ class ClassifiedAxiom:
     axiom: Axiom
     group: str
     direct: bool
-    inverted: bool = False  # set when an indirect SubClassOf was re-oriented
 
 
 def _is_complex(axiom: Axiom, designated: str) -> bool:
@@ -80,27 +74,6 @@ def classify(axiom: Axiom, designated: str) -> ClassifiedAxiom:
     else:
         raise TypeError(f"not an axiom: {axiom!r}")
     return ClassifiedAxiom(axiom, group, direct)
-
-
-def to_direct(ca: ClassifiedAxiom, designated: str) -> ClassifiedAxiom:
-    """Re-orient an indirect simple Sc/Ec/Dc axiom toward the designated class.
-
-    SubClassOf keeps its operands and is marked inverted (realized through the
-    specialised-kind template); Ec/Dc rotate the argument list so the
-    designated class comes first, preserving the relative order of the rest.
-    Already-direct input is returned unchanged.
-    """
-    if ca.direct:
-        return ca
-    if ca.group == "Sc":
-        return replace(ca, direct=True, inverted=True)
-    if ca.group in ("Ec", "Dc"):
-        operands = list(ca.axiom.operands)
-        operands.remove(Named(designated))
-        rotated = (Named(designated), *operands)
-        maker = EquivalentClasses if ca.group == "Ec" else DisjointClasses
-        return replace(ca, axiom=maker(rotated), direct=True)
-    raise NotConvertible(f"no direct form for group {ca.group}")
 
 
 def frame_groups(frame: ClassFrame) -> frozenset:

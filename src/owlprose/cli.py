@@ -112,7 +112,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
             log.warning("skipping %s", exc)
             skipped += 1
         except OSError as exc:
-            log.warning("skipping %s: %s", path, exc)
+            log.warning("skipping %s: %s", path, exc.strerror)
             skipped += 1
     stats = survey(corpus)
     if skipped:

@@ -33,6 +33,7 @@ from .model import (
     Intersection,
     Named,
     SubClassOf,
+    conjuncts,
 )
 from .parser import serialize_axiom
 
@@ -217,10 +218,6 @@ def _expression_variants(expr: ClassExpression):
         raise TypeError(f"not a class expression: {expr!r}")
 
 
-def _conjuncts(expr: ClassExpression) -> tuple:
-    return expr.operands if isinstance(expr, Intersection) else (expr,)
-
-
 def _distinct_partitions(elements: list):
     """Partitions of range(len(elements)) as block lists, in restricted-growth
     order, skipping each partition whose blocks hold the same multisets of
@@ -274,7 +271,7 @@ def _subclass_pool_variants(sub: ClassExpression, axioms: list):
     expression per produced axiom. The original grouping is emitted first so
     the head of the stream is always the verbatim input.
     """
-    elements = [c for axiom in axioms for c in _conjuncts(axiom.super)]
+    elements = [c for axiom in axioms for c in conjuncts(axiom.super)]
     yield list(axioms)
     for blocks in _distinct_partitions(elements):
         orderings = [

@@ -113,6 +113,11 @@ def expressions_of(axiom: Axiom) -> tuple:
     raise TypeError(f"not an axiom: {axiom!r}")
 
 
+def conjuncts(expr: ClassExpression) -> tuple:
+    """The operands of an intersection, or the expression alone."""
+    return expr.operands if isinstance(expr, Intersection) else (expr,)
+
+
 def _expr_mentions(expr: ClassExpression, iri: str) -> bool:
     if isinstance(expr, Named):
         return expr.iri == iri

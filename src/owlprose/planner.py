@@ -4,17 +4,18 @@ nucleus/satellite tree the realizer walks (RST, Mann & Thompson 1988).
 The tree has up to three blocks, in paragraph order: simple-direct,
 complex-direct and the indirect list. Leaves follow the group precedence Sc,
 Ec, Dc, Ca, Scr, Ecr inside each block, and axioms within a leaf keep frame
-order. Indirect simple axioms are always converted to direct form first, so
-only complex indirect axioms (Scr2/Ecr2) reach the trailing list, one leaf per
-axiom. Car, Dcr and Du axioms are never planned.
+order. Each planned axiom is the frame's own object, on one leaf. Indirect
+simple axioms share the direct leaves (an indirect SubClassOf names a
+specialisation), so only complex indirect axioms (Scr2/Ecr2) reach the
+trailing list, one leaf per axiom. Car, Dcr and Du axioms are never planned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .classifier import ClassifiedAxiom, to_direct
-from .model import ClassFrame, Intersection, Named, SubClassOf
+from .classifier import ClassifiedAxiom
+from .model import ClassFrame, Named, conjuncts
 
 NUCLEUS = "nucleus"
 SATELLITE = "satellite"
@@ -65,45 +66,38 @@ class RstNode:
     designated: str | None = None
 
 
-def _route(ca: ClassifiedAxiom, designated: str) -> list[tuple[str, ClassifiedAxiom]]:
-    """The leaf label of each planned piece of one classified axiom."""
+def _route(ca: ClassifiedAxiom) -> tuple[str, ClassifiedAxiom] | None:
+    """The leaf label for one classified axiom, or None when it is dropped."""
     if ca.group in _DROPPED_GROUPS:
-        return []
-    if ca.group in ("Sc", "Ec", "Dc"):
-        ca = to_direct(ca, designated)
+        return None
     if ca.group == "Sc":
-        return [("sc-specialised" if ca.inverted else "sc-super", ca)]
+        return ("sc-super" if ca.direct else "sc-specialised", ca)
+    if ca.group in ("Ec", "Dc"):
+        return (ca.group.lower(), ca)
     if not ca.direct:  # Scr2, Ecr2
-        return [(f"indirect-{ca.group.lower()}", ca)]
-    axiom = ca.axiom
-    if (
-        ca.group == "Scr"
-        and isinstance(axiom.super, Intersection)
-        and all(isinstance(op, Named) for op in axiom.super.operands)
-    ):
-        # A subclass of an intersection is a subclass of every conjunct, and
-        # the conjuncts then aggregate into the kind-of sentence instead of
-        # spawning a separate complex sentence.
-        return [
-            ("sc-super", ClassifiedAxiom(SubClassOf(axiom.sub, conjunct), "Sc", True))
-            for conjunct in axiom.super.operands
-        ]
-    return [(ca.group.lower(), ca)]  # ec, dc, ca, scr, ecr
+        return (f"indirect-{ca.group.lower()}", ca)
+    if ca.group == "Scr" and all(isinstance(op, Named) for op in conjuncts(ca.axiom.super)):
+        # A direct Scr's super is never named, so this is an intersection of
+        # named classes. A subclass of an intersection is a subclass of every
+        # conjunct, and the conjuncts then aggregate into the kind-of sentence
+        # instead of spawning a separate complex sentence.
+        return ("sc-super", replace(ca, group="Sc"))
+    return (ca.group.lower(), ca)  # ca, scr, ecr
 
 
 def build_rst(frame: ClassFrame, classified: list[ClassifiedAxiom]) -> RstNode:
     """Arrange the classified frame into the paragraph tree.
 
     Simple-direct leaves form the main nucleus (kind-of statements first,
-    then re-oriented specialisations, then equivalences and disjointness
-    satellites); complex-direct leaves form an elaboration satellite that
-    opens with "Additionally" after simple-direct text; indirect axioms form a
-    trailing list, one nucleus per axiom.
+    then specialisations, then equivalences and disjointness satellites);
+    complex-direct leaves form an elaboration satellite that opens with
+    "Additionally" after simple-direct text; indirect axioms form a trailing
+    list, one nucleus per axiom.
     """
     routed = {}
     for ca in classified:
-        for label, piece in _route(ca, frame.designated):
-            routed.setdefault(label, []).append(piece)
+        if route := _route(ca):
+            routed.setdefault(route[0], []).append(route[1])
 
     root = RstNode(NUCLEUS, None, f"class {frame.designated}", designated=frame.designated)
     for block_label, block_kind, block_relation, connector, leaf_specs in _SKELETON:

@@ -6,14 +6,16 @@ the template function its label names. Leaves are taken in plan order except
 the members leaf, which goes last in its block because its clause trails the
 sentence it merges onto.
 
-The template catalogue, with F the described class:
+The template catalogue, with F the described class; the leaves hold the
+frame's own axioms, with F on either side:
 
-  kind-of        "{F} is a kind of {o1, o2 and o3}."
+  kind-of        "{F} is a kind of {o1, o2 and o3}." (conjuncts of each super)
   specialised    "A more specialised kind of {F} is {z}." /
                  "More specialised kinds of {F} are {z1 and z2}."
   defined-as     ", and {F} is defined as {list}." merged onto the previous
-                 simple sentence, else standalone.
-  different-from "Also {F} is different from {list}."
+                 simple sentence, else standalone; the list is the operands
+                 without the first occurrence of F.
+  different-from "Also {F} is different from {list}." (listed alike)
   complex opener "Additionally, " on the block's first sentence when simple
                  text precedes it.
   complex kind-of "{F} is a kind of {expression}."
@@ -42,6 +44,7 @@ from .model import (
     Intersection,
     Named,
     SubClassOf,
+    conjuncts,
 )
 from .planner import RstNode
 
@@ -180,8 +183,9 @@ class _ParagraphBuilder:
 
     def __init__(self, renderer: _Renderer, designated: str):
         self.renderer = renderer
-        self.subject = renderer.np(Named(designated), articled=True)
-        self.bare = renderer.np(Named(designated), articled=False)
+        self.described = Named(designated)
+        self.subject = renderer.np(self.described, articled=True)
+        self.bare = renderer.np(self.described, articled=False)
         self.bodies: list[list] = []  # [labels, body] pairs
         self.block_start = 0
         self.embedded: list[tuple[str, str]] = []  # (group, sentence) per indirect axiom
@@ -225,14 +229,20 @@ class _ParagraphBuilder:
         return paragraph
 
 
+def _rest(p: _ParagraphBuilder, axiom) -> tuple:
+    """The axiom's operands minus the first occurrence of the described class."""
+    i = axiom.operands.index(p.described)
+    return axiom.operands[:i] + axiom.operands[i + 1 :]
+
+
 def _others(p: _ParagraphBuilder, leaf: RstNode) -> list[str]:
-    """The operands after the described class, first occurrence only, articled."""
-    operands = dict.fromkeys(op for ca in leaf.axioms for op in ca.axiom.operands[1:])
+    """The leaf's operands besides the described class, deduplicated, articled."""
+    operands = dict.fromkeys(op for ca in leaf.axioms for op in _rest(p, ca.axiom))
     return [p.renderer.np(op, articled=True) for op in operands]
 
 
 def _sc_super(p: _ParagraphBuilder, leaf: RstNode):
-    supers = dict.fromkeys(ca.axiom.super for ca in leaf.axioms)
+    supers = dict.fromkeys(c for ca in leaf.axioms for c in conjuncts(ca.axiom.super))
     objects = comma_and([p.renderer.np(expr, articled=False) for expr in supers])
     p.sentence("Sc", f"{p.subject} is a kind of {objects}")
 
@@ -269,14 +279,14 @@ def _scr(p: _ParagraphBuilder, leaf: RstNode):
 
 def _ecr(p: _ParagraphBuilder, leaf: RstNode):
     for ca in leaf.axioms:
-        objects = [p.renderer.np(op, articled=True) for op in ca.axiom.operands[1:]]
+        objects = [p.renderer.np(op, articled=True) for op in _rest(p, ca.axiom)]
         clause = f"is defined as {comma_and(objects)}"
         p.merge_or_sentence("Ecr", clause, f"{p.subject} {clause}")
 
 
 def _indirect(p: _ParagraphBuilder, leaf: RstNode):
     ca = leaf.axioms[0]
-    p.embedded.append((ca.group, _embedded_sentence(p.renderer, ca)))
+    p.embedded.append((ca.group, _embedded_sentence(p.renderer, ca.axiom)))
 
 
 _TEMPLATES = {
@@ -306,9 +316,8 @@ def realize(tree: RstNode, lexicon: dict, options: RealizeOptions | None = None)
     return builder.paragraph()
 
 
-def _embedded_sentence(renderer: _Renderer, ca) -> str:
+def _embedded_sentence(renderer: _Renderer, axiom) -> str:
     """An indirect axiom re-expressed from its own subject's perspective."""
-    axiom = ca.axiom
     if isinstance(axiom, SubClassOf):
         subject = renderer.np(axiom.sub, articled=True)
         if isinstance(axiom.super, Intersection):

@@ -1,4 +1,4 @@
-"""Axiom classification: groups, directness, re-orientation, pattern labels."""
+"""Axiom classification: groups, directness, pattern labels."""
 
 import random
 
@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import genutil
-from owlprose.classifier import (
-    NotConvertible,
-    NotInFrame,
-    classify,
-    frame_groups,
-    pattern_label,
-    to_direct,
-)
+from owlprose.classifier import NotInFrame, classify, frame_groups, pattern_label
 from owlprose.model import (
     ClassAssertion,
     ClassFrame,
@@ -54,7 +47,6 @@ COMPLEX = Existential(":p", A)
 def test_group_and_directness(axiom, group, direct):
     ca = classify(axiom, D)
     assert (ca.group, ca.direct) == (group, direct)
-    assert not ca.inverted
 
 
 def test_designated_occurrence_does_not_count_toward_complexity():
@@ -72,44 +64,6 @@ def test_disjoint_union_is_always_simple():
 def test_classify_rejects_foreign_axiom():
     with pytest.raises(NotInFrame):
         classify(SubClassOf(A, B), D)
-
-
-def test_to_direct_inverts_subclass():
-    ca = classify(SubClassOf(A, F), D)
-    converted = to_direct(ca, D)
-    assert converted.direct and converted.inverted
-    assert converted.axiom == ca.axiom  # operands untouched
-
-
-def test_to_direct_rotates_equivalence_preserving_rest_order():
-    ca = classify(EquivalentClasses((A, B, F)), D)
-    converted = to_direct(ca, D)
-    assert converted.axiom == EquivalentClasses((F, A, B))
-    assert converted.direct and not converted.inverted
-
-
-def test_to_direct_rotates_disjointness():
-    ca = classify(DisjointClasses((A, F, B)), D)
-    assert to_direct(ca, D).axiom == DisjointClasses((F, A, B))
-
-
-def test_to_direct_is_identity_on_direct_input():
-    ca = classify(SubClassOf(F, A), D)
-    assert to_direct(ca, D) is ca
-
-
-@pytest.mark.parametrize(
-    "axiom",
-    [
-        SubClassOf(A, Intersection((B, F))),  # Scr
-        EquivalentClasses((COMPLEX, F)),  # Ecr
-        DisjointUnion(":A", (F, B)),  # Du
-    ],
-)
-def test_to_direct_refuses_groups_without_direct_form(axiom):
-    ca = classify(axiom, D)
-    with pytest.raises(NotConvertible):
-        to_direct(ca, D)
 
 
 def test_pattern_label_sorts_and_dedups():

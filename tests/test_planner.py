@@ -1,7 +1,6 @@
-"""Discourse planning: leaf routing, the named-super split, tree shape."""
+"""Discourse planning: leaf routing, the named-super fold, tree shape."""
 
 import random
-from collections import Counter
 
 from hypothesis import given, strategies as st
 
@@ -57,13 +56,11 @@ def test_simple_indirect_axioms_are_always_converted():
         DisjointClasses((B, F, A)),
     ]
     planned = plan(axioms)
+    # stated from the frame class's side, on the leaves direct axioms use,
+    # each as the frame's own axiom
     assert [label for label, _ in planned] == ["sc-specialised", "ec", "dc"]
-    (specialised,), (equivalence,), (disjoint,) = [group for _, group in planned]
-    assert all(ca.direct for ca in (specialised, equivalence, disjoint))
-    assert specialised.inverted and specialised.axiom == SubClassOf(A, F)
-    assert not equivalence.inverted and not disjoint.inverted
-    assert equivalence.axiom == EquivalentClasses((F, A))
-    assert disjoint.axiom == DisjointClasses((F, B, A))
+    for (_, [ca]), axiom in zip(planned, axioms, strict=True):
+        assert ca.axiom is axiom and not ca.direct
 
 
 def test_car_dcr_du_are_dropped():
@@ -79,14 +76,11 @@ def test_car_dcr_du_are_dropped():
 
 
 def test_named_super_intersection_splits_into_conjuncts():
-    [(label, group)] = plan([SubClassOf(F, Intersection((A, B, C)))])
+    # one planned axiom on the kind-of leaf, which lists its conjuncts
+    axiom = SubClassOf(F, Intersection((A, B, C)))
+    [(label, [ca])] = plan([axiom])
     assert label == "sc-super"
-    assert [ca.axiom for ca in group] == [
-        SubClassOf(F, A),
-        SubClassOf(F, B),
-        SubClassOf(F, C),
-    ]
-    assert all(ca.group == "Sc" and ca.direct for ca in group)
+    assert ca.axiom is axiom and ca.group == "Sc" and ca.direct
 
 
 def test_super_intersection_with_structure_is_not_split():
@@ -104,32 +98,17 @@ def test_indirect_scr_is_not_split():
     assert [ca.axiom for ca in group] == [axiom]
 
 
-def derives_from(planned, source) -> bool:
-    """The planned axiom is the frame axiom itself, the same Ec/Dc operands
-    with the frame class moved first, or one conjunct of a split super."""
-    if planned == source:
-        return True
-    if type(planned) is type(source) and isinstance(source, (EquivalentClasses, DisjointClasses)):
-        return planned.operands[0] == F and Counter(planned.operands) == Counter(source.operands)
-    return (
-        isinstance(planned, SubClassOf)
-        and isinstance(source, SubClassOf)
-        and isinstance(source.super, Intersection)
-        and planned.sub == source.sub
-        and planned.super in source.super.operands
-    )
-
-
 @given(st.integers(0, 10**9))
 def test_plan_covers_the_frame_and_adds_nothing(seed):
     frame = genutil.gen_frame(random.Random(seed))
     tree = build_rst(frame, [classify(ax, frame.designated) for ax in frame.axioms])
-    planned = [ca.axiom for leaf in leaves(tree) for ca in leaf.axioms]
-    for axiom in planned:
-        assert any(derives_from(axiom, source) for source in frame.axioms), axiom
-    for source in frame.axioms:
-        if genutil.oracle_group(source, frame.designated) not in ("Car", "Dcr", "Du"):
-            assert any(derives_from(axiom, source) for axiom in planned), source
+    planned = sorted(id(ca.axiom) for leaf in leaves(tree) for ca in leaf.axioms)
+    expected = sorted(
+        id(axiom)
+        for axiom in frame.axioms
+        if genutil.oracle_group(axiom, frame.designated) not in ("Car", "Dcr", "Du")
+    )
+    assert planned == expected
 
 
 FULL_FRAME = [

@@ -154,16 +154,26 @@ def test_kind_of_specialised_and_merged_definition():
 def test_definition_stands_alone_without_a_host_sentence():
     paragraph = verbalize([EquivalentClasses((F, C))])
     assert paragraph.sentences == ["Fever is defined as pyrexia."]
+    # an indirect definition drops the first occurrence of the class only
+    paragraph = verbalize([EquivalentClasses((A, F, B))])
+    assert paragraph.sentences == ["Fever is defined as disease and ague."]
+    paragraph = verbalize([EquivalentClasses((A, F, F))])
+    assert paragraph.sentences == ["Fever is defined as disease and fever."]
 
 
 def test_duplicate_supers_collapse():
     paragraph = verbalize([SubClassOf(F, A), SubClassOf(F, A), SubClassOf(F, B)])
     assert paragraph.sentences == ["Fever is a kind of disease and ague."]
+    # the conjuncts of a named intersection join the kind-of list
+    paragraph = verbalize([SubClassOf(F, Intersection((A, B))), SubClassOf(F, C)])
+    assert paragraph.sentences == ["Fever is a kind of disease, ague and pyrexia."]
 
 
 def test_disjointness_sentence_opens_with_also():
     paragraph = verbalize([DisjointClasses((F, A, B))])
     assert paragraph.sentences == ["Also fever is different from disease and ague."]
+    paragraph = verbalize([DisjointClasses((B, F, A))])
+    assert paragraph.sentences == ["Also fever is different from ague and disease."]
 
 
 def test_members_merge_onto_a_complex_sentence():

@@ -1,0 +1,149 @@
+"""Print one "name sha256" line per output surface of the package, so that
+two checkouts can be compared for byte-identical output with one diff.
+
+Run from any directory; the script uses the src/ and tests/ of the checkout
+it lives in:
+
+    python3 tools/output_digest.py > after.txt
+    python3 ../parent/tools/output_digest.py > before.txt
+    diff before.txt after.txt
+
+The surfaces:
+
+  verbalize-text     owlprose verbalize stdout for each fixture class, with
+                     the manifest's flags
+  verbalize-records  the same in --format records
+  rst-debug          the --rst-debug trees the records runs print to stderr
+  survey             owlprose survey fixtures/ stdout
+  self-eval          owlprose eval stdout, each fixture against itself
+  realize            text and records of 6000 seeded tests/genutil.gen_frame
+                     frames, with and without a lexicon, with no realizer
+                     flags and with both
+  equivalents        the first 200 versions evaluate._equivalent_stream gives
+                     for each of 1500 seeded frames, as serialized axioms
+
+A line that differs names the surface to look into; its raw output is one
+command away.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import genutil  # noqa: E402
+from owlprose.classifier import classify  # noqa: E402
+from owlprose.evaluate import _equivalent_stream  # noqa: E402
+from owlprose.model import LexEntry  # noqa: E402
+from owlprose.parser import serialize_axiom  # noqa: E402
+from owlprose.planner import build_rst  # noqa: E402
+from owlprose.realizer import RealizeOptions, realize  # noqa: E402
+
+REALIZE_FRAMES = 6000
+STREAM_FRAMES = 1500
+STREAM_VERSIONS = 200
+
+
+def owlprose(*args: str) -> subprocess.CompletedProcess:
+    """Run the command line in a child process; fail on a nonzero exit."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "owlprose.cli", *args],
+        env=env, capture_output=True, text=True, check=True,
+    )
+
+
+def generated_lexicon() -> dict:
+    """Names for the genutil pools, mixing articles, phrases and joiners."""
+    classes, props, inds = genutil.make_pools()
+    lexicon = {
+        id_: LexEntry(f"class {id_[2:]}", article=("a", "an", None)[i % 3])
+        for i, id_ in enumerate(classes)
+    }
+    lexicon[genutil.DESIGNATED] = LexEntry("fever")
+    phrases = (("is part of", None), ("has site", None), ("is located", "in"))
+    for id_, (phrase, joiner) in zip(props, phrases):
+        lexicon[id_] = LexEntry(id_[1:], property_phrase=phrase, joiner=joiner)
+    for id_ in inds:
+        lexicon[id_] = LexEntry(f"member {id_[2:]}")
+    return lexicon
+
+
+def fixture_surfaces() -> dict:
+    manifest = json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8"))
+    digests = {
+        name: hashlib.sha256()
+        for name in ("verbalize-text", "verbalize-records", "rst-debug", "self-eval")
+    }
+    for name, entry in sorted(manifest.items()):
+        ontology = str(FIXTURES / entry["ontology"])
+        args = [
+            "verbalize", "--ontology", ontology,
+            "--lexicon", str(FIXTURES / entry["lexicon"]),
+            "--class", entry["designated"],
+            *(f"--{flag.replace('_', '-')}" for flag, on in entry["flags"].items() if on),
+        ]
+        text = owlprose(*args)
+        records = owlprose(*args, "--format", "records", "--rst-debug")
+        scored = owlprose(
+            "eval", "--reference", ontology, "--candidate", ontology,
+            "--class", entry["designated"],
+        )
+        for surface, output in (
+            ("verbalize-text", text.stdout),
+            ("verbalize-records", records.stdout),
+            ("rst-debug", records.stderr),
+            ("self-eval", scored.stdout),
+        ):
+            digests[surface].update(f"{name}\n{output}\n".encode())
+    digests["survey"] = hashlib.sha256(owlprose("survey", str(FIXTURES)).stdout.encode())
+    return digests
+
+
+def realize_surface():
+    digest = hashlib.sha256()
+    rng = random.Random(7)
+    lexicons = ({}, generated_lexicon())
+    option_sets = (RealizeOptions(), RealizeOptions(elide_rolegroup=True, guess_articles=True))
+    for _ in range(REALIZE_FRAMES):
+        frame = genutil.gen_frame(rng)
+        classified = [classify(axiom, frame.designated) for axiom in frame.axioms]
+        for lexicon, options in itertools.product(lexicons, option_sets):
+            paragraph = realize(build_rst(frame, classified), lexicon, options)
+            digest.update(f"{paragraph.text}\n{paragraph.records!r}\n".encode())
+    return digest
+
+
+def equivalents_surface():
+    digest = hashlib.sha256()
+    rng = random.Random(11)
+    for _ in range(STREAM_FRAMES):
+        frame = genutil.gen_frame(rng)
+        stream = itertools.islice(_equivalent_stream(frame.axioms), STREAM_VERSIONS)
+        for version, _ in stream:
+            digest.update(("\t".join(map(serialize_axiom, version)) + "\n").encode())
+        digest.update(b"\n")
+    return digest
+
+
+def main() -> int:
+    digests = fixture_surfaces()
+    digests["realize"] = realize_surface()
+    digests["equivalents"] = equivalents_surface()
+    for name, digest in digests.items():
+        print(name, digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
