@@ -2,8 +2,9 @@
 survey axiom patterns over a corpus, and score round-trip re-codings.
 
 The pipeline for one class: parse_ontology + load_lexicon, collect_frame,
-classify each frame axiom, build_rst, realize. The survey and evaluation
-entry points reuse the same parsed model.
+classify each frame axiom, build_rst, realize. ``frames`` gives every declared
+class's frame from one pass over the axioms, as the survey and batch
+verbalization use it; the evaluation entry point reuses the same parsed model.
 """
 
 from .classifier import ClassifiedAxiom, classify, frame_groups, pattern_label
@@ -28,6 +29,7 @@ from .model import (
     SubClassOf,
     UnknownClass,
     collect_frame,
+    frames,
 )
 from .parser import (
     GRAMMAR_VERSION,
@@ -74,6 +76,7 @@ __all__ = [
     "classify",
     "collect_frame",
     "frame_groups",
+    "frames",
     "leaves",
     "levenshtein",
     "load_lexicon",

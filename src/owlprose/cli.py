@@ -6,10 +6,11 @@ Usage:
     owlprose eval --reference FILE --candidate FILE --class ID
 
 The class selector is a single id (":Settlement"), "@FILE" naming a file with
-one id per line, or "all". Batch selections are verbalized in sorted id order
-with each paragraph preceded by its class id; each paragraph is written as
-soon as it is made, and an unknown id in a batch is reported without losing
-the others. Diagnostics go to stderr; only data is written to stdout. Exit
+one id per line, or "all". Every selected frame comes from one pass over the
+ontology's axioms. Batch selections are verbalized in sorted id order with
+each paragraph preceded by its class id; each paragraph is written as soon as
+it is made, and an unknown id in a batch is reported without losing the
+others. Diagnostics go to stderr; only data is written to stdout. Exit
 status: 0 on success, 1 on parse trouble or an unreadable input, 2 on an
 unknown class.
 """
@@ -25,7 +26,7 @@ import sys
 from . import __version__
 from .classifier import classify
 from .evaluate import DEFAULT_CAP, emit_report as emit_eval_report, score_submission
-from .model import UnknownClass, collect_frame
+from .model import UnknownClass, collect_frame, frames
 from .parser import (
     GRAMMAR_VERSION,
     LexiconFormatError,
@@ -75,12 +76,12 @@ def cmd_verbalize(args: argparse.Namespace) -> int:
     options = RealizeOptions(
         elide_rolegroup=args.elide_rolegroup, guess_articles=args.guess_articles
     )
+    index = frames(ontology)
     unknown = 0
     separator = ""  # a blank line between batch paragraphs
     for class_id in ids:
-        try:
-            frame = collect_frame(ontology, class_id)
-        except UnknownClass:
+        frame = index.get(class_id)
+        if frame is None:
             print(f"owlprose: unknown class {class_id}", file=sys.stderr)
             unknown += 1
             continue

@@ -1,6 +1,11 @@
 """In-memory model of the OWL-EL subset: class expressions, axioms, ontologies
 and per-class frames.
 
+A class's frame is every axiom that mentions it, at any depth, in ontology
+order; ``class_ids`` is the one definition of "mentions". ``collect_frame``
+scans the axioms for one class; ``frames`` builds the frame of every declared
+class in a single pass, for the whole-ontology commands.
+
 Identifiers are plain ``:``-prefixed tokens kept as strings (including the
 colon); human-readable names live in the lexicon, not here. Expressions, axioms
 and lexicon entries are frozen; Ontology and ClassFrame are mutable
@@ -118,19 +123,30 @@ def conjuncts(expr: ClassExpression) -> tuple:
     return expr.operands if isinstance(expr, Intersection) else (expr,)
 
 
-def _expr_mentions(expr: ClassExpression, iri: str) -> bool:
+def _add_class_ids(expr: ClassExpression, out: set) -> None:
     if isinstance(expr, Named):
-        return expr.iri == iri
-    if isinstance(expr, Intersection):
-        return any(_expr_mentions(op, iri) for op in expr.operands)
-    if isinstance(expr, Existential):
-        return _expr_mentions(expr.filler, iri)
-    raise TypeError(f"not a class expression: {expr!r}")
+        out.add(expr.iri)
+    elif isinstance(expr, Intersection):
+        for operand in expr.operands:
+            _add_class_ids(operand, out)
+    elif isinstance(expr, Existential):
+        _add_class_ids(expr.filler, out)
+    else:
+        raise TypeError(f"not a class expression: {expr!r}")
+
+
+def class_ids(axiom: Axiom) -> set:
+    """Every class id the axiom mentions, at any depth: the DisjointUnion class
+    included, the individual of a ClassAssertion never."""
+    out: set = set()
+    for expr in expressions_of(axiom):
+        _add_class_ids(expr, out)
+    return out
 
 
 def mentions(axiom: Axiom, iri: str) -> bool:
     """True iff the class id occurs anywhere in the axiom, at any depth."""
-    return any(_expr_mentions(expr, iri) for expr in expressions_of(axiom))
+    return iri in class_ids(axiom)
 
 
 # ---------------------------------------------------------------------------
@@ -179,3 +195,16 @@ def collect_frame(ontology: Ontology, iri: str) -> ClassFrame:
     if iri not in ontology.classes:
         raise UnknownClass(iri)
     return ClassFrame(iri, [ax for ax in ontology.axioms if mentions(ax, iri)])
+
+
+def frames(ontology: Ontology) -> dict:
+    """Every declared class's frame, keyed by class id, built in one pass over
+    the axioms: each axiom joins, in ontology order, the frame of every
+    declared class it mentions. Mentioned but undeclared ids get no frame."""
+    index = {iri: ClassFrame(iri) for iri in ontology.classes}
+    for axiom in ontology.axioms:
+        for iri in class_ids(axiom):
+            frame = index.get(iri)
+            if frame is not None:
+                frame.axioms.append(axiom)
+    return index

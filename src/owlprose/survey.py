@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .classifier import frame_groups
-from .model import Ontology, collect_frame
+from .model import Ontology, frames
 
 ROLES = {
     "taxonomy": frozenset(("Sc", "Scr")),
@@ -45,11 +45,12 @@ class PatternStats:
 
 
 def survey(corpus: list[Ontology]) -> PatternStats:
-    """Tally the pattern of every declared class in every ontology."""
+    """Tally the pattern of every declared class in every ontology, from frames
+    built in one pass over each ontology's axioms."""
     stats = PatternStats()
     for ontology in corpus:
-        for class_id in ontology.classes:
-            groups = frame_groups(collect_frame(ontology, class_id))
+        for frame in frames(ontology).values():
+            groups = frame_groups(frame)
             stats.per_pattern["".join(sorted(groups))] += 1
             stats.total_classes += 1
             for group in groups:

@@ -1,12 +1,13 @@
 """Seeded random generators and independent oracles shared by the tests.
 
 The oracles are deliberately separate implementations of behavior the package
-computes elsewhere (group labels by direct case analysis, edit distance by
-plain recursion and by the textbook dynamic program, assignments and the
-split/permutation family by brute force, text positions by walking the text,
-normalization one character at a time, scoring by the plain scan without
-pruning), so tests can hold the production code to an answer derived another
-way.
+computes elsewhere (class ids by direct case analysis, frames by a scan per
+class, survey tallies from those frames, group labels by direct case analysis,
+edit distance by plain recursion and by the textbook dynamic program,
+assignments and the split/permutation family by brute force, text positions
+by walking the text, normalization one character at a time, scoring by the
+plain scan without pruning), so tests can hold the production code to an
+answer derived another way.
 """
 
 from __future__ import annotations
@@ -136,9 +137,83 @@ def gen_ontology(rng: random.Random, max_classes: int = 10, max_axioms: int = 8)
     return Ontology(set(classes), set(props), set(inds), axioms)
 
 
+def drop_declarations(rng: random.Random, ontology: Ontology, share: float) -> Ontology:
+    """The ontology with about ``share`` of its classes no longer declared, so
+    that its axioms mention ids that have no frame."""
+    declared = {c for c in sorted(ontology.classes) if rng.random() >= share}
+    return Ontology(declared, ontology.properties, ontology.individuals, ontology.axioms)
+
+
+def ontology_text(ontology: Ontology) -> str:
+    """The ontology in the functional syntax the parser reads: a declaration
+    for each of its classes, properties and individuals, then the axioms."""
+    lines = ["Ontology("]
+    lines += [f"  Declaration(Class({c}))" for c in sorted(ontology.classes)]
+    lines += [f"  Declaration(ObjectProperty({p}))" for p in sorted(ontology.properties)]
+    lines += [f"  Declaration(NamedIndividual({i}))" for i in sorted(ontology.individuals)]
+    lines += [f"  {serialize_axiom(ax)}" for ax in ontology.axioms]
+    lines.append(")")
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
+
+
+def _expression_ids_oracle(expr) -> frozenset:
+    if isinstance(expr, Named):
+        return frozenset((expr.iri,))
+    if isinstance(expr, Existential):
+        return _expression_ids_oracle(expr.filler)
+    if isinstance(expr, Intersection):
+        return frozenset().union(*(_expression_ids_oracle(op) for op in expr.operands))
+    raise TypeError(expr)
+
+
+def class_ids_oracle(axiom) -> frozenset:
+    """Class ids named anywhere in the axiom, by case analysis on each axiom
+    kind: the DisjointUnion class counts, a ClassAssertion's individual never."""
+    if isinstance(axiom, SubClassOf):
+        operands, extra = (axiom.sub, axiom.super), ()
+    elif isinstance(axiom, (EquivalentClasses, DisjointClasses)):
+        operands, extra = axiom.operands, ()
+    elif isinstance(axiom, ClassAssertion):
+        operands, extra = (axiom.expr,), ()
+    elif isinstance(axiom, DisjointUnion):
+        operands, extra = axiom.disjuncts, (axiom.union_class,)
+    else:
+        raise TypeError(axiom)
+    return frozenset(extra).union(*(_expression_ids_oracle(op) for op in operands))
+
+
+def frame_oracle(ontology: Ontology, iri: str) -> ClassFrame:
+    """The class's frame by a scan of every axiom."""
+    return ClassFrame(iri, [ax for ax in ontology.axioms if iri in class_ids_oracle(ax)])
+
+
+# Communicative role of each group label, by the label's first two letters.
+_ROLE_OF_BASE = {
+    "Sc": "taxonomy", "Ec": "definition", "Dc": "distinction", "Ca": "illustration",
+    "Du": "alternatives",
+}
+
+
+def survey_oracle(corpus) -> dict:
+    """What survey must tally, class by class from oracle frames and
+    oracle_group: per_pattern, role_containment, group_containment and
+    total_classes."""
+    per_pattern, roles, groups = Counter(), Counter(), Counter()
+    total = 0
+    for ontology in corpus:
+        for iri in sorted(ontology.classes):
+            labels = {oracle_group(ax, iri) for ax in frame_oracle(ontology, iri).axioms}
+            per_pattern["".join(sorted(labels))] += 1
+            groups.update(labels)
+            roles.update({_ROLE_OF_BASE[label[:2]] for label in labels})
+            total += 1
+    return dict(per_pattern=per_pattern, role_containment=roles,
+                group_containment=groups, total_classes=total)
 
 
 def oracle_group(axiom, designated: str) -> str:

@@ -4,14 +4,19 @@ import io
 import json
 import logging
 import pathlib
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from owlprose import model
 from owlprose.cli import main
+from owlprose.model import Ontology, frames
 from owlprose.parser import MAX_NESTING
+
+import genutil
 
 ONTOLOGY = """\
 Ontology(
@@ -108,6 +113,71 @@ def test_batch_reports_unknown_ids_and_keeps_the_rest(capsys, tmp_path, ontology
     out, err = capsys.readouterr()
     assert out == expected
     assert err.splitlines() == ["owlprose: unknown class :Nope", "owlprose: unknown class :Zilch"]
+
+
+def run(argv: list) -> tuple:
+    """(exit status, stdout, stderr) of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def concatenated_single_runs(base: list, ids) -> tuple:
+    """What a batch over the ids must give: one single-class run per id in
+    sorted order, each paragraph under its id line, blank lines between."""
+    status, chunks, err = 0, [], ""
+    for class_id in sorted(ids):
+        single_status, out, single_err = run([*base, "--class", class_id])
+        status = max(status, single_status)
+        if out:
+            chunks.append(f"{class_id}\n{out}")
+        err += single_err
+    return status, "\n".join(chunks), err
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
+@pytest.mark.parametrize("extra", [(), ("--format", "records", "--rst-debug")])
+def test_batch_on_a_generated_ontology_equals_single_runs(tmp_path, seed, extra):
+    ontology = genutil.gen_ontology(random.Random(seed), max_axioms=24)
+    path = tmp_path / "generated.ofs"
+    path.write_text(genutil.ontology_text(ontology), encoding="utf-8")
+    base = ["verbalize", "--ontology", str(path), *extra]
+    assert run([*base, "--class", "all"]) == concatenated_single_runs(base, ontology.classes)
+
+    # a duplicate and two unknown ids
+    ids = sorted(ontology.classes)[::2]
+    ids += [ids[0], ":Zilch", ":Nope"]
+    id_file = tmp_path / "ids.txt"
+    id_file.write_text("\n".join(ids) + "\n", encoding="utf-8")
+    expected = concatenated_single_runs(base, ids)
+    assert expected[0] == 2
+    assert run([*base, "--class", f"@{id_file}"]) == expected
+
+
+def test_whole_ontology_commands_walk_each_frame_once(tmp_path, monkeypatch):
+    """Linear work, counted: survey and verbalize --class all call class_ids
+    once per axiom to build the frames and once per frame axiom to classify
+    it, where a scan per class would call it classes x axioms times."""
+    rng = random.Random(300)
+    classes, props, inds = genutil.make_pools(300, 12, 12)
+    axioms = [genutil.gen_axiom(rng, classes, props, inds, rng.randint(0, 2)) for _ in range(1200)]
+    ontology = Ontology(set(classes), set(props), set(inds), axioms)
+    (tmp_path / "corpus").mkdir()
+    path = tmp_path / "corpus" / "large.ofs"
+    path.write_text(genutil.ontology_text(ontology), encoding="utf-8")
+    bound = len(axioms) + sum(len(frame.axioms) for frame in frames(ontology).values())
+
+    calls = []
+    class_ids = model.class_ids
+    monkeypatch.setattr(model, "class_ids", lambda axiom: calls.append(1) or class_ids(axiom))
+    for argv in (
+        ["survey", str(tmp_path / "corpus")],
+        ["verbalize", "--ontology", str(path), "--class", "all"],
+    ):
+        calls.clear()
+        assert run(argv)[0] == 0
+        assert len(axioms) <= len(calls) <= bound, argv
 
 
 def test_records_format_labels_each_sentence(capsys, ontology_path, lexicon_path):
@@ -453,10 +523,8 @@ def test_no_input_ends_in_a_traceback(case):
             ["eval", "--reference", str(path), "--candidate", str(path), "--class", class_id],
         ]
         for argv in runs:
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                status = main(argv)
+            status, _, err = run(argv)
             assert status in (0, 1, 2), argv
             if status == 1:
-                assert err.getvalue().startswith("owlprose: "), argv
-                assert err.getvalue().count("\n") == 1, argv
+                assert err.startswith("owlprose: "), argv
+                assert err.count("\n") == 1, argv

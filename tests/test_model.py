@@ -1,6 +1,9 @@
 """Core data model: validation, operand access, mention search, frames."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from owlprose.model import (
     ClassAssertion,
@@ -13,10 +16,14 @@ from owlprose.model import (
     Ontology,
     SubClassOf,
     UnknownClass,
+    class_ids,
     collect_frame,
     expressions_of,
+    frames,
     mentions,
 )
+
+import genutil
 
 A, B, C = Named(":A"), Named(":B"), Named(":C")
 
@@ -83,3 +90,61 @@ def test_collect_frame_rejects_undeclared_class():
 def test_collect_frame_empty_frame_is_allowed():
     ontology = Ontology(classes={":A"})
     assert collect_frame(ontology, ":A").axioms == []
+
+
+def check_walk(ontology):
+    """class_ids, mentions and frames against the oracles, on one ontology."""
+    index = frames(ontology)
+    assert index.keys() == ontology.classes
+    probes = ontology.classes | ontology.individuals | {":Nowhere"}
+    for axiom in ontology.axioms:
+        expected = genutil.class_ids_oracle(axiom)
+        assert class_ids(axiom) == expected
+        for iri in probes | expected:
+            assert mentions(axiom, iri) == (iri in expected)
+    for iri, frame in index.items():
+        assert frame.designated == iri
+        oracle = genutil.frame_oracle(ontology, iri).axioms
+        assert len(frame.axioms) == len(oracle)
+        assert all(got is want for got, want in zip(frame.axioms, oracle))
+
+
+HAND_BUILT = {
+    "undeclared disjunct": Ontology(
+        classes={":A", ":B"},
+        axioms=[DisjointUnion(":A", (B, Named(":U"))), SubClassOf(Named(":U"), A)],
+    ),
+    "nested fillers": Ontology(
+        classes={":A", ":B", ":C"},
+        axioms=[
+            SubClassOf(A, Existential(":p", Intersection((B, Existential(":q", C))))),
+            EquivalentClasses((B, Existential(":p", Existential(":q", C)))),
+        ],
+    ),
+    "named twice": Ontology(
+        classes={":A", ":B"},
+        axioms=[
+            SubClassOf(A, Intersection((B, Existential(":p", A)))),
+            DisjointClasses((A, Existential(":p", A))),
+        ],
+    ),
+    "individual shares a class id": Ontology(
+        classes={":A", ":B"},
+        individuals={":B"},
+        axioms=[ClassAssertion(A, ":B"), SubClassOf(B, A)],
+    ),
+    "empty": Ontology(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_walk_matches_the_oracle_on_hand_built_cases(name):
+    check_walk(HAND_BUILT[name])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), share=st.sampled_from((0.0, 0.3)))
+def test_walk_matches_the_oracle_on_generated_ontologies(seed, share):
+    rng = random.Random(seed)
+    ontology = genutil.gen_ontology(rng, max_axioms=12)
+    check_walk(genutil.drop_declarations(rng, ontology, share))

@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from owlprose.model import (
     ClassAssertion,
     DisjointUnion,
@@ -104,3 +106,33 @@ def test_survey_is_invariant_under_corpus_order():
     assert again.role_containment == stats.role_containment
     assert again.group_containment == stats.group_containment
     assert again.total_classes == stats.total_classes
+
+
+@st.composite
+def corpora(draw):
+    """Up to five ontologies: generated ones, some with classes left
+    undeclared, and empty ones."""
+    corpus = []
+    for seed, kind in draw(st.lists(
+        st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(("full", "partial", "empty"))),
+        max_size=5,
+    )):
+        rng = random.Random(seed)
+        if kind == "empty":
+            corpus.append(Ontology())
+        else:
+            ontology = genutil.gen_ontology(rng, max_axioms=12)
+            share = 0.3 if kind == "partial" else 0.0
+            corpus.append(genutil.drop_declarations(rng, ontology, share))
+    return corpus
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora())
+def test_survey_matches_the_oracle(corpus):
+    stats = survey(corpus)
+    expected = genutil.survey_oracle(corpus)
+    assert stats.per_pattern == expected["per_pattern"]
+    assert stats.role_containment == expected["role_containment"]
+    assert stats.group_containment == expected["group_containment"]
+    assert stats.total_classes == expected["total_classes"]

@@ -1,8 +1,8 @@
 """Print one "name sha256" line per output surface of the package, so that
 two checkouts can be compared for byte-identical output with one diff.
 
-Run from any directory; the script uses the src/ and tests/ of the checkout
-it lives in:
+Run from any directory; the script uses the src/, tests/ and perfbench/ of
+the checkout it lives in:
 
     python3 tools/output_digest.py > after.txt
     python3 ../parent/tools/output_digest.py > before.txt
@@ -14,7 +14,13 @@ The surfaces:
                      the manifest's flags
   verbalize-records  the same in --format records
   rst-debug          the --rst-debug trees the records runs print to stderr
+  verbalize-all      owlprose verbalize --class all over each fixture, with
+                     the manifest's flags: text stdout, records stdout and
+                     the --rst-debug stderr
   survey             owlprose survey fixtures/ stdout
+  survey-generated   owlprose survey stdout and stderr over a directory of
+                     seeded tests/genutil.gen_ontology files and one
+                     300-class perfbench/inputs.synthetic_ontology file
   self-eval          owlprose eval stdout, each fixture against itself
   realize            text and records of 6000 seeded tests/genutil.gen_frame
                      frames, with and without a lexicon, with no realizer
@@ -36,12 +42,14 @@ import pathlib
 import random
 import subprocess
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
 
 import genutil  # noqa: E402
+from perfbench import inputs  # noqa: E402
 from owlprose.classifier import classify  # noqa: E402
 from owlprose.evaluate import _equivalent_stream  # noqa: E402
 from owlprose.model import LexEntry  # noqa: E402
@@ -52,6 +60,8 @@ from owlprose.realizer import RealizeOptions, realize  # noqa: E402
 REALIZE_FRAMES = 6000
 STREAM_FRAMES = 1500
 STREAM_VERSIONS = 200
+SURVEY_FILES = 40
+SYNTHETIC_CLASSES = 300
 
 
 def owlprose(*args: str) -> subprocess.CompletedProcess:
@@ -83,7 +93,8 @@ def fixture_surfaces() -> dict:
     manifest = json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8"))
     digests = {
         name: hashlib.sha256()
-        for name in ("verbalize-text", "verbalize-records", "rst-debug", "self-eval")
+        for name in ("verbalize-text", "verbalize-records", "rst-debug", "verbalize-all",
+                     "self-eval")
     }
     for name, entry in sorted(manifest.items()):
         ontology = str(FIXTURES / entry["ontology"])
@@ -95,6 +106,9 @@ def fixture_surfaces() -> dict:
         ]
         text = owlprose(*args)
         records = owlprose(*args, "--format", "records", "--rst-debug")
+        args[args.index("--class") + 1] = "all"
+        all_text = owlprose(*args)
+        all_records = owlprose(*args, "--format", "records", "--rst-debug")
         scored = owlprose(
             "eval", "--reference", ontology, "--candidate", ontology,
             "--class", entry["designated"],
@@ -103,11 +117,33 @@ def fixture_surfaces() -> dict:
             ("verbalize-text", text.stdout),
             ("verbalize-records", records.stdout),
             ("rst-debug", records.stderr),
+            ("verbalize-all", all_text.stdout),
+            ("verbalize-all", all_records.stdout),
+            ("verbalize-all", all_records.stderr),
             ("self-eval", scored.stdout),
         ):
             digests[surface].update(f"{name}\n{output}\n".encode())
     digests["survey"] = hashlib.sha256(owlprose("survey", str(FIXTURES)).stdout.encode())
     return digests
+
+
+def survey_generated_surface():
+    rng = random.Random(13)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = pathlib.Path(tmp)
+        for index in range(SURVEY_FILES):
+            ontology = genutil.gen_ontology(rng, max_axioms=24)
+            text = inputs.ontology_text(
+                sorted(ontology.classes), sorted(ontology.properties),
+                sorted(ontology.individuals), ontology.axioms,
+            )
+            (directory / f"generated_{index:02d}.ofs").write_text(text, encoding="utf-8")
+        text, _ = inputs.synthetic_ontology(random.Random(17), SYNTHETIC_CLASSES, 4)
+        (directory / "synthetic.ofs").write_text(text, encoding="utf-8")
+        result = owlprose("survey", tmp)
+        # the auto-declare warnings name the file, which sits in a fresh directory
+        stderr = result.stderr.replace(tmp, "DIR")
+    return hashlib.sha256(f"{result.stdout}\n{stderr}".encode())
 
 
 def realize_surface():
@@ -138,6 +174,7 @@ def equivalents_surface():
 
 def main() -> int:
     digests = fixture_surfaces()
+    digests["survey-generated"] = survey_generated_surface()
     digests["realize"] = realize_surface()
     digests["equivalents"] = equivalents_surface()
     for name, digest in digests.items():
