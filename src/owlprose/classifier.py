@@ -6,10 +6,9 @@ for ClassAssertion, and Du for DisjointUnion (which has no complex variant).
 An axiom is complex when any of its top-level operands, other than the
 designated class itself, is not a named class.
 
-Directness: a SubClassOf is direct when the designated class is the sub side;
-EquivalentClasses/DisjointClasses are direct when the designated class is the
-first listed argument; ClassAssertion is always direct; DisjointUnion is
-direct when the designated class is the union class.
+Directness: an axiom is direct when the designated class is its subject, the
+first of its top-level expressions (``model.expressions_of``); a
+ClassAssertion is always direct.
 """
 
 from __future__ import annotations
@@ -43,36 +42,28 @@ class ClassifiedAxiom:
     direct: bool
 
 
-def _is_complex(axiom: Axiom, designated: str) -> bool:
-    return any(
-        not isinstance(expr, Named)
-        for expr in expressions_of(axiom)
-        if expr != Named(designated)
-    )
+# group label stem per axiom kind; complex axioms add "r", except DisjointUnion
+_STEMS = {
+    SubClassOf: "Sc",
+    EquivalentClasses: "Ec",
+    DisjointClasses: "Dc",
+    ClassAssertion: "Ca",
+    DisjointUnion: "Du",
+}
 
 
 def classify(axiom: Axiom, designated: str) -> ClassifiedAxiom:
     """Assign the group label and directness relative to the designated class."""
     if not mentions(axiom, designated):
         raise NotInFrame(f"axiom does not mention {designated}")
-    complex_ = _is_complex(axiom, designated)
-    if isinstance(axiom, SubClassOf):
-        group = "Scr" if complex_ else "Sc"
-        direct = axiom.sub == Named(designated)
-    elif isinstance(axiom, EquivalentClasses):
-        group = "Ecr" if complex_ else "Ec"
-        direct = axiom.operands[0] == Named(designated)
-    elif isinstance(axiom, DisjointClasses):
-        group = "Dcr" if complex_ else "Dc"
-        direct = axiom.operands[0] == Named(designated)
-    elif isinstance(axiom, ClassAssertion):
-        group = "Car" if complex_ else "Ca"
-        direct = True
-    elif isinstance(axiom, DisjointUnion):
-        group = "Du"
-        direct = axiom.union_class == designated
-    else:
-        raise TypeError(f"not an axiom: {axiom!r}")
+    described = Named(designated)
+    group = _STEMS[type(axiom)]
+    expressions = expressions_of(axiom)
+    if group != "Du" and any(
+        not isinstance(expr, Named) for expr in expressions if expr != described
+    ):
+        group += "r"
+    direct = isinstance(axiom, ClassAssertion) or expressions[0] == described
     return ClassifiedAxiom(axiom, group, direct)
 
 

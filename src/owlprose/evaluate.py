@@ -278,16 +278,17 @@ def _subclass_pool_variants(sub: ClassExpression, axioms: list):
             partial(_distinct_permutations, [elements[i] for i in block]) for block in blocks
         ]
         for ordered_blocks in _lazy_product(orderings):
-            flat = [element for block in ordered_blocks for element in block]
-            for combo in _lazy_product(_variant_factories(flat)):
-                position = 0
-                supers = []
-                for block in ordered_blocks:
-                    chosen = combo[position : position + len(block)]
-                    position += len(block)
-                    supers.append(chosen[0] if len(chosen) == 1 else Intersection(chosen))
+            factories = [partial(_super_variants, block) for block in ordered_blocks]
+            for supers in _lazy_product(factories):
                 for sub_combo in _lazy_product(_variant_factories([sub] * len(supers))):
                     yield [SubClassOf(s, sup) for s, sup in zip(sub_combo, supers)]
+
+
+def _super_variants(block: tuple):
+    """Every variant of the super one ordered block of conjuncts makes: the
+    conjunct alone, or their intersection in block order."""
+    for combo in _lazy_product(_variant_factories(block)):
+        yield combo[0] if len(combo) == 1 else Intersection(combo)
 
 
 def _axiom_unit_variants(axiom: Axiom):
@@ -374,8 +375,10 @@ def _assignment_mean(
     """Best one-to-one assignment of candidates to references.
 
     Returns (mean over reference axioms, chosen candidate index per reference
-    or None). Small frames make exact search affordable: a bitmask DP over
-    candidate subsets, n_reference x 2^n_candidate states.
+    or None). Exact search by a DP over the candidate subsets used so far,
+    keeping only the subsets each row can reach: after i rows, those of at
+    most i candidates. A small reference stays cheap however large the
+    candidate; two large frames still cost exponential time.
 
     Returns None, leaving the rest of the matrix unscored, as soon as the mean
     provably cannot exceed best_mean. After each row the bound is the row
@@ -404,37 +407,31 @@ def _assignment_mean(
         if bound / n <= best_mean:
             return None
 
-    size = 1 << m
     NEG = float("-inf")
-    best = [[NEG] * size for _ in range(n + 1)]
-    best[0][0] = 0.0
-    for i in range(n):
-        row, nxt, scores = best[i], best[i + 1], matrix[i]
-        for mask in range(size):
-            base = row[mask]
-            if base == NEG:
-                continue
-            if base > nxt[mask]:  # leave reference i unmatched (scores 0)
-                nxt[mask] = base
-            for j in range(m):
-                bit = 1 << j
+    best = [{0: 0.0}]  # per row: reachable candidate bitmask -> best total using it
+    for scores in matrix:
+        nxt = dict(best[-1])  # leave the reference unmatched (scores 0)
+        moves = [(1 << j, score) for j, score in enumerate(scores)]
+        for mask, base in best[-1].items():
+            for bit, score in moves:
                 if not mask & bit:
-                    value = base + scores[j]
-                    if value > nxt[mask | bit]:
+                    value = base + score
+                    if value > nxt.get(mask | bit, NEG):
                         nxt[mask | bit] = value
-    total, final_mask = max((v, mask) for mask, v in enumerate(best[n]))
+        best.append(nxt)
+    total, final_mask = max((v, mask) for mask, v in best[n].items())
 
     # walk the table backwards to recover who matched whom
     chosen: list = [None] * n
     mask = final_mask
     remaining = total
     for i in range(n - 1, -1, -1):
-        if best[i][mask] == remaining:  # reference i was left unmatched
+        if best[i].get(mask, NEG) == remaining:  # reference i was left unmatched
             continue
         scores = matrix[i]
         for j in range(m):
             bit = 1 << j
-            if mask & bit and best[i][mask ^ bit] + scores[j] == remaining:
+            if mask & bit and best[i].get(mask ^ bit, NEG) + scores[j] == remaining:
                 chosen[i] = j
                 mask ^= bit
                 remaining -= scores[j]
@@ -481,7 +478,6 @@ def score_submission(candidate, reference, cap: int = DEFAULT_CAP) -> Similarity
     normalized: dict = {}  # serialized text -> normalize(text), for this call only
     candidate_texts = _normalize_all(map(serialize_axiom, candidate_axioms), normalized)
     candidate_counts = Counter(candidate_texts)
-    pair_cache: dict = {}
 
     scanned: list = []
     truncated = False
@@ -497,30 +493,26 @@ def score_submission(candidate, reference, cap: int = DEFAULT_CAP) -> Similarity
             break
 
     if perfect is not None:
-        index, version, version_texts = perfect
+        best_index, version, version_texts = perfect
+        best_mean = 1.0
         chosen = _perfect_assignment(version_texts, candidate_texts)
-        per_axiom = [
-            AxiomScore(axiom, candidate_axioms[j], 1.0) for axiom, j in zip(version, chosen)
-        ]
-        return SimilarityReport(per_axiom, 1.0, index, truncated)
+        pair_cache = {(text, text): 1.0 for text in version_texts}  # equal texts score 1.0
+    else:
+        pair_cache = {}
+        best_mean = -1.0  # below every mean, so the first version is never pruned
+        for index, (scanned_version, scanned_texts) in enumerate(scanned):
+            scored = _assignment_mean(scanned_texts, candidate_texts, pair_cache, best_mean)
+            if scored is not None and scored[0] > best_mean:
+                best_mean, chosen = scored
+                best_index, version, version_texts = index, scanned_version, scanned_texts
 
-    best_mean = -1.0
-    best_index = 0
-    best_detail: tuple = ([], [], [])
-    for index, (version, version_texts) in enumerate(scanned):
-        scored = _assignment_mean(version_texts, candidate_texts, pair_cache, best_mean)
-        if scored is not None and scored[0] > best_mean:
-            best_mean, chosen = scored
-            best_index, best_detail = index, (version, version_texts, chosen)
-
-    version, version_texts, chosen = best_detail
-    per_axiom = []
-    for i, axiom in enumerate(version):
-        j = chosen[i] if i < len(chosen) else None
-        matched = candidate_axioms[j] if j is not None else None
-        score = pair_cache[(version_texts[i], candidate_texts[j])] if j is not None else 0.0
-        per_axiom.append(AxiomScore(axiom, matched, score))
-    return SimilarityReport(per_axiom, max(best_mean, 0.0), best_index, truncated)
+    per_axiom = [
+        AxiomScore(axiom, None, 0.0)
+        if j is None
+        else AxiomScore(axiom, candidate_axioms[j], pair_cache[(text, candidate_texts[j])])
+        for axiom, text, j in zip(version, version_texts, chosen)
+    ]
+    return SimilarityReport(per_axiom, best_mean, best_index, truncated)
 
 
 def emit_report(report: SimilarityReport) -> str:

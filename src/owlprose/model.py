@@ -102,10 +102,12 @@ Axiom = SubClassOf | EquivalentClasses | DisjointClasses | ClassAssertion | Disj
 
 
 def expressions_of(axiom: Axiom) -> tuple:
-    """The top-level class expressions (operands) of an axiom.
+    """The top-level class expressions (operands) of an axiom, subject first.
 
-    For DisjointUnion the union class counts as an operand (wrapped in Named);
-    ClassAssertion contributes only its class expression, not the individual.
+    The first expression is the axiom's subject: the sub of a SubClassOf, the
+    first operand of EquivalentClasses/DisjointClasses, the union class of a
+    DisjointUnion (wrapped in Named). ClassAssertion contributes only its
+    class expression, not the individual.
     """
     if isinstance(axiom, SubClassOf):
         return (axiom.sub, axiom.super)

@@ -72,17 +72,16 @@ def _route(ca: ClassifiedAxiom) -> tuple[str, ClassifiedAxiom] | None:
         return None
     if ca.group == "Sc":
         return ("sc-super" if ca.direct else "sc-specialised", ca)
-    if ca.group in ("Ec", "Dc"):
-        return (ca.group.lower(), ca)
-    if not ca.direct:  # Scr2, Ecr2
-        return (f"indirect-{ca.group.lower()}", ca)
+    label = ca.group.lower()
+    if not ca.direct and ca.group in ("Scr", "Ecr"):
+        return (f"indirect-{label}", ca)
     if ca.group == "Scr" and all(isinstance(op, Named) for op in conjuncts(ca.axiom.super)):
         # A direct Scr's super is never named, so this is an intersection of
         # named classes. A subclass of an intersection is a subclass of every
         # conjunct, and the conjuncts then aggregate into the kind-of sentence
         # instead of spawning a separate complex sentence.
         return ("sc-super", replace(ca, group="Sc"))
-    return (ca.group.lower(), ca)  # ca, scr, ecr
+    return (label, ca)  # ec, dc, ca, scr, ecr
 
 
 def build_rst(frame: ClassFrame, classified: list[ClassifiedAxiom]) -> RstNode:

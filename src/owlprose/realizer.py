@@ -39,12 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .model import (
-    EquivalentClasses,
     Existential,
     Intersection,
     Named,
     SubClassOf,
     conjuncts,
+    expressions_of,
 )
 from .planner import RstNode
 
@@ -317,16 +317,8 @@ def realize(tree: RstNode, lexicon: dict, options: RealizeOptions | None = None)
 
 
 def _embedded_sentence(renderer: _Renderer, axiom) -> str:
-    """An indirect axiom re-expressed from its own subject's perspective."""
-    if isinstance(axiom, SubClassOf):
-        subject = renderer.np(axiom.sub, articled=True)
-        if isinstance(axiom.super, Intersection):
-            return f"{subject} is defined as {renderer.np(axiom.super, articled=True)}"
+    """An indirect axiom (Scr2 or Ecr2) re-expressed from its own subject's perspective."""
+    subject, *rest = (renderer.np(expr, articled=True) for expr in expressions_of(axiom))
+    if isinstance(axiom, SubClassOf) and not isinstance(axiom.super, Intersection):
         return f"{subject} is a kind of {renderer.np(axiom.super, articled=False)}"
-    if isinstance(axiom, EquivalentClasses):
-        subject = renderer.np(axiom.operands[0], articled=True)
-        rendered = comma_and(
-            [renderer.np(op, articled=True) for op in axiom.operands[1:]]
-        )
-        return f"{subject} is defined as {rendered}"
-    raise TypeError(f"no indirect rendering for {type(axiom).__name__}")
+    return f"{subject} is defined as {comma_and(rest)}"

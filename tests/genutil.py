@@ -2,7 +2,9 @@
 
 The oracles are deliberately separate implementations of behavior the package
 computes elsewhere (class ids by direct case analysis, frames by a scan per
-class, survey tallies from those frames, group labels by direct case analysis,
+class, survey tallies from those frames, group labels and directness by direct
+case analysis, the order of a SubClassOf pool's versions by the flatten and
+re-slice loop the enumerator once used,
 edit distance by plain recursion and by the textbook dynamic program,
 assignments and the split/permutation family by brute force, text positions
 by walking the text, normalization one character at a time, scoring by the
@@ -16,6 +18,7 @@ import itertools
 import random
 import unicodedata
 from collections import Counter
+from functools import partial
 
 from owlprose.model import (
     ClassAssertion,
@@ -28,6 +31,7 @@ from owlprose.model import (
     Named,
     Ontology,
     SubClassOf,
+    conjuncts,
 )
 from owlprose import evaluate
 from owlprose.parser import serialize_axiom
@@ -236,6 +240,20 @@ def oracle_group(axiom, designated: str) -> str:
     return base + ("r" if has_structure else "")
 
 
+def oracle_direct(axiom, designated: str) -> bool:
+    """Directness by direct case analysis on the axiom kind, kept independent
+    of the classifier's subject-first rule."""
+    if isinstance(axiom, SubClassOf):
+        return axiom.sub == Named(designated)
+    if isinstance(axiom, (EquivalentClasses, DisjointClasses)):
+        return axiom.operands[0] == Named(designated)
+    if isinstance(axiom, ClassAssertion):
+        return True
+    if isinstance(axiom, DisjointUnion):
+        return axiom.union_class == designated
+    raise TypeError(axiom)
+
+
 def oracle_pattern(frame: ClassFrame) -> str:
     return "".join(sorted({oracle_group(ax, frame.designated) for ax in frame.axioms}))
 
@@ -371,6 +389,31 @@ def distinct_partitions_oracle(elements) -> list:
             shapes.add(shape)
             partitions.append(blocks)
     return partitions
+
+
+def subclass_pool_variants_oracle(sub, axioms: list):
+    """The versions of a same-sub SubClassOf pool in the enumerator's order,
+    by one product over the variants of every conjunct of every block, sliced
+    back into blocks afterwards."""
+    elements = [c for axiom in axioms for c in conjuncts(axiom.super)]
+    yield list(axioms)
+    for blocks in evaluate._distinct_partitions(elements):
+        orderings = [
+            partial(evaluate._distinct_permutations, [elements[i] for i in block])
+            for block in blocks
+        ]
+        for ordered_blocks in evaluate._lazy_product(orderings):
+            flat = [element for block in ordered_blocks for element in block]
+            for combo in evaluate._lazy_product(evaluate._variant_factories(flat)):
+                position = 0
+                supers = []
+                for block in ordered_blocks:
+                    chosen = combo[position : position + len(block)]
+                    position += len(block)
+                    supers.append(chosen[0] if len(chosen) == 1 else Intersection(chosen))
+                subs = evaluate._variant_factories([sub] * len(supers))
+                for sub_combo in evaluate._lazy_product(subs):
+                    yield [SubClassOf(s, sup) for s, sup in zip(sub_combo, supers)]
 
 
 def normalize_oracle(text: str) -> str:

@@ -42,11 +42,17 @@ COMPLEX = Existential(":p", A)
         (ClassAssertion(Intersection((F, A)), ":x"), "Car", True),
         (DisjointUnion(D, (A, B)), "Du", True),
         (DisjointUnion(":A", (F, B)), "Du", False),
+        # edge cases: the class named twice, or only inside a complex assertion
+        (SubClassOf(F, F), "Sc", True),
+        (EquivalentClasses((A, F, F)), "Ec", False),
+        (ClassAssertion(Existential(":p", Intersection((A, F))), ":x"), "Car", True),
+        (DisjointUnion(D, (F, COMPLEX)), "Du", True),
     ],
 )
 def test_group_and_directness(axiom, group, direct):
     ca = classify(axiom, D)
     assert (ca.group, ca.direct) == (group, direct)
+    assert (genutil.oracle_group(axiom, D), genutil.oracle_direct(axiom, D)) == (group, direct)
 
 
 def test_designated_occurrence_does_not_count_toward_complexity():
@@ -89,4 +95,8 @@ def test_classify_agrees_with_case_analysis_oracle(seed):
     rng = random.Random(seed)
     frame = genutil.gen_frame(rng, n_axioms=4)
     for axiom in frame.axioms:
-        assert classify(axiom, D).group == genutil.oracle_group(axiom, D)
+        ca = classify(axiom, D)
+        assert (ca.group, ca.direct) == (
+            genutil.oracle_group(axiom, D),
+            genutil.oracle_direct(axiom, D),
+        )

@@ -457,6 +457,31 @@ def test_eval_notes_a_truncated_scan(capsys, tmp_path):
     )
 
 
+def test_eval_scores_a_small_reference_against_a_large_candidate(capsys, tmp_path):
+    # the assignment keeps only the candidate subsets two rows can reach,
+    # never one slot per subset of all 70 candidates
+    reference, candidate = tmp_path / "reference.ofs", tmp_path / "candidate.ofs"
+    ids = ["F", "A", "B"] + [f"C{k}" for k in range(70)]
+    declarations = "".join(f"Declaration(Class(:{c}))\n" for c in ids)
+    reference.write_text(
+        declarations + "SubClassOf(:F :A)\nEquivalentClasses(:F :B)\n", encoding="utf-8"
+    )
+    candidate.write_text(
+        declarations + "".join(f"SubClassOf(:F :C{k})\n" for k in range(70)), encoding="utf-8"
+    )
+    status = main(["eval", "--reference", str(reference), "--candidate", str(candidate),
+                   "--class", ":F"])
+    assert status == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[0] == "reference_axiom,candidate_axiom,score"
+    assert [line.split(",")[0] for line in lines[1:3]] == [
+        "SubClassOf(:F :A)", "EquivalentClasses(:F :B)",
+    ]
+    assert len(lines) == 4 and lines[3].startswith("mean,")
+    assert err == ""
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_eval_rejects_a_cap_below_1(capsys, ontology_path, cap):
     with pytest.raises(SystemExit) as exit_info:

@@ -22,6 +22,7 @@ from owlprose.evaluate import (
     _equivalent_stream,
     _expression_variants,
     _lazy_product,
+    _subclass_pool_variants,
     enumerate_equivalents,
     emit_report,
     levenshtein,
@@ -218,6 +219,7 @@ def test_lazy_product_follows_itertools_product(factors):
     assert list(_lazy_product(factories)) == list(itertools.product(*factors))
 
 
+@settings(deadline=None)
 @given(st.lists(st.sampled_from([A, B, Existential(":p", A)]), min_size=1, max_size=6))
 def test_distinct_partitions_keep_the_first_partition_of_each_shape(elements):
     assert list(_distinct_partitions(elements)) == genutil.distinct_partitions_oracle(elements)
@@ -273,6 +275,34 @@ def test_stream_of_one_split_super_matches_brute_force(width, sub):
     )
 
 
+NAMED = st.sampled_from([A, B, C])
+# conjuncts that have variants of their own: an existential over an
+# intersection, possibly of repeated classes
+CONJUNCTS = st.one_of(
+    NAMED,
+    st.lists(NAMED, min_size=2, max_size=3).map(
+        lambda ops: Existential(":p", Intersection(tuple(ops)))
+    ),
+)
+SUPERS = st.one_of(
+    CONJUNCTS,
+    st.lists(CONJUNCTS, min_size=2, max_size=3).map(lambda ops: Intersection(tuple(ops))),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([A, Intersection((A, B)), Existential(":p", Intersection((B, C)))]),
+    st.lists(SUPERS, min_size=1, max_size=3),
+)
+def test_pool_versions_follow_the_flatten_and_slice_order(sub, supers):
+    axioms = [SubClassOf(sub, sup) for sup in supers]
+    limit = 400
+    produced = itertools.islice(_subclass_pool_variants(sub, axioms), limit)
+    expected = itertools.islice(genutil.subclass_pool_variants_oracle(sub, axioms), limit)
+    assert list(produced) == list(expected)
+
+
 WIDE = tuple(Named(f":W{i}") for i in range(12))
 
 
@@ -307,9 +337,10 @@ def test_cap_bounds_memory_on_wide_conjunctions(reference, candidate):
 SCORES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0, 1))
 
 
+@settings(deadline=None)
 @given(
     st.integers(1, 4).flatmap(
-        lambda n: st.integers(0, 4).flatmap(
+        lambda n: st.integers(0, n + 10).flatmap(
             lambda m: st.lists(
                 st.lists(SCORES, min_size=m, max_size=m), min_size=n, max_size=n
             ).map(lambda rows: (rows, m))

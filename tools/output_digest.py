@@ -22,6 +22,12 @@ The surfaces:
                      seeded tests/genutil.gen_ontology files and one
                      300-class perfbench/inputs.synthetic_ontology file
   self-eval          owlprose eval stdout, each fixture against itself
+  classify           group and directness of every frame axiom of 1000 seeded
+                     tests/genutil.gen_ontology ontologies
+  eval-generated     evaluate.emit_report output plus repr((mean,
+                     best_version_index, truncated)) for 200 seeded gen_frame
+                     references, each against a permuted, a one-dropped and a
+                     one-substituted candidate, at caps 1, 5 and 20
   realize            text and records of 6000 seeded tests/genutil.gen_frame
                      frames, with and without a lexicon, with no realizer
                      flags and with both
@@ -51,8 +57,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
 import genutil  # noqa: E402
 from perfbench import inputs  # noqa: E402
 from owlprose.classifier import classify  # noqa: E402
-from owlprose.evaluate import _equivalent_stream  # noqa: E402
-from owlprose.model import LexEntry  # noqa: E402
+from owlprose.evaluate import _equivalent_stream, emit_report, score_submission  # noqa: E402
+from owlprose.model import ClassFrame, LexEntry, frames  # noqa: E402
 from owlprose.parser import serialize_axiom  # noqa: E402
 from owlprose.planner import build_rst  # noqa: E402
 from owlprose.realizer import RealizeOptions, realize  # noqa: E402
@@ -62,6 +68,9 @@ STREAM_FRAMES = 1500
 STREAM_VERSIONS = 200
 SURVEY_FILES = 40
 SYNTHETIC_CLASSES = 300
+CLASSIFY_ONTOLOGIES = 1000
+EVAL_FRAMES = 200
+EVAL_CAPS = (1, 5, 20)
 
 
 def owlprose(*args: str) -> subprocess.CompletedProcess:
@@ -172,11 +181,54 @@ def equivalents_surface():
     return digest
 
 
+def classify_surface():
+    digest = hashlib.sha256()
+    rng = random.Random(19)
+    for _ in range(CLASSIFY_ONTOLOGIES):
+        ontology = genutil.gen_ontology(rng, max_axioms=16)
+        for iri, frame in sorted(frames(ontology).items()):
+            for axiom in frame.axioms:
+                classified = classify(axiom, iri)
+                fields = (iri, serialize_axiom(axiom), classified.group, str(classified.direct))
+                digest.update(("\t".join(fields) + "\n").encode())
+    return digest
+
+
+def eval_candidates(rng: random.Random, frame: ClassFrame) -> list:
+    """A permuted candidate (conjuncts reordered, axioms shuffled), one with an
+    axiom dropped and one with an axiom replaced by another frame axiom."""
+    permuted = list(genutil.conjunct_permuted_candidate(frame).axioms)
+    rng.shuffle(permuted)
+    dropped = list(frame.axioms)
+    del dropped[rng.randrange(len(dropped))]
+    substituted = list(frame.axioms)
+    classes, props, inds = genutil.make_pools()
+    substituted[rng.randrange(len(substituted))] = genutil.gen_frame_axiom(
+        rng, classes + [genutil.DESIGNATED], props, inds
+    )
+    return [ClassFrame(frame.designated, axioms) for axioms in (permuted, dropped, substituted)]
+
+
+def eval_generated_surface():
+    digest = hashlib.sha256()
+    rng = random.Random(23)
+    for _ in range(EVAL_FRAMES):
+        reference = genutil.gen_frame(rng)
+        for candidate in eval_candidates(rng, reference):
+            for cap in EVAL_CAPS:
+                report = score_submission(candidate, reference, cap=cap)
+                summary = repr((report.mean, report.best_version_index, report.truncated))
+                digest.update(f"{emit_report(report)}{summary}\n".encode())
+    return digest
+
+
 def main() -> int:
     digests = fixture_surfaces()
     digests["survey-generated"] = survey_generated_surface()
     digests["realize"] = realize_surface()
     digests["equivalents"] = equivalents_surface()
+    digests["classify"] = classify_surface()
+    digests["eval-generated"] = eval_generated_surface()
     for name, digest in digests.items():
         print(name, digest.hexdigest())
     return 0
