@@ -76,8 +76,10 @@ def levenshtein(a: str, b: str) -> int:
 
     The common prefix and suffix are trimmed first. The rest is computed
     bit-parallel (Myers 1999, in Hyyrö's 2001 formulation): a Python int holds
-    one bit per character of the shorter text, and each character of the
-    longer text updates the whole column of vertical deltas at once.
+    one bit per character of the longer trimmed text, and each character of
+    the shorter one updates the whole column of vertical deltas at once.
+    Either text may hold the bits; looping over the shorter one takes fewer
+    interpreter steps, and a wider int costs little more per step.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -91,14 +93,14 @@ def levenshtein(a: str, b: str) -> int:
         return end_a - end_b
     peq: dict = {}
     bit = 1
-    for ch in b[start:end_b]:
+    for ch in a[start:end_a]:
         peq[ch] = peq.get(ch, 0) | bit
         bit <<= 1
     mask = bit - 1
     last = bit >> 1
-    distance = end_b - start
+    distance = end_a - start
     pv, mv = mask, 0
-    for ch in a[start:end_a]:
+    for ch in b[start:end_b]:
         eq = peq.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
@@ -381,14 +383,21 @@ def _assignment_mean(
     candidate; two large frames still cost exponential time.
 
     Returns None, leaving the rest of the matrix unscored, as soon as the mean
-    provably cannot exceed best_mean. After each row the bound is the row
-    maxima so far plus 1.0 for each row still to fill (no similarity exceeds
-    1.0), added in row order as the DP adds its row scores. Float addition and
-    division are monotone, so the DP's mean cannot exceed bound / n.
+    provably cannot exceed best_mean: a version wins only with a mean above
+    best_mean, so a skipped version could not have won, and the caller goes
+    on to the next one. Float addition and division are monotone, so the
+    DP's mean cannot exceed bound / n for either bound:
+    - before any row is scored, the ceiling min(n, m): the DP's total is a
+      float sum of at most min(n, m) similarities, each at most 1.0, and a
+      partial sum of k such terms rounds to at most the integer k;
+    - after each row, the row maxima so far plus 1.0 for each row still to
+      fill, added in row order as the DP adds its row scores.
     """
     n, m = len(reference_texts), len(candidate_texts)
     if n == 0:
         return 1.0, []
+    if min(n, m) / n <= best_mean:
+        return None
 
     matrix = []
     maxima = 0.0  # sum of the filled rows' maxima, in row order

@@ -28,6 +28,8 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 
 from .model import (
     Axiom,
@@ -123,18 +125,28 @@ def _universal_newlines(text: str) -> str:
 # Tokenizer and recursive-descent parser
 # ---------------------------------------------------------------------------
 
-# A token is (kind, text, offset): kind is "id", "keyword", "eof" or the
-# parenthesis itself. Positions are worked out from the offset only for errors.
+# One match per token, skipped run or bad character, so findall walks the text
+# once. A token is its text: its kind follows from its first character (see
+# _kind), and the end of input is the empty token "". Offsets are not kept;
+# an error finds its token's offset again by the same walk with finditer.
+# Every alternative matches one run with no nested repetition, so the walk is
+# linear in the text's length.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<skip>\s+|\#[^\n]*)
-  | (?P<paren>[()])
-  | (?P<id>:[^\s()#]+)
-  | (?P<keyword>[A-Za-z][A-Za-z0-9]*)
+    \s+|\#[^\n]*
+  | (?P<token>[()]|:[^\s()#]+|[A-Za-z][A-Za-z0-9]*)
   | (?P<bad>.)
     """,
     re.VERBOSE,
 )
+
+# first character of a token -> its kind; any other first character is a letter
+_KINDS = {"": "eof", "(": "(", ")": ")", ":": "id"}
+
+
+def _kind(token: str) -> str:
+    """The token's kind: "eof", the parenthesis itself, "id" or "keyword"."""
+    return _KINDS.get(token[:1], "keyword")
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -157,47 +169,57 @@ class _Parser:
             "ObjectProperty": ("property", self.ontology.properties),
             "NamedIndividual": ("individual", self.ontology.individuals),
         }
-        self.tokens = []
-        for match in _TOKEN_RE.finditer(self.text):
-            kind, value = match.lastgroup, match.group()
-            if kind == "bad":
-                token = (kind, value, match.start())
-                raise self.error(token, message=f"unexpected character {value!r}")
-            if kind != "skip":
-                self.tokens.append((value if kind == "paren" else kind, value, match.start()))
-        self.tokens.append(("eof", "", len(self.text)))
+        matches = _TOKEN_RE.findall(self.text)  # (token, bad) per match
+        if any(map(itemgetter(1), matches)):
+            bad = next(m for m in _TOKEN_RE.finditer(self.text) if m.lastgroup == "bad")
+            raise ParseError(
+                f"unexpected character {bad.group()!r}",
+                self.path,
+                *_position(self.text, bad.start()),
+            )
+        # one string object per distinct token text: every mention of an id is
+        # then the same object, and set lookups over ids match by identity
+        tokens = list(filter(None, map(itemgetter(0), matches)))
+        self.tokens = list(map({}.setdefault, tokens, tokens))
+        self.tokens.append("")
         self.pos = 0
 
-    def error(self, token, expected=(), message: str | None = None) -> ParseError:
-        """The ParseError at a token; the message defaults to naming the token
-        (or the end of input) as unexpected."""
-        kind, value, offset = token
+    def error(self, index: int, expected=(), message: str | None = None) -> ParseError:
+        """The ParseError at the token with that index; the message defaults
+        to naming the token (or the end of input) as unexpected."""
+        token = self.tokens[index]
         if message is None:
-            message = "unexpected end of input" if kind == "eof" else f"unexpected {value!r}"
-        return ParseError(message, self.path, *_position(self.text, offset), expected)
+            message = f"unexpected {token!r}" if token else "unexpected end of input"
+        return ParseError(message, self.path, *_position(self.text, self.offset(index)), expected)
 
-    def peek(self):
+    def offset(self, index: int) -> int:
+        """Where the token with that index starts, found by walking the text
+        again; the end of input sits at the text's end."""
+        starts = (m.start() for m in _TOKEN_RE.finditer(self.text) if m.lastgroup == "token")
+        return next(islice(starts, index, None), len(self.text))
+
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def advance(self):
+    def advance(self) -> str:
         self.pos += 1
         return self.tokens[self.pos - 1]
 
-    def expect(self, kind: str, value: str | None = None):
+    def expect(self, kind: str) -> str:
         token = self.tokens[self.pos]
-        if token[0] != kind or (value is not None and token[1] != value):
-            raise self.error(token, (kind if value is None else value,))
+        if _kind(token) != kind:
+            raise self.error(self.pos, (kind,))
         self.pos += 1
         return token
 
-    def reference(self, token, declaration: str) -> str:
-        """The id of token; an undeclared id is auto-declared as the kind
+    def reference(self, iri: str, declaration: str) -> str:
+        """The id just consumed; an undeclared id is auto-declared as the kind
         the declaration keyword names, or rejected in strict mode."""
-        iri, ontology = token[1], self.ontology
+        ontology = self.ontology
         if iri in ontology.classes or iri in ontology.properties or iri in ontology.individuals:
             return iri
         if self.strict:
-            line = _position(self.text, token[2])[0]
+            line = _position(self.text, self.offset(self.pos - 1))[0]
             raise UndeclaredEntity(f"{self.path}: {iri} referenced at line {line} but never declared")
         kind, pool = self.declarations[declaration]
         log.warning("%s: auto-declaring undeclared %s %s", self.path, kind, iri)
@@ -207,11 +229,11 @@ class _Parser:
     # -- grammar ----------------------------------------------------------
 
     def parse_document(self) -> Ontology:
-        wrapped = self.peek()[:2] == ("keyword", "Ontology")
+        wrapped = self.peek() == "Ontology"
         if wrapped:
             self.advance()
             self.expect("(")
-        while self.peek()[0] != "eof" and not (wrapped and self.peek()[0] == ")"):
+        while self.peek() and not (wrapped and self.peek() == ")"):
             self.parse_item()
         if wrapped:
             self.expect(")")
@@ -219,18 +241,18 @@ class _Parser:
         return self.ontology
 
     def parse_item(self):
-        kind, keyword, _ = token = self.advance()
+        keyword = self.advance()
         if keyword not in _ITEM_KEYWORDS:
-            message = f"unexpected keyword {keyword!r}" if kind == "keyword" else None
-            raise self.error(token, _ITEM_KEYWORDS, message)
+            message = f"unexpected keyword {keyword!r}" if _kind(keyword) == "keyword" else None
+            raise self.error(self.pos - 1, _ITEM_KEYWORDS, message)
         self.expect("(")
         if keyword == "Declaration":
-            token = self.advance()
-            if token[1] not in self.declarations:
-                raise self.error(token, tuple(self.declarations))
-            _, ids = self.declarations[token[1]]
+            declared = self.advance()
+            if declared not in self.declarations:
+                raise self.error(self.pos - 1, tuple(self.declarations))
+            _, ids = self.declarations[declared]
             self.expect("(")
-            iri = self.expect("id")[1]
+            iri = self.expect("id")
             self.expect(")")
             self.expect(")")
             ids.add(iri)
@@ -253,21 +275,23 @@ class _Parser:
     def parse_operands(self, depth: int = 1) -> tuple:
         """Two or more expressions, as many as follow."""
         operands = [self.parse_expression(depth), self.parse_expression(depth)]
-        while self.peek()[0] in ("id", "keyword"):
+        while _kind(self.peek()) in ("id", "keyword"):
             operands.append(self.parse_expression(depth))
         return tuple(operands)
 
     def parse_expression(self, depth: int = 1) -> ClassExpression:
         """One expression; a constructor here sits at nesting level depth."""
-        kind, value, _ = token = self.advance()
-        if kind == "id":
+        token = self.advance()
+        if _kind(token) == "id":
             return Named(self.reference(token, "Class"))
-        if kind != "keyword" or value not in _CONSTRUCTORS:
-            raise self.error(token, (":id",) + _CONSTRUCTORS)
+        if token not in _CONSTRUCTORS:
+            raise self.error(self.pos - 1, (":id",) + _CONSTRUCTORS)
         if depth > MAX_NESTING:
-            raise self.error(token, message=f"expression nested deeper than {MAX_NESTING} levels")
+            raise self.error(
+                self.pos - 1, message=f"expression nested deeper than {MAX_NESTING} levels"
+            )
         self.expect("(")
-        if value == "ObjectIntersectionOf":
+        if token == "ObjectIntersectionOf":
             expr = Intersection(self.parse_operands(depth + 1))
         else:
             prop = self.reference(self.expect("id"), "ObjectProperty")

@@ -6,6 +6,7 @@ class, survey tallies from those frames, group labels and directness by direct
 case analysis, the order of a SubClassOf pool's versions by the flatten and
 re-slice loop the enumerator once used,
 edit distance by plain recursion and by the textbook dynamic program,
+tokens by the one-match-at-a-time finditer walk the parser once used,
 assignments and the split/permutation family by brute force, text positions
 by walking the text, normalization one character at a time, scoring by the
 plain scan without pruning), so tests can hold the production code to an
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import unicodedata
 from collections import Counter
 from functools import partial
@@ -307,6 +309,36 @@ def version_key(version: list) -> tuple:
 def distinct_permutations_oracle(items) -> list:
     """Every ordering itertools.permutations yields, first occurrences only."""
     return list(dict.fromkeys(itertools.permutations(items)))
+
+
+_TOKEN_ORACLE_RE = re.compile(
+    r"""
+    (?P<skip>\s+|\#[^\n]*)
+  | (?P<paren>[()])
+  | (?P<id>:[^\s()#]+)
+  | (?P<keyword>[A-Za-z][A-Za-z0-9]*)
+  | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def tokens_oracle(text: str) -> list:
+    """The text's tokens as the parser once found them, one finditer match at
+    a time: (kind, text, offset) per token, kind "id", "keyword" or the
+    parenthesis itself, whitespace and comments skipped. The list ends with
+    ("eof", "", len(text)), or, at the first character no token can start
+    with, with ("bad", that character, its offset)."""
+    tokens = []
+    for match in _TOKEN_ORACLE_RE.finditer(text):
+        kind, value = match.lastgroup, match.group()
+        if kind == "bad":
+            tokens.append((kind, value, match.start()))
+            return tokens
+        if kind != "skip":
+            tokens.append((value if kind == "paren" else kind, value, match.start()))
+    tokens.append(("eof", "", len(text)))
+    return tokens
 
 
 def line_column(text: str, offset: int) -> tuple:

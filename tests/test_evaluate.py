@@ -510,6 +510,48 @@ def test_score_submission_matches_the_plain_scan(case):
     )
 
 
+@st.composite
+def pooled_dropped_cases(draw):
+    """A reference with a pool of SubClassOf axioms of the designated class,
+    their supers conjunctions of one to three conjuncts, plus other frame
+    axioms; its versions split and merge the pool, so they differ in axiom
+    count. The candidate drops one reference axiom."""
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    classes, props, _ = genutil.make_pools()
+    axioms = list(genutil.gen_frame(rng, draw(st.integers(0, 3))).axioms)
+    for _ in range(draw(st.integers(1, 3))):
+        parts = [genutil.gen_expression(rng, classes, props, 1) for _ in range(rng.randint(1, 3))]
+        super_ = parts[0] if len(parts) == 1 else Intersection(tuple(parts))
+        axioms.append(SubClassOf(Named(genutil.DESIGNATED), super_))
+    rng.shuffle(axioms)
+    k = rng.randrange(len(axioms))
+    return frame(axioms[:k] + axioms[k + 1 :]), frame(axioms), draw(st.integers(1, 20))
+
+
+@settings(deadline=None)
+@given(pooled_dropped_cases())
+def test_skipped_versions_could_not_win(case):
+    """The plain scan scores every version, so a version skipped by the
+    ceiling or the row bound that could have won shows up as a different
+    report, mean, best version or truncation flag."""
+    candidate, reference, cap = case
+    report = score_submission(candidate, reference, cap=cap)
+    expected = genutil.score_oracle(candidate, reference, cap)
+    assert_same_report(report, expected)
+    assert report.mean == expected.mean
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2), (3, 3), (2, 5), (4, 0)])
+def test_ceiling_skips_a_version_before_scoring_any_pair(monkeypatch, n, m):
+    def unscored(*args):
+        raise AssertionError("similarity called for a version that cannot win")
+
+    monkeypatch.setattr(evaluate, "similarity", unscored)
+    references = [f"r{i}" for i in range(n)]
+    candidates = [f"c{j}" for j in range(m)]
+    assert _assignment_mean(references, candidates, {}, min(n, m) / n) is None
+
+
 @pytest.mark.parametrize("cap", [1, 5, 20])
 @pytest.mark.parametrize(
     "reference, candidate",
@@ -554,6 +596,10 @@ def test_pruning_shows_in_the_module_level_calls(monkeypatch):
     expected = genutil.score_oracle(candidate, reference, 20)
     assert_same_report(report, expected)
     assert 0 < scored["similarity"] < counts["similarity"]
+    # version 0 (2 references, 1 candidate) scores its 2 x 1 matrix for a mean
+    # of 0.5; every later version has at least 2 references, so its ceiling
+    # min(n, m) / n = 1 / n is at most 0.5 and no pair of it is scored
+    assert scored["similarity"] == 2
     # each distinct serialized text, of the candidate and the scanned versions, once
     texts = {t for _, version_texts in itertools.islice(_equivalent_stream(reference.axioms), 20)
              for t in version_texts}

@@ -4,11 +4,13 @@ import logging
 import random
 import re
 import tempfile
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import genutil
+from owlprose import parser
 from owlprose.model import (
     ClassAssertion,
     DisjointUnion,
@@ -171,6 +173,61 @@ def test_error_positions_match_the_offset(seed, newline):
                 parse_ontology(doc)
             assert (err.value.line, err.value.column) == (line, column)
             assert str(err.value).startswith(f"{path}: unexpected ")
+
+
+# Pieces a text is built from: tokens, whitespace (Unicode too), line ends and
+# comments that hold what would otherwise be tokens or bad characters.
+TOKEN_PIECES = (
+    "(", ")", ":x", ":Aé", ":p0", "SubClassOf", "Ontology", "a1", "Zz9",
+    " ", "\t", "\n", "\r", "\r\n", "\x1c", "\u2003", "\u3000",
+    "# ( :x é", "#(", "#",
+)
+BAD_PIECES = (":", "é", "1", "$", "_")
+
+
+@given(
+    st.lists(st.sampled_from(TOKEN_PIECES), max_size=40),
+    st.lists(st.tuples(st.integers(0, 40), st.sampled_from(BAD_PIECES)), max_size=3),
+)
+@example(["#", "\r", ":x", "\r\n", "("], [])  # a comment runs on past a lone CR
+@example(["a1", ":x", ")"], [(1, "é"), (3, "1")])  # "é" ends the keyword and is bad
+def test_tokens_match_the_finditer_oracle(pieces, bad_pieces):
+    """Valid text gives the oracle's token texts and kinds; invalid text
+    fails with the message, line and column of the oracle's first bad token."""
+    for position, piece in bad_pieces:
+        pieces.insert(min(position, len(pieces)), piece)
+    text = "".join(pieces)
+    expected = genutil.tokens_oracle(text)
+    kind, value, offset = expected[-1]
+    if kind == "eof":
+        tokens = parser._Parser(SourceDocument(text), strict=False).tokens
+        assert [(parser._kind(token), token) for token in tokens] == [
+            (oracle_kind, oracle_text) for oracle_kind, oracle_text, _ in expected
+        ]
+        return
+    line, column = genutil.line_column(text, offset)
+    with pytest.raises(ParseError) as err:
+        parse_ontology(SourceDocument(text, "pieces.ofs"))
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == (
+        f"pieces.ofs: unexpected character {value!r} at line {line}, column {column}"
+    )
+
+
+def test_tokenizing_stays_linear_on_a_long_adversarial_document():
+    """About 300 KB of long whitespace runs, a 100 KB keyword, a long id and
+    a long comment, with one bad character at the very end."""
+    text = (
+        "Ontology(" + " \t" * 40_000 + "\n" * 10_000 + "\u3000" * 10_000
+        + "Declaration" + "a1" * 50_000 + " :" + "x" * 40_000
+        + " #" + "( :x é" * 5_000 + "\n" + "\r\n" * 5_000 + "$"
+    )
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_ontology(SourceDocument(text, "long.ofs"))
+    assert time.perf_counter() - start < 5.0
+    line, column = genutil.line_column(text, len(text) - 1)
+    assert str(err.value) == f"long.ofs: unexpected character '$' at line {line}, column {column}"
 
 
 def nested_existentials(depth: int) -> str:

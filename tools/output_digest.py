@@ -33,6 +33,11 @@ The surfaces:
                      flags and with both
   equivalents        the first 200 versions evaluate._equivalent_stream gives
                      for each of 1500 seeded frames, as serialized axioms
+  parse-errors       str() of the ParseError, in lenient and in strict mode,
+                     or of the UndeclaredEntity in strict mode, for 2000
+                     seeded tests/genutil.gen_ontology documents, each broken
+                     by one edit: a bad character or a parenthesis inserted,
+                     the text cut at a random offset, or a lone ":" inserted
 
 A line that differs names the surface to look into; its raw output is one
 command away.
@@ -43,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import logging
 import os
 import pathlib
 import random
@@ -59,7 +65,12 @@ from perfbench import inputs  # noqa: E402
 from owlprose.classifier import classify  # noqa: E402
 from owlprose.evaluate import _equivalent_stream, emit_report, score_submission  # noqa: E402
 from owlprose.model import ClassFrame, LexEntry, frames  # noqa: E402
-from owlprose.parser import serialize_axiom  # noqa: E402
+from owlprose.parser import (  # noqa: E402
+    ParseError,
+    UndeclaredEntity,
+    parse_ontology,
+    serialize_axiom,
+)
 from owlprose.planner import build_rst  # noqa: E402
 from owlprose.realizer import RealizeOptions, realize  # noqa: E402
 
@@ -71,6 +82,7 @@ SYNTHETIC_CLASSES = 300
 CLASSIFY_ONTOLOGIES = 1000
 EVAL_FRAMES = 200
 EVAL_CAPS = (1, 5, 20)
+BROKEN_DOCUMENTS = 2000
 
 
 def owlprose(*args: str) -> subprocess.CompletedProcess:
@@ -222,6 +234,43 @@ def eval_generated_surface():
     return digest
 
 
+def broken_document(rng: random.Random) -> str:
+    """A generated ontology's text, some of its declarations dropped so that
+    strict mode has undeclared ids to find, broken by one edit."""
+    ontology = genutil.drop_declarations(rng, genutil.gen_ontology(rng), 0.2)
+    text = genutil.ontology_text(ontology)
+    offset = rng.randrange(len(text) + 1)
+    edit = rng.randrange(4)
+    if edit == 0:
+        return text[:offset] + rng.choice("$é∀1_;%") + text[offset:]
+    if edit == 1:
+        return text[:offset] + rng.choice("()") + text[offset:]
+    if edit == 2:
+        return text[:offset]
+    return text[:offset] + " : " + text[offset:]
+
+
+def parse_errors_surface():
+    digest = hashlib.sha256()
+    rng = random.Random(29)
+    parser_log = logging.getLogger("owlprose.parser")
+    level = parser_log.level
+    parser_log.setLevel(logging.ERROR)  # no auto-declare warning per id on stderr
+    try:
+        for _ in range(BROKEN_DOCUMENTS):
+            text = broken_document(rng)
+            for strict in (False, True):
+                try:
+                    parse_ontology(text, strict=strict)
+                    outcome = "parsed"
+                except (ParseError, UndeclaredEntity) as exc:
+                    outcome = f"{type(exc).__name__}: {exc}"
+                digest.update(f"{outcome}\n".encode())
+    finally:
+        parser_log.setLevel(level)
+    return digest
+
+
 def main() -> int:
     digests = fixture_surfaces()
     digests["survey-generated"] = survey_generated_surface()
@@ -229,6 +278,7 @@ def main() -> int:
     digests["equivalents"] = equivalents_surface()
     digests["classify"] = classify_surface()
     digests["eval-generated"] = eval_generated_surface()
+    digests["parse-errors"] = parse_errors_surface()
     for name, digest in digests.items():
         print(name, digest.hexdigest())
     return 0
