@@ -17,6 +17,7 @@ axioms are ignored.
 
 from __future__ import annotations
 
+import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -226,8 +227,15 @@ def _distinct_partitions(elements: list):
     elements as one already given: equal elements make many partitions alike.
 
     Blocks appear by first element, so the single-block partition comes first
-    and the all-singletons partition last. The walk still visits all Bell(n)
-    restricted-growth strings; only a new shape builds its block lists.
+    and the all-singletons partition last. The walk is a depth-first search
+    over restricted-growth prefixes in that order. Two prefixes of one length
+    whose blocks hold the same multisets reach the same partitions' shapes,
+    and the earlier one's subtree comes first; so a prefix whose shape an
+    earlier prefix of its length had is not extended, and each shape of a
+    prefix is extended once. A prefix's shape plus singletons for the rest is
+    a whole partition's shape, so no length has more prefix shapes than there
+    are whole shapes: n equal elements cost about n^2 prefixes per partition
+    of the integer n, not Bell(n) strings. An explicit stack, not recursion.
     """
     n = len(elements)
     if n == 0:
@@ -235,31 +243,31 @@ def _distinct_partitions(elements: list):
     # a block's multiset is the sum of its weights: one base-(n + 1) digit
     # per distinct element, counting its copies
     weight = [(n + 1) ** elements.index(element) for element in elements]
-    growth = [0] * n  # block of each position
-    top = [0] * n  # top[i] == max(growth[: i + 1])
-    shapes = set()
-    while True:
-        sums = [0] * (top[-1] + 1)
-        for i, block in enumerate(growth):
-            sums[block] += weight[i]
-        shape = tuple(sorted(sums))
-        if shape not in shapes:
-            shapes.add(shape)
-            blocks = [[] for _ in sums]
-            for i, block in enumerate(growth):
-                blocks[block].append(i)
-            yield blocks
-        # next string: raise the last position that may grow, zero the rest
-        i = n - 1
-        while i > 0 and growth[i] > top[i - 1]:
-            i -= 1
-        if i == 0:
-            return
-        growth[i] += 1
-        top[i] = max(top[i - 1], growth[i])
-        for k in range(i + 1, n):
-            growth[k] = 0
-            top[k] = top[i]
+    shapes = [set() for _ in range(n)]  # prefix shapes met, by last position
+    # per position: the block sums before it, and the next block to try; the
+    # block a position holds while later ones are placed is the one before
+    levels = [[[], 0]]
+    while levels:
+        level = levels[-1]
+        sums, block = level
+        position = len(levels) - 1
+        if block > len(sums):  # every block and one new block tried
+            levels.pop()
+            continue
+        level[1] = block + 1
+        placed = list(sums) if block < len(sums) else [*sums, 0]
+        placed[block] += weight[position]
+        shape = tuple(sorted(placed))
+        if shape in shapes[position]:
+            continue
+        shapes[position].add(shape)
+        if position + 1 < n:
+            levels.append([placed, 0])
+            continue
+        blocks = [[] for _ in placed]
+        for i, (_, following) in enumerate(levels):
+            blocks[following - 1].append(i)
+        yield blocks
 
 
 def _subclass_pool_variants(sub: ClassExpression, axioms: list):
@@ -271,7 +279,9 @@ def _subclass_pool_variants(sub: ClassExpression, axioms: list):
     an intersection, combined with every conjunct ordering inside each block,
     every variant of each conjunct expression, and every variant of the sub
     expression per produced axiom. The original grouping is emitted first so
-    the head of the stream is always the verbatim input.
+    the head of the stream is always the verbatim input; the partition walk
+    gives it again (a one-axiom pool gives nothing else), and _unit_variants
+    drops such repeats.
     """
     elements = [c for axiom in axioms for c in conjuncts(axiom.super)]
     yield list(axioms)
@@ -308,19 +318,40 @@ def _axiom_unit_variants(axiom: Axiom):
         raise TypeError(f"not an axiom: {axiom!r}")
 
 
+def _unit_variants(variants, *args):
+    """(axioms, texts) for each variant variants(*args) gives: texts holds
+    the canonical serialization of each axiom, in order. A variant whose
+    sorted texts equal an earlier one's is skipped.
+
+    Skipping keeps the stream unchanged: _lazy_product runs in lexicographic
+    order, so a version that uses the repeat comes after the same version
+    with the first occurrence, and the stream would drop it as a duplicate.
+    """
+    seen = set()
+    for axioms in variants(*args):
+        texts = [serialize_axiom(ax) for ax in axioms]
+        key = tuple(sorted(texts))
+        if key not in seen:
+            seen.add(key)
+            yield axioms, texts
+
+
 def _units(axioms: list) -> list:
     """Group axioms into variant units: same-sub SubClassOf axioms pool at the
-    position of their first member, everything else stands alone."""
+    position of their first member, everything else stands alone. Each unit
+    is a factory of _unit_variants."""
     pools: dict = {}
     units = []
     for axiom in axioms:
         if isinstance(axiom, SubClassOf):
             if axiom.sub not in pools:
                 pools[axiom.sub] = []
-                units.append(partial(_subclass_pool_variants, axiom.sub, pools[axiom.sub]))
+                units.append(
+                    partial(_unit_variants, _subclass_pool_variants, axiom.sub, pools[axiom.sub])
+                )
             pools[axiom.sub].append(axiom)
         else:
-            units.append(partial(_axiom_unit_variants, axiom))
+            units.append(partial(_unit_variants, _axiom_unit_variants, axiom))
     return units
 
 
@@ -329,12 +360,16 @@ def _equivalent_stream(axioms: list):
 
     Yields (version, texts): texts holds the canonical serialization of each
     axiom of the version, in order, and their sorted tuple is the version's
-    order-insensitive identity.
+    order-insensitive identity. The texts are the units' own, joined; no axiom
+    is serialized per version. Each unit gives its distinct variants only, so
+    the walk makes no combination that repeats a unit's variant; a version
+    can still repeat an earlier one across units (two EquivalentClasses axioms
+    that permute each other's operands), and is then dropped.
     """
     seen = set()
     for heads in _lazy_product(_units(list(axioms))):
-        version = [axiom for head in heads for axiom in head]
-        texts = [serialize_axiom(ax) for ax in version]
+        version = [axiom for head, _ in heads for axiom in head]
+        texts = [text for _, head_texts in heads for text in head_texts]
         key = tuple(sorted(texts))
         if key not in seen:
             seen.add(key)
@@ -380,7 +415,7 @@ def _assignment_mean(
     or None). Exact search by a DP over the candidate subsets used so far,
     keeping only the subsets each row can reach: after i rows, those of at
     most i candidates. A small reference stays cheap however large the
-    candidate; two large frames still cost exponential time.
+    candidate.
 
     Returns None, leaving the rest of the matrix unscored, as soon as the mean
     provably cannot exceed best_mean: a version wins only with a mean above
@@ -392,6 +427,32 @@ def _assignment_mean(
       partial sum of k such terms rounds to at most the integer k;
     - after each row, the row maxima so far plus 1.0 for each row still to
       fill, added in row order as the DP adds its row scores.
+
+    The DP also drops a state that cannot reach the optimum. The floor is the
+    total of a greedy assignment (each row takes its best unused candidate),
+    added in row order; the DP's best total is at least that, since it adds
+    the same path in the same order. A state after i rows is dropped when its
+    value is below the cutoff floor - slack - (the sum of the maxima of rows
+    i..n-1). So one clear best assignment keeps few states; many equal
+    scores still keep many, and two large tied frames still cost exponential
+    time.
+
+    Why the result is unchanged. Every float here (a state's value, the
+    floor, a suffix of row maxima, a cutoff, the traceback's remainder) is
+    made by at most 2n + 2 additions or subtractions whose results lie in
+    [-2n, 2n]; each rounds by at most n * eps, so each float is within
+    E = 4 * n * n * eps of the real sum it stands for. The slack is 8E.
+    - Any completion of a dropped state (in the DP without dropping) totals
+      below floor - slack + 4E, so below the optimum by more than 4E.
+    - A state that a path to an optimal final state goes through is never
+      dropped, so the final max((value, mask)) sees every optimal state with
+      its value.
+    - Each equality the traceback tests, best[i][mask] or best[i][mask ^ bit]
+      + score against the remainder, can hold only for a state on a path that
+      completes within 3E of the optimum. Such a state keeps its value; a
+      dropped state, or a kept one whose value fell because its best path was
+      dropped, fails the test in both DPs. So the traceback takes the same
+      steps.
     """
     n, m = len(reference_texts), len(candidate_texts)
     if n == 0:
@@ -400,6 +461,7 @@ def _assignment_mean(
         return None
 
     matrix = []
+    row_maxima = []
     maxima = 0.0  # sum of the filled rows' maxima, in row order
     for reference in reference_texts:
         row = []
@@ -409,24 +471,40 @@ def _assignment_mean(
                 pair_cache[key] = similarity(candidate, reference)
             row.append(pair_cache[key])
         matrix.append(row)
-        maxima += max(row, default=0.0)
+        row_maxima.append(max(row, default=0.0))
+        maxima += row_maxima[-1]
         bound = maxima
         for _ in range(n - len(matrix)):
             bound += 1.0
         if bound / n <= best_mean:
             return None
 
+    floor, used = 0.0, set()
+    for scores in matrix:
+        free = [j for j in range(m) if j not in used]
+        if free:
+            pick = max(free, key=scores.__getitem__)
+            used.add(pick)
+            floor += scores[pick]
+    slack = 32 * n * n * sys.float_info.epsilon
+    rests = [0.0]  # rests[k]: sum of the maxima of the last k rows
+    for row_max in reversed(row_maxima):
+        rests.append(rests[-1] + row_max)
+    cutoffs = [floor - slack - rest for rest in reversed(rests)]  # per rows filled
+
     NEG = float("-inf")
     best = [{0: 0.0}]  # per row: reachable candidate bitmask -> best total using it
-    for scores in matrix:
-        nxt = dict(best[-1])  # leave the reference unmatched (scores 0)
-        moves = [(1 << j, score) for j, score in enumerate(scores)]
+    for scores, cutoff in zip(matrix, cutoffs[1:]):
+        # leave the reference unmatched (scores 0)
+        nxt = {mask: base for mask, base in best[-1].items() if base >= cutoff}
+        moves = sorted(((score, 1 << j) for j, score in enumerate(scores)), reverse=True)
         for mask, base in best[-1].items():
-            for bit, score in moves:
-                if not mask & bit:
-                    value = base + score
-                    if value > nxt.get(mask | bit, NEG):
-                        nxt[mask | bit] = value
+            for score, bit in moves:
+                value = base + score
+                if value < cutoff:
+                    break  # and so for every lower score
+                if not mask & bit and value > nxt.get(mask | bit, NEG):
+                    nxt[mask | bit] = value
         best.append(nxt)
     total, final_mask = max((v, mask) for mask, v in best[n].items())
 

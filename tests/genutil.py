@@ -9,8 +9,9 @@ edit distance by plain recursion and by the textbook dynamic program,
 tokens by the one-match-at-a-time finditer walk the parser once used,
 assignments and the split/permutation family by brute force, text positions
 by walking the text, normalization one character at a time, scoring by the
-plain scan without pruning), so tests can hold the production code to an
-answer derived another way.
+plain scan without pruning, the equivalent-version stream by serializing
+every combination of every unit's variants), so tests can hold the
+production code to an answer derived another way.
 """
 
 from __future__ import annotations
@@ -407,14 +408,20 @@ def conjunct_permuted_candidate(frame: ClassFrame) -> ClassFrame:
 
 def distinct_partitions_oracle(elements) -> list:
     """Set partitions of range(len(elements)) as block lists, found by
-    filtering every string in range(n)^n (in lexicographic order) down to the
-    restricted-growth ones, keeping the first partition of each shape: the
-    multiset of the blocks' element multisets."""
+    walking every restricted-growth string in lexicographic order, keeping
+    the first partition of each shape: the multiset of the blocks' element
+    multisets."""
     n = len(elements)
+
+    def strings(prefix: tuple):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for block in range(max(prefix, default=-1) + 2):
+            yield from strings(prefix + (block,))
+
     partitions, shapes = [], set()
-    for growth in itertools.product(range(n), repeat=n):
-        if any(growth[i] > max(growth[:i], default=-1) + 1 for i in range(n)):
-            continue
+    for growth in strings(()):
         blocks = [[i for i in range(n) if growth[i] == b] for b in range(max(growth) + 1)]
         shape = tuple(sorted(tuple(sorted(repr(elements[i]) for i in block)) for block in blocks))
         if shape not in shapes:
@@ -446,6 +453,31 @@ def subclass_pool_variants_oracle(sub, axioms: list):
                 subs = evaluate._variant_factories([sub] * len(supers))
                 for sub_combo in evaluate._lazy_product(subs):
                     yield [SubClassOf(s, sup) for s, sup in zip(sub_combo, supers)]
+
+
+def equivalent_stream_oracle(axioms: list):
+    """The stream of equivalent versions as the enumerator first built it:
+    every unit gives all of its variants, repeats included, each version is
+    serialized axiom by axiom, and a set drops the versions met before.
+    Yields (version, texts) as evaluate._equivalent_stream does."""
+    pools: dict = {}
+    units = []
+    for axiom in axioms:
+        if isinstance(axiom, SubClassOf):
+            if axiom.sub not in pools:
+                pools[axiom.sub] = []
+                units.append(partial(evaluate._subclass_pool_variants, axiom.sub, pools[axiom.sub]))
+            pools[axiom.sub].append(axiom)
+        else:
+            units.append(partial(evaluate._axiom_unit_variants, axiom))
+    seen = set()
+    for heads in evaluate._lazy_product(units):
+        version = [axiom for head in heads for axiom in head]
+        texts = [serialize_axiom(ax) for ax in version]
+        key = tuple(sorted(texts))
+        if key not in seen:
+            seen.add(key)
+            yield version, texts
 
 
 def normalize_oracle(text: str) -> str:

@@ -225,6 +225,12 @@ def test_distinct_partitions_keep_the_first_partition_of_each_shape(elements):
     assert list(_distinct_partitions(elements)) == genutil.distinct_partitions_oracle(elements)
 
 
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.sampled_from([A, B, C]), min_size=7, max_size=8))
+def test_distinct_partitions_of_longer_lists_follow_the_oracle(elements):
+    assert list(_distinct_partitions(elements)) == genutil.distinct_partitions_oracle(elements)
+
+
 def test_equal_conjuncts_walk_each_partition_shape_once():
     # 10 copies: Bell(10) = 115975 set partitions, but only 42 block-size shapes
     reference = frame([SubClassOf(D, Intersection((A,) * 10))])
@@ -273,6 +279,25 @@ def test_stream_of_one_split_super_matches_brute_force(width, sub):
     assert {version_key(v) for v in versions} == genutil.split_permutation_oracle(
         sub, conjuncts
     )
+
+
+def pool_frame(k: int, prefix: str) -> list:
+    """k one-axiom SubClassOf pools: SubClassOf(:<prefix>i :F) for i < k."""
+    return [SubClassOf(Named(f":{prefix}{i}"), Named(":F")) for i in range(k)]
+
+
+def test_stream_matches_the_plain_stream():
+    """The first 400 versions of 300 generated frames and of ten one-axiom
+    pools, against the stream that serializes every combination of every
+    unit's variants."""
+    rng = random.Random(31)
+    references = [genutil.gen_frame(rng).axioms for _ in range(300)] + [pool_frame(10, "X")]
+    for axioms in references:
+        produced = list(itertools.islice(_equivalent_stream(axioms), 400))
+        expected = list(itertools.islice(genutil.equivalent_stream_oracle(axioms), 400))
+        assert produced == expected
+        for version, texts in produced:
+            assert texts == [serialize_axiom(ax) for ax in version]
 
 
 NAMED = st.sampled_from([A, B, C])
@@ -329,9 +354,55 @@ def test_cap_bounds_memory_on_wide_conjunctions(reference, candidate):
     assert peak < 1 << 20, f"traced peak {peak} bytes"
 
 
+@pytest.mark.parametrize("cap", [1, evaluate.DEFAULT_CAP])
+@pytest.mark.parametrize(
+    "reference, candidate, versions",
+    [
+        *((pool_frame(k, "X"), pool_frame(k, "Y"), 1) for k in (18, 24, 30)),
+        *(
+            ([SubClassOf(Named(":F"), Intersection((A,) * width))],
+             [SubClassOf(Named(":F"), C)], count)
+            for width, count in ((11, 56), (12, 77))  # partitions of the integer width
+        ),
+    ],
+    ids=["18-pools", "24-pools", "30-pools", "11-equal-conjuncts", "12-equal-conjuncts"],
+)
+def test_cap_bounds_time_and_memory_on_many_subclasses(reference, candidate, versions, cap):
+    """A class with k subclasses has one version, and once took 2^k
+    combinations and 2^k assignment states whatever the cap; 11 equal
+    conjuncts once took a walk of Bell(11) strings."""
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        report = score_submission(frame(candidate), frame(reference), cap=cap)
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.truncated == (cap < versions)
+    assert 0.0 < report.mean < 1.0
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+    assert peak < 1 << 20, f"traced peak {peak} bytes"
+    if cap >= versions:
+        assert len(list(_equivalent_stream(reference))) == versions
+
+
 # ---------------------------------------------------------------------------
 # Scoring
 # ---------------------------------------------------------------------------
+
+
+def scored_pairs(matrix: list, m: int) -> tuple:
+    """Reference and candidate texts for a score matrix, and a pair cache
+    that holds its scores."""
+    references = [f"r{i}" for i in range(len(matrix))]
+    candidates = [f"c{j}" for j in range(m)]
+    pair_cache = {
+        (references[i], candidates[j]): value
+        for i, row in enumerate(matrix)
+        for j, value in enumerate(row)
+    }
+    return references, candidates, pair_cache
 
 
 SCORES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0, 1))
@@ -350,13 +421,7 @@ SCORES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0, 1))
 )
 def test_assignment_mean_is_the_best_injective_assignment(matrix_and_width, best_mean):
     matrix, m = matrix_and_width
-    references = [f"r{i}" for i in range(len(matrix))]
-    candidates = [f"c{j}" for j in range(m)]
-    pair_cache = {
-        (references[i], candidates[j]): value
-        for i, row in enumerate(matrix)
-        for j, value in enumerate(row)
-    }
+    references, candidates, pair_cache = scored_pairs(matrix, m)
     expected = genutil.assignment_oracle(matrix, m)
     scored = _assignment_mean(references, candidates, pair_cache, best_mean)
     if scored is None:  # pruned: only when the best assignment cannot win
@@ -371,6 +436,44 @@ def test_assignment_mean_is_the_best_injective_assignment(matrix_and_width, best
     # not pruned: the bound with every row filled exceeded best_mean
     assert sum(max(row, default=0.0) for row in matrix) / len(matrix) > best_mean - 1e-12
 
+
+@st.composite
+def tied_matrices(draw):
+    """An n x m score matrix, n <= 7 and m <= 9, its scores multiples of one
+    step from 1/2 to 1/1000, so that equal scores and equal sums are common."""
+    step = draw(st.sampled_from([2, 3, 4, 5, 7, 10, 100, 1000]))
+    n, m = draw(st.integers(1, 7)), draw(st.integers(0, 9))
+    score = st.integers(0, step).map(lambda k: k / step)
+    return draw(st.lists(st.lists(score, min_size=m, max_size=m), min_size=n, max_size=n)), m
+
+
+@settings(deadline=None)
+@given(tied_matrices())
+def test_dropping_dp_states_keeps_mean_and_choice_of_the_full_dp(matrix_and_width):
+    """The full DP, float-equality traceback included, chooses the same
+    candidates: the dropped states never decide a tie."""
+    matrix, m = matrix_and_width
+    references, candidates, pair_cache = scored_pairs(matrix, m)
+    scored = _assignment_mean(references, candidates, pair_cache, -1.0)
+    assert scored == genutil._assignment_dp(matrix, m)
+
+
+def test_one_dominant_assignment_keeps_few_dp_states():
+    """16 x 16 with the diagonal best by far: the full DP keeps every subset
+    of up to 16 candidates, C(16, 8) of them at the middle row."""
+    n = 16
+    matrix = [[0.9 if i == j else 0.1 + 0.01 * ((7 * i + j) % 5) for j in range(n)] for i in range(n)]
+    references, candidates, pair_cache = scored_pairs(matrix, n)
+    started = time.perf_counter()
+    scored = _assignment_mean(references, candidates, pair_cache, -1.0)
+    elapsed = time.perf_counter() - started
+    total = 0.0
+    for _ in range(n):
+        total += 0.9
+    mean, chosen = scored
+    assert mean == total / n
+    assert all(j in (None, i) for i, j in enumerate(chosen))
+    assert elapsed < 0.2, f"{elapsed:.2f} s"
 
 
 def frame(axioms):

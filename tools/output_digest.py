@@ -41,10 +41,22 @@ The surfaces:
 
 A line that differs names the surface to look into; its raw output is one
 command away.
+
+The lines of the last accepted output are kept in tools/output_digest.txt.
+To compare the checkout with them:
+
+    python3 tools/output_digest.py --check
+
+prints nothing and exits 0 when every line is equal, and otherwise names
+each surface that differs on stderr and exits 1. A change that alters output
+on purpose records the new lines with
+
+    python3 tools/output_digest.py > tools/output_digest.txt
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -58,6 +70,7 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
+PINNED = ROOT / "tools" / "output_digest.txt"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
 
 import genutil  # noqa: E402
@@ -110,7 +123,9 @@ def generated_lexicon() -> dict:
     return lexicon
 
 
-def fixture_surfaces() -> dict:
+def fixture_surfaces(run=owlprose) -> dict:
+    """The surfaces made from fixtures/: name -> sha256 object. run(*args)
+    runs the command line and returns its subprocess.CompletedProcess."""
     manifest = json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8"))
     digests = {
         name: hashlib.sha256()
@@ -125,12 +140,12 @@ def fixture_surfaces() -> dict:
             "--class", entry["designated"],
             *(f"--{flag.replace('_', '-')}" for flag, on in entry["flags"].items() if on),
         ]
-        text = owlprose(*args)
-        records = owlprose(*args, "--format", "records", "--rst-debug")
+        text = run(*args)
+        records = run(*args, "--format", "records", "--rst-debug")
         args[args.index("--class") + 1] = "all"
-        all_text = owlprose(*args)
-        all_records = owlprose(*args, "--format", "records", "--rst-debug")
-        scored = owlprose(
+        all_text = run(*args)
+        all_records = run(*args, "--format", "records", "--rst-debug")
+        scored = run(
             "eval", "--reference", ontology, "--candidate", ontology,
             "--class", entry["designated"],
         )
@@ -144,7 +159,7 @@ def fixture_surfaces() -> dict:
             ("self-eval", scored.stdout),
         ):
             digests[surface].update(f"{name}\n{output}\n".encode())
-    digests["survey"] = hashlib.sha256(owlprose("survey", str(FIXTURES)).stdout.encode())
+    digests["survey"] = hashlib.sha256(run("survey", str(FIXTURES)).stdout.encode())
     return digests
 
 
@@ -271,7 +286,19 @@ def parse_errors_surface():
     return digest
 
 
-def main() -> int:
+def read_pinned() -> dict:
+    """The pinned lines of tools/output_digest.txt: name -> hex digest."""
+    lines = PINNED.read_text(encoding="utf-8").splitlines()
+    return dict(line.split(" ", 1) for line in lines if line)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="one sha256 line per output surface")
+    parser.add_argument(
+        "--check", action="store_true",
+        help=f"compare with {PINNED.name} instead of printing; exit 1 if a surface differs",
+    )
+    args = parser.parse_args(argv)
     digests = fixture_surfaces()
     digests["survey-generated"] = survey_generated_surface()
     digests["realize"] = realize_surface()
@@ -279,9 +306,16 @@ def main() -> int:
     digests["classify"] = classify_surface()
     digests["eval-generated"] = eval_generated_surface()
     digests["parse-errors"] = parse_errors_surface()
-    for name, digest in digests.items():
-        print(name, digest.hexdigest())
-    return 0
+    lines = {name: digest.hexdigest() for name, digest in digests.items()}
+    if not args.check:
+        for name, digest in lines.items():
+            print(name, digest)
+        return 0
+    pinned = read_pinned()
+    differing = [name for name in {**pinned, **lines} if pinned.get(name) != lines.get(name)]
+    for name in differing:
+        print(f"{name}: differs from {PINNED.relative_to(ROOT)}", file=sys.stderr)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
