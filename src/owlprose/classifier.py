@@ -3,8 +3,7 @@
 Group labels pair the axiom kind with a complexity marker: Sc/Scr for
 SubClassOf, Ec/Ecr for EquivalentClasses, Dc/Dcr for DisjointClasses, Ca/Car
 for ClassAssertion, and Du for DisjointUnion (which has no complex variant).
-An axiom is complex when any of its top-level operands, other than the
-designated class itself, is not a named class.
+An axiom is complex when any of its top-level operands is not a named class.
 
 Directness: an axiom is direct when the designated class is its subject, the
 first of its top-level expressions (``model.expressions_of``); a
@@ -59,9 +58,7 @@ def classify(axiom: Axiom, designated: str) -> ClassifiedAxiom:
     described = Named(designated)
     group = _STEMS[type(axiom)]
     expressions = expressions_of(axiom)
-    if group != "Du" and any(
-        not isinstance(expr, Named) for expr in expressions if expr != described
-    ):
+    if group != "Du" and any(not isinstance(expr, Named) for expr in expressions):
         group += "r"
     direct = isinstance(axiom, ClassAssertion) or expressions[0] == described
     return ClassifiedAxiom(axiom, group, direct)

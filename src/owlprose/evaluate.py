@@ -13,6 +13,15 @@ The candidate scores, against each version, the best one-to-one axiom
 assignment by normalized Levenshtein similarity; the report keeps the version
 with the highest mean. A missing reference axiom scores 0 and extra candidate
 axioms are ignored.
+
+Edit distances are bit-parallel: Myers' algorithm (J. ACM 1999) in Hyyrö's
+2001 formulation, with several texts packed into one int as Hyyrö,
+Fredriksson and Navarro (ACM JEA 2005) pack several patterns into one
+machine word. The candidate texts are packed once per scored submission, and
+one loop over a reference text's characters gives its distance to every
+candidate text. Each packed text is followed by a zero guard bit, and the
+invariant is that the match mask and both vertical delta vectors stay zero
+at every guard, so no carry or shift crosses from one text into the next.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 from .model import (
     Axiom,
@@ -72,15 +82,87 @@ def normalize(text: str) -> str:
     return " ".join(stripped.split())
 
 
+class _Pack(NamedTuple):
+    """Texts packed side by side into one int for _distances. Text k holds
+    the bits shift .. shift + length - 1 of segments[k], one bit per
+    character, and a zero guard bit follows each nonempty text."""
+
+    peq: dict  # character -> the bits at which it occurs, over every text
+    mask: int  # every segment bit, no guard bit
+    firsts: int  # the first bit of each nonempty segment
+    segments: list  # (shift, length) per text, in order
+
+
+def _pack(texts) -> _Pack:
+    peq: dict = {}
+    mask = firsts = shift = 0
+    segments = []
+    for text in texts:
+        segments.append((shift, len(text)))
+        if not text:
+            continue
+        local: dict = {}
+        bit = 1
+        for ch in text:
+            local[ch] = local.get(ch, 0) | bit
+            bit <<= 1
+        for ch, bits in local.items():
+            peq[ch] = peq.get(ch, 0) | bits << shift
+        mask |= (bit - 1) << shift
+        firsts |= 1 << shift
+        shift += len(text) + 1
+    return _Pack(peq, mask, firsts, segments)
+
+
+def _distances(text: str, pack: _Pack) -> list:
+    """The edit distance from text to each packed text, in pack order, by one
+    bit-parallel pass over the characters of text.
+
+    Myers' algorithm (J. ACM 1999) in Hyyrö's 2001 formulation, with several
+    patterns in one word as Hyyrö, Fredriksson and Navarro (ACM JEA 2005)
+    pack them; a Python int has no fixed width, so every packed text fits.
+    Bit i of pv (mv) is set when the DP column's vertical delta at that row
+    of its text is +1 (-1). The guard-bit invariant: eq, pv and mv are zero
+    at every guard bit. So the carry of (eq & pv) + pv out of one segment
+    stops at its guard; mh, being under pv, is zero there too, and mh << 1
+    shifts a zero into each segment's first bit; ph << 1 takes its top-row
+    +1 there from firsts. ph is masked to the segment bits before the shift
+    (a bit it had at a guard would only land on a bit firsts sets anyway),
+    which keeps every int nonnegative: CPython's bitwise operations are
+    slower on negative ints. After the pass the distance to text k is
+    len(text) plus the +1s less the -1s of its column: an empty packed text
+    gives len(text), and an empty text gives each packed text's length.
+    """
+    peq, mask, firsts, segments = pack
+    pv, mv = mask, 0
+    for ch in text:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) & mask
+        mh = pv & xh
+        ph = (ph << 1) | firsts
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    n = len(text)
+    distances = []
+    for shift, length in segments:
+        bits = (1 << length) - 1
+        distances.append(n + (pv >> shift & bits).bit_count() - (mv >> shift & bits).bit_count())
+    return distances
+
+
 def levenshtein(a: str, b: str) -> int:
     """Edit distance with unit-cost insert, delete and substitute.
 
     The common prefix and suffix are trimmed first. The rest is computed
-    bit-parallel (Myers 1999, in Hyyrö's 2001 formulation): a Python int holds
-    one bit per character of the longer trimmed text, and each character of
-    the shorter one updates the whole column of vertical deltas at once.
-    Either text may hold the bits; looping over the shorter one takes fewer
-    interpreter steps, and a wider int costs little more per step.
+    bit-parallel by _distances, with the longer trimmed text as its one
+    packed text (Myers 1999; Hyyrö 2001; Hyyrö, Fredriksson and Navarro
+    2005): each character of the shorter text updates the whole column of
+    vertical deltas at once. Looping over the shorter text takes fewer
+    interpreter steps, and a wider int costs little more per step. The one
+    segment is followed by a zero guard bit, where eq, pv and mv stay zero
+    (see _distances).
     """
     if len(a) < len(b):
         a, b = b, a
@@ -92,29 +174,11 @@ def levenshtein(a: str, b: str) -> int:
         end_b -= 1
     if start == end_b:
         return end_a - end_b
-    peq: dict = {}
-    bit = 1
-    for ch in a[start:end_a]:
-        peq[ch] = peq.get(ch, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    last = bit >> 1
-    distance = end_a - start
-    pv, mv = mask, 0
-    for ch in b[start:end_b]:
-        eq = peq.get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & last:
-            distance += 1
-        elif mh & last:
-            distance -= 1
-        ph = (ph << 1) | 1
-        pv = ((mh << 1) | ~(xv | ph)) & mask
-        mv = ph & xv
-    return distance
+    return _distances(b[start:end_b], _pack([a[start:end_a]]))[0]
+
+
+def _score(distance: int, longest: int) -> float:
+    return 1.0 if longest == 0 else max(0.0, (longest - distance) / longest)
 
 
 def similarity(candidate: str, reference: str) -> float:
@@ -123,10 +187,31 @@ def similarity(candidate: str, reference: str) -> float:
     Both texts are expected to be normalized already. Two empty strings are a
     perfect match; the result is clamped into [0, 1].
     """
-    longest = max(len(candidate), len(reference))
-    if longest == 0:
-        return 1.0
-    return max(0.0, (longest - levenshtein(candidate, reference)) / longest)
+    return _score(levenshtein(candidate, reference), max(len(candidate), len(reference)))
+
+
+def _similarity_row(reference: str, pack: _Pack) -> list:
+    """similarity(candidate, reference) for each packed candidate text, in
+    order, from one _distances pass over the reference."""
+    n = len(reference)
+    return [
+        _score(distance, max(length, n))
+        for (_, length), distance in zip(pack.segments, _distances(reference, pack))
+    ]
+
+
+class _SimilarityRows(dict):
+    """Reference text -> its similarity row: the similarity of each candidate
+    text to it, in candidate order. The candidate texts are packed once, and
+    a missing row is scored on first use by _similarity_row."""
+
+    def __init__(self, candidate_texts: list):
+        super().__init__()
+        self.pack = _pack(candidate_texts)
+
+    def __missing__(self, reference: str) -> list:
+        row = self[reference] = _similarity_row(reference, self.pack)
+        return row
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +492,12 @@ class SimilarityReport:
 
 
 def _assignment_mean(
-    reference_texts: list, candidate_texts: list, pair_cache: dict, best_mean: float
+    reference_texts: list, candidate_texts: list, rows: dict, best_mean: float
 ) -> tuple | None:
     """Best one-to-one assignment of candidates to references.
 
+    rows maps each reference text to its similarity row against
+    candidate_texts (a _SimilarityRows scores a row when it is first read).
     Returns (mean over reference axioms, chosen candidate index per reference
     or None). Exact search by a DP over the candidate subsets used so far,
     keeping only the subsets each row can reach: after i rows, those of at
@@ -464,12 +551,7 @@ def _assignment_mean(
     row_maxima = []
     maxima = 0.0  # sum of the filled rows' maxima, in row order
     for reference in reference_texts:
-        row = []
-        for candidate in candidate_texts:
-            key = (reference, candidate)
-            if key not in pair_cache:
-                pair_cache[key] = similarity(candidate, reference)
-            row.append(pair_cache[key])
+        row = rows[reference]
         matrix.append(row)
         row_maxima.append(max(row, default=0.0))
         maxima += row_maxima[-1]
@@ -583,21 +665,20 @@ def score_submission(candidate, reference, cap: int = DEFAULT_CAP) -> Similarity
         best_index, version, version_texts = perfect
         best_mean = 1.0
         chosen = _perfect_assignment(version_texts, candidate_texts)
-        pair_cache = {(text, text): 1.0 for text in version_texts}  # equal texts score 1.0
+        scores = [1.0] * len(chosen)  # equal texts score 1.0
     else:
-        pair_cache = {}
+        rows = _SimilarityRows(candidate_texts)  # packed only off the perfect path
         best_mean = -1.0  # below every mean, so the first version is never pruned
         for index, (scanned_version, scanned_texts) in enumerate(scanned):
-            scored = _assignment_mean(scanned_texts, candidate_texts, pair_cache, best_mean)
+            scored = _assignment_mean(scanned_texts, candidate_texts, rows, best_mean)
             if scored is not None and scored[0] > best_mean:
                 best_mean, chosen = scored
                 best_index, version, version_texts = index, scanned_version, scanned_texts
+        scores = [0.0 if j is None else rows[text][j] for text, j in zip(version_texts, chosen)]
 
     per_axiom = [
-        AxiomScore(axiom, None, 0.0)
-        if j is None
-        else AxiomScore(axiom, candidate_axioms[j], pair_cache[(text, candidate_texts[j])])
-        for axiom, text, j in zip(version, version_texts, chosen)
+        AxiomScore(axiom, None if j is None else candidate_axioms[j], score)
+        for axiom, j, score in zip(version, chosen, scores)
     ]
     return SimilarityReport(per_axiom, best_mean, best_index, truncated)
 

@@ -15,13 +15,17 @@ from genutil import version_key
 from owlprose import evaluate
 from owlprose.evaluate import (
     EquivalentExplosion,
+    _SimilarityRows,
     _assignment_mean,
     _axiom_unit_variants,
     _distinct_partitions,
     _distinct_permutations,
+    _distances,
     _equivalent_stream,
     _expression_variants,
     _lazy_product,
+    _pack,
+    _similarity_row,
     _subclass_pool_variants,
     enumerate_equivalents,
     emit_report,
@@ -126,6 +130,32 @@ def test_levenshtein_matches_the_dynamic_program_across_machine_words(pair):
     a, b = pair
     assert levenshtein(a, b) == genutil.lev_dp_oracle(a, b)
     assert levenshtein(b, a) == levenshtein(a, b)
+
+
+@st.composite
+def reference_and_candidates(draw):
+    """A reference text and 0-10 candidate texts over one alphabet, up to 100
+    characters each; a candidate may equal the reference. One-letter
+    alphabets make the longest carry chains, up to each guard bit."""
+    alphabet = draw(st.sampled_from(["a", "ab", "abc xyz", "aé€😀 ", None]))
+    text = st.text(alphabet=st.characters() if alphabet is None else alphabet, max_size=100)
+    reference = draw(text)
+    candidates = draw(st.lists(st.one_of(text, st.just(reference)), max_size=10))
+    return reference, candidates
+
+
+@given(reference_and_candidates())
+@example(("", []))
+@example(("", ["", "abc", ""]))
+@example(("abc", ["", "", "abc"]))
+@example(("a" * 100, ["a" * 100, "a" * 65, "", "a", "b" * 64 + "a", "a" * 99]))
+@example(("a" * 3, ["a" * 100, "a" * 64, "a" * 63]))
+@example(("é" * 70, ["e" * 70, "é" * 64, "€é" * 40]))
+def test_one_row_pass_gives_each_candidate_its_own_distance(case):
+    reference, candidates = case
+    pack = _pack(candidates)
+    assert _distances(reference, pack) == [genutil.lev_dp_oracle(reference, c) for c in candidates]
+    assert _similarity_row(reference, pack) == [similarity(c, reference) for c in candidates]
 
 
 def test_similarity_examples():
@@ -393,16 +423,11 @@ def test_cap_bounds_time_and_memory_on_many_subclasses(reference, candidate, ver
 
 
 def scored_pairs(matrix: list, m: int) -> tuple:
-    """Reference and candidate texts for a score matrix, and a pair cache
-    that holds its scores."""
+    """Reference and candidate texts for a score matrix, and a row cache that
+    holds its rows."""
     references = [f"r{i}" for i in range(len(matrix))]
     candidates = [f"c{j}" for j in range(m)]
-    pair_cache = {
-        (references[i], candidates[j]): value
-        for i, row in enumerate(matrix)
-        for j, value in enumerate(row)
-    }
-    return references, candidates, pair_cache
+    return references, candidates, dict(zip(references, matrix))
 
 
 SCORES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0, 1))
@@ -421,9 +446,9 @@ SCORES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0, 1))
 )
 def test_assignment_mean_is_the_best_injective_assignment(matrix_and_width, best_mean):
     matrix, m = matrix_and_width
-    references, candidates, pair_cache = scored_pairs(matrix, m)
+    references, candidates, rows = scored_pairs(matrix, m)
     expected = genutil.assignment_oracle(matrix, m)
-    scored = _assignment_mean(references, candidates, pair_cache, best_mean)
+    scored = _assignment_mean(references, candidates, rows, best_mean)
     if scored is None:  # pruned: only when the best assignment cannot win
         assert expected <= best_mean + 1e-12
         return
@@ -453,8 +478,8 @@ def test_dropping_dp_states_keeps_mean_and_choice_of_the_full_dp(matrix_and_widt
     """The full DP, float-equality traceback included, chooses the same
     candidates: the dropped states never decide a tie."""
     matrix, m = matrix_and_width
-    references, candidates, pair_cache = scored_pairs(matrix, m)
-    scored = _assignment_mean(references, candidates, pair_cache, -1.0)
+    references, candidates, rows = scored_pairs(matrix, m)
+    scored = _assignment_mean(references, candidates, rows, -1.0)
     assert scored == genutil._assignment_dp(matrix, m)
 
 
@@ -463,9 +488,9 @@ def test_one_dominant_assignment_keeps_few_dp_states():
     of up to 16 candidates, C(16, 8) of them at the middle row."""
     n = 16
     matrix = [[0.9 if i == j else 0.1 + 0.01 * ((7 * i + j) % 5) for j in range(n)] for i in range(n)]
-    references, candidates, pair_cache = scored_pairs(matrix, n)
+    references, candidates, rows = scored_pairs(matrix, n)
     started = time.perf_counter()
-    scored = _assignment_mean(references, candidates, pair_cache, -1.0)
+    scored = _assignment_mean(references, candidates, rows, -1.0)
     elapsed = time.perf_counter() - started
     total = 0.0
     for _ in range(n):
@@ -647,12 +672,13 @@ def test_skipped_versions_could_not_win(case):
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2), (3, 3), (2, 5), (4, 0)])
 def test_ceiling_skips_a_version_before_scoring_any_pair(monkeypatch, n, m):
     def unscored(*args):
-        raise AssertionError("similarity called for a version that cannot win")
+        raise AssertionError("a row scored for a version that cannot win")
 
-    monkeypatch.setattr(evaluate, "similarity", unscored)
+    monkeypatch.setattr(evaluate, "_similarity_row", unscored)
     references = [f"r{i}" for i in range(n)]
     candidates = [f"c{j}" for j in range(m)]
-    assert _assignment_mean(references, candidates, {}, min(n, m) / n) is None
+    rows = _SimilarityRows(candidates)
+    assert _assignment_mean(references, candidates, rows, min(n, m) / n) is None
 
 
 @pytest.mark.parametrize("cap", [1, 5, 20])
@@ -674,8 +700,10 @@ def test_tied_versions_keep_the_earliest_as_the_plain_scan(reference, candidate,
 
 
 def test_pruning_shows_in_the_module_level_calls(monkeypatch):
-    """The benchmark's tracer wraps evaluate.similarity and
-    evaluate.normalize; pruned versions must show there as fewer calls."""
+    """Scoring calls evaluate._similarity_row once per reference row and
+    evaluate.normalize once per distinct text, so a benchmark tracer that
+    wraps them sees pruned versions as fewer calls. The plain scan of the
+    oracle calls evaluate.similarity once per pair."""
     counts: Counter = Counter()
 
     def counting(name):
@@ -687,6 +715,7 @@ def test_pruning_shows_in_the_module_level_calls(monkeypatch):
 
         monkeypatch.setattr(evaluate, name, wrapper)
 
+    counting("_similarity_row")
     counting("similarity")
     counting("normalize")
     c0, c1, c4, c5, f = (Named(iri) for iri in (":C0", ":C1", ":C4", ":C5", ":F"))
@@ -698,11 +727,13 @@ def test_pruning_shows_in_the_module_level_calls(monkeypatch):
     counts.clear()
     expected = genutil.score_oracle(candidate, reference, 20)
     assert_same_report(report, expected)
-    assert 0 < scored["similarity"] < counts["similarity"]
-    # version 0 (2 references, 1 candidate) scores its 2 x 1 matrix for a mean
-    # of 0.5; every later version has at least 2 references, so its ceiling
-    # min(n, m) / n = 1 / n is at most 0.5 and no pair of it is scored
-    assert scored["similarity"] == 2
+    assert scored["similarity"] == 0
+    # version 0 (2 references, 1 candidate) scores its 2 x 1 matrix, one row
+    # per reference, for a mean of 0.5; every later version has at least 2
+    # references, so its ceiling min(n, m) / n = 1 / n is at most 0.5 and no
+    # row of it is scored
+    assert scored["_similarity_row"] == 2
+    assert 2 * len(candidate.axioms) < counts["similarity"]  # fewer pairs than the plain scan
     # each distinct serialized text, of the candidate and the scanned versions, once
     texts = {t for _, version_texts in itertools.islice(_equivalent_stream(reference.axioms), 20)
              for t in version_texts}

@@ -1,5 +1,8 @@
-"""The fixture output surfaces still hash to the lines pinned in
-tools/output_digest.txt. The seeded surfaces are left to the full script,
+"""The fixture output surfaces, and the eval-generated surface, still hash to
+the lines pinned in tools/output_digest.txt. eval-generated is the one pinned
+surface here that takes the assignment path: its candidates are permuted,
+one-dropped and one-substituted, so most of them score below 1.0 and reach
+the similarity rows. The other seeded surfaces are left to the full script,
 tools/output_digest.py --check, which takes about half a minute."""
 
 import importlib.util
@@ -13,6 +16,7 @@ from owlprose.cli import main
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 FIXTURE_SURFACES = {
     "verbalize-text", "verbalize-records", "rst-debug", "verbalize-all", "survey", "self-eval",
+    "eval-generated",
 }
 
 
@@ -36,6 +40,7 @@ def in_process(*args: str) -> subprocess.CompletedProcess:
 def test_fixture_surfaces_match_the_pinned_digests():
     tool = load_tool()
     pinned = tool.read_pinned()
-    computed = {name: digest.hexdigest() for name, digest in tool.fixture_surfaces(in_process).items()}
+    digests = {**tool.fixture_surfaces(in_process), "eval-generated": tool.eval_generated_surface()}
+    computed = {name: digest.hexdigest() for name, digest in digests.items()}
     assert set(computed) == FIXTURE_SURFACES
     assert [name for name in computed if computed[name] != pinned.get(name)] == []
