@@ -233,7 +233,9 @@ def _lazy_product(factories: list):
     Unlike itertools.product, no factor is stored: each factory must return a
     fresh iterator, and factor k is re-created once per combination of the
     factors before it. The first tuple therefore costs one item per factor,
-    however large the factors are.
+    however large the factors are. The products inside one unit's variants
+    use it; the walk over the units themselves is _equivalent_stream's,
+    which draws each unit's variants once and keeps them for the stream.
     """
     if not factories:
         yield ()
@@ -408,9 +410,10 @@ def _unit_variants(variants, *args):
     the canonical serialization of each axiom, in order. A variant whose
     sorted texts equal an earlier one's is skipped.
 
-    Skipping keeps the stream unchanged: _lazy_product runs in lexicographic
-    order, so a version that uses the repeat comes after the same version
-    with the first occurrence, and the stream would drop it as a duplicate.
+    Skipping keeps the stream unchanged: _equivalent_stream walks the units'
+    variant indices in lexicographic order, so a version that uses the repeat
+    comes after the same version with the first occurrence, and the stream
+    would drop it as a duplicate.
     """
     seen = set()
     for axioms in variants(*args):
@@ -421,22 +424,46 @@ def _unit_variants(variants, *args):
             yield axioms, texts
 
 
+class _UnitCache:
+    """The distinct variants of one unit, for the length of one stream: its
+    _unit_variants generator, and the (axioms, texts) drawn from it so far.
+    A variant is drawn when the walk first asks for its index, so the cache
+    holds no more than the walk has already paid for."""
+
+    __slots__ = ("source", "drawn")
+
+    def __init__(self, source):
+        self.source = source
+        self.drawn: list = []
+
+    def variant(self, index: int):
+        """The index-th distinct variant, or _END past the last one. The walk
+        asks only for an index already drawn or the next one."""
+        drawn = self.drawn
+        if index == len(drawn):
+            drawn.append(next(self.source, _END))
+        return drawn[index]
+
+
 def _units(axioms: list) -> list:
-    """Group axioms into variant units: same-sub SubClassOf axioms pool at the
-    position of their first member, everything else stands alone. Each unit
-    is a factory of _unit_variants."""
+    """Group axioms into variant units, one _UnitCache per unit: same-sub
+    SubClassOf axioms pool at the position of their first member, everything
+    else stands alone. Equal stand-alone axioms are one unit, so their
+    positions share one cache."""
     pools: dict = {}
+    alone: dict = {}
     units = []
     for axiom in axioms:
         if isinstance(axiom, SubClassOf):
             if axiom.sub not in pools:
                 pools[axiom.sub] = []
-                units.append(
-                    partial(_unit_variants, _subclass_pool_variants, axiom.sub, pools[axiom.sub])
-                )
+                source = _unit_variants(_subclass_pool_variants, axiom.sub, pools[axiom.sub])
+                units.append(_UnitCache(source))
             pools[axiom.sub].append(axiom)
         else:
-            units.append(partial(_unit_variants, _axiom_unit_variants, axiom))
+            if axiom not in alone:
+                alone[axiom] = _UnitCache(_unit_variants(_axiom_unit_variants, axiom))
+            units.append(alone[axiom])
     return units
 
 
@@ -446,19 +473,71 @@ def _equivalent_stream(axioms: list):
     Yields (version, texts): texts holds the canonical serialization of each
     axiom of the version, in order, and their sorted tuple is the version's
     order-insensitive identity. The texts are the units' own, joined; no axiom
-    is serialized per version. Each unit gives its distinct variants only, so
-    the walk makes no combination that repeats a unit's variant; a version
-    can still repeat an earlier one across units (two EquivalentClasses axioms
-    that permute each other's operands), and is then dropped.
+    is serialized per version.
+
+    The walk is an odometer over one variant index per unit position, in
+    lexicographic order, the first version taking variant 0 of every unit;
+    the last position runs through its variants in one loop, joining them to
+    the texts of the positions before it. Each unit's variants come from its
+    _UnitCache, so they are drawn and serialized once per stream, however
+    often the walk returns to them. Each unit gives its distinct variants
+    only, so the walk makes no combination that repeats a unit's variant; a
+    version can still repeat an earlier one across units (two
+    EquivalentClasses axioms that permute each other's operands), and is
+    then dropped.
+
+    Equal stand-alone axioms are walked as a multiset: the index of each copy
+    starts at the current index of the previous copy, so the indices of the
+    copies never decrease, and k copies of a unit with v variants take
+    C(k + v - 1, k) tuples, not v^k. Why the stream is unchanged: a tuple the
+    walk skips has copies p < q with i_p > i_q. Swapping those two indices
+    gives a lexicographically earlier tuple with the same multiset of texts,
+    since both positions draw from one cache. So a skipped tuple is never the
+    first with its texts, the unrestricted walk would have dropped it as a
+    duplicate, and the first tuple of each multiset, which the restricted walk
+    keeps, comes in the same order.
     """
+    units = _units(list(axioms))
+    if not units:
+        yield [], []
+        return
+    previous: dict = {}  # a cache's id -> the last position that uses it
+    ties = []  # per position: the previous position with the same cache, or None
+    for position, unit in enumerate(units):
+        ties.append(previous.get(id(unit)))
+        previous[id(unit)] = position
     seen = set()
-    for heads in _lazy_product(_units(list(axioms))):
-        version = [axiom for head, _ in heads for axiom in head]
-        texts = [text for _, head_texts in heads for text in head_texts]
-        key = tuple(sorted(texts))
-        if key not in seen:
-            seen.add(key)
-            yield version, texts
+    heads: list = []  # the variant chosen at each position before the last
+    indices: list = []  # its index in the position's cache
+    index = None  # the index to try at position len(heads); None: its first
+    while True:
+        position = len(heads)
+        if index is None:
+            tie = ties[position]
+            index = 0 if tie is None else indices[tie]
+        if position < len(units) - 1:
+            head = units[position].variant(index)
+            if head is not _END:
+                heads.append(head)
+                indices.append(index)
+                index = None
+                continue
+        else:  # the last position runs through its variants in one loop
+            axioms_before = [axiom for head, _ in heads for axiom in head]
+            texts_before = [text for _, head_texts in heads for text in head_texts]
+            head = units[position].variant(index)
+            while head is not _END:
+                texts = texts_before + head[1]
+                key = tuple(sorted(texts))
+                if key not in seen:
+                    seen.add(key)
+                    yield axioms_before + head[0], texts
+                index += 1
+                head = units[position].variant(index)
+        if not heads:
+            return
+        heads.pop()
+        index = indices.pop() + 1
 
 
 def enumerate_equivalents(axioms: list, cap: int = DEFAULT_CAP) -> EquivalentSet:

@@ -35,6 +35,7 @@ from owlprose.evaluate import (
     similarity,
 )
 from owlprose.model import (
+    ClassAssertion,
     ClassFrame,
     DisjointClasses,
     DisjointUnion,
@@ -316,18 +317,80 @@ def pool_frame(k: int, prefix: str) -> list:
     return [SubClassOf(Named(f":{prefix}{i}"), Named(":F")) for i in range(k)]
 
 
+ALONE_KINDS = (EquivalentClasses, DisjointClasses, ClassAssertion, DisjointUnion)
+
+
+def repeated_frame(rng: random.Random, kind) -> list:
+    """A frame that repeats one generated stand-alone axiom of the given kind
+    two or three times, other generated axioms between the copies; in half
+    of the frames a second stand-alone axiom repeats too, its copies
+    interleaved with the first one's."""
+    classes, props, inds = genutil.make_pools()
+    classes = classes + [genutil.DESIGNATED]
+
+    def drawn(kinds):
+        while True:
+            axiom = genutil.gen_frame_axiom(rng, classes, props, inds)
+            if isinstance(axiom, kinds):
+                return axiom
+
+    repeated = [drawn(kind)]
+    if rng.random() < 0.5:
+        repeated.append(drawn(ALONE_KINDS))
+    axioms = []
+    for _ in range(rng.randint(2, 3)):
+        axioms.extend(repeated)
+        axioms.extend(genutil.gen_frame_axiom(rng, classes, props, inds)
+                      for _ in range(rng.randint(1, 2)))
+    return axioms
+
+
 def test_stream_matches_the_plain_stream():
-    """The first 400 versions of 300 generated frames and of ten one-axiom
-    pools, against the stream that serializes every combination of every
-    unit's variants."""
+    """The first 400 versions of 300 generated frames, of ten one-axiom
+    pools, and of frames that repeat stand-alone axioms of every kind at
+    positions apart, against the stream that serializes every combination of
+    every unit's variants."""
     rng = random.Random(31)
     references = [genutil.gen_frame(rng).axioms for _ in range(300)] + [pool_frame(10, "X")]
+    references += [repeated_frame(rng, kind) for kind in ALONE_KINDS for _ in range(12)]
     for axioms in references:
         produced = list(itertools.islice(_equivalent_stream(axioms), 400))
         expected = list(itertools.islice(genutil.equivalent_stream_oracle(axioms), 400))
         assert produced == expected
         for version, texts in produced:
             assert texts == [serialize_axiom(ax) for ax in version]
+
+
+def test_each_unit_draws_its_variants_once_per_stream(monkeypatch):
+    """Every unit's variant generator starts once per stream, equal
+    stand-alone axioms sharing one, and the first version draws one variant
+    of each unit."""
+    started, drawn = Counter(), Counter()
+    unit_variants = evaluate._unit_variants
+
+    def counted(variants, *args):
+        unit = repr(args)
+        started[unit] += 1
+        for variant in unit_variants(variants, *args):
+            drawn[unit] += 1
+            yield variant
+
+    monkeypatch.setattr(evaluate, "_unit_variants", counted)
+    equivalent = EquivalentClasses((A, Intersection((B, C))))
+    axioms = [
+        equivalent,
+        SubClassOf(A, Intersection((B, C))),
+        ClassAssertion(Existential(":p", Intersection((C, D))), ":i"),
+        equivalent,
+        SubClassOf(A, D),
+        DisjointClasses((B, C)),
+        equivalent,
+    ]
+    stream = _equivalent_stream(axioms)
+    first = next(stream)
+    assert list(drawn.values()) == [1, 1, 1, 1]
+    assert [first, *stream] == list(genutil.equivalent_stream_oracle(axioms))
+    assert list(started.values()) == [1, 1, 1, 1]
 
 
 NAMED = st.sampled_from([A, B, C])
@@ -390,17 +453,26 @@ def test_cap_bounds_memory_on_wide_conjunctions(reference, candidate):
     [
         *((pool_frame(k, "X"), pool_frame(k, "Y"), 1) for k in (18, 24, 30)),
         *(
+            ([EquivalentClasses((A, B))] * k, [EquivalentClasses((A, C))], k + 1)
+            for k in (18, 24, 30)
+        ),
+        *(
             ([SubClassOf(Named(":F"), Intersection((A,) * width))],
              [SubClassOf(Named(":F"), C)], count)
             for width, count in ((11, 56), (12, 77))  # partitions of the integer width
         ),
     ],
-    ids=["18-pools", "24-pools", "30-pools", "11-equal-conjuncts", "12-equal-conjuncts"],
+    ids=[
+        "18-pools", "24-pools", "30-pools", "18-copies", "24-copies", "30-copies",
+        "11-equal-conjuncts", "12-equal-conjuncts",
+    ],
 )
 def test_cap_bounds_time_and_memory_on_many_subclasses(reference, candidate, versions, cap):
     """A class with k subclasses has one version, and once took 2^k
-    combinations and 2^k assignment states whatever the cap; 11 equal
-    conjuncts once took a walk of Bell(11) strings."""
+    combinations and 2^k assignment states whatever the cap; k copies of one
+    EquivalentClasses axiom have k + 1 versions, and once took 2^k
+    combinations at the default cap; 11 equal conjuncts once took a walk of
+    Bell(11) strings."""
     tracemalloc.start()
     try:
         started = time.perf_counter()

@@ -1,9 +1,11 @@
-"""The fixture output surfaces, and the eval-generated surface, still hash to
-the lines pinned in tools/output_digest.txt. eval-generated is the one pinned
-surface here that takes the assignment path: its candidates are permuted,
-one-dropped and one-substituted, so most of them score below 1.0 and reach
-the similarity rows. The other seeded surfaces are left to the full script,
-tools/output_digest.py --check, which takes about half a minute."""
+"""The fixture output surfaces, and the eval-generated and equivalents
+surfaces, still hash to the lines pinned in tools/output_digest.txt.
+eval-generated is the one pinned surface here that takes the assignment
+path: its candidates are permuted, one-dropped and one-substituted, so most
+of them score below 1.0 and reach the similarity rows. equivalents pins the
+order of the version stream that every eval scan walks. The other seeded
+surfaces are left to the full script, tools/output_digest.py --check, which
+takes about half a minute."""
 
 import importlib.util
 import io
@@ -16,7 +18,7 @@ from owlprose.cli import main
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 FIXTURE_SURFACES = {
     "verbalize-text", "verbalize-records", "rst-debug", "verbalize-all", "survey", "self-eval",
-    "eval-generated",
+    "eval-generated", "equivalents",
 }
 
 
@@ -40,7 +42,11 @@ def in_process(*args: str) -> subprocess.CompletedProcess:
 def test_fixture_surfaces_match_the_pinned_digests():
     tool = load_tool()
     pinned = tool.read_pinned()
-    digests = {**tool.fixture_surfaces(in_process), "eval-generated": tool.eval_generated_surface()}
+    digests = {
+        **tool.fixture_surfaces(in_process),
+        "eval-generated": tool.eval_generated_surface(),
+        "equivalents": tool.equivalents_surface(),
+    }
     computed = {name: digest.hexdigest() for name, digest in digests.items()}
     assert set(computed) == FIXTURE_SURFACES
     assert [name for name in computed if computed[name] != pinned.get(name)] == []
