@@ -30,7 +30,6 @@ import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 from .model import (
@@ -227,32 +226,72 @@ class EquivalentSet:
 _END = object()
 
 
-def _lazy_product(factories: list):
-    """Tuples in itertools.product order over the iterables factories[k]().
+class _Drawn:
+    """The items an iterator has given so far, for a walk that comes back to
+    them: one factor of a _product, which any number of its positions may
+    share. An item is drawn when the walk first asks for its index, and the
+    walk asks only for an index already drawn or the next one, so the list
+    holds no more than the walk has already paid for."""
 
-    Unlike itertools.product, no factor is stored: each factory must return a
-    fresh iterator, and factor k is re-created once per combination of the
-    factors before it. The first tuple therefore costs one item per factor,
-    however large the factors are. The products inside one unit's variants
-    use it; the walk over the units themselves is _equivalent_stream's,
-    which draws each unit's variants once and keeps them for the stream.
+    __slots__ = ("source", "items")
+
+    def __init__(self, iterable):
+        self.source = iter(iterable)
+        self.items: list = []
+
+    def item(self, index: int):
+        """The index-th item, or _END past the last one."""
+        items = self.items
+        if index == len(items):
+            items.append(next(self.source, _END))
+        return items[index]
+
+
+def _product(factors: list, ties: list | None = None):
+    """Tuples in itertools.product order over the items of the _Drawn
+    factors: an odometer over one item index per position, in lexicographic
+    order (mixed-radix generation, Knuth TAOCP 4A 7.2.1.1). The first tuple
+    costs one item per factor, however large the factors are, and each
+    factor's items are made once, however often the walk returns to them.
+
+    ties[p], when given, is an earlier position that shares position p's
+    factor, or None; then the index at p starts at the current index at
+    ties[p], so the indices of tied positions never decrease. The stream
+    uses this to walk equal stand-alone axioms as a multiset: k copies of a
+    unit with v variants take C(k + v - 1, k) tuples, not v^k. Why the
+    stream is unchanged: a tuple the walk skips has copies p < q with
+    i_p > i_q. Swapping those two indices gives a lexicographically earlier
+    tuple with the same multiset of texts, since both positions draw from
+    one factor. So a skipped tuple is never the first with its texts, the
+    unrestricted walk would have dropped it as a duplicate, and the first
+    tuple of each multiset, which the restricted walk keeps, comes in the
+    same order.
     """
-    if not factories:
+    if not factors:
         yield ()
         return
-    iterators = [iter(factories[0]())]
-    items: list = []  # current items of every factor but the last iterator's
-    while iterators:
-        item = next(iterators[-1], _END)
+    last = len(factors) - 1
+    chosen: list = []  # the item at each position before the one being walked
+    indices: list = []  # its index in the position's factor
+    index = None  # the index to try at position len(chosen); None: its first
+    while True:
+        position = len(chosen)
+        if index is None:
+            tie = ties[position] if ties else None
+            index = 0 if tie is None else indices[tie]
+        item = factors[position].item(index)
         if item is _END:
-            iterators.pop()
-            if items:
-                items.pop()
-        elif len(iterators) == len(factories):
-            yield (*items, item)
+            if not chosen:
+                return
+            chosen.pop()
+            index = indices.pop() + 1
+        elif position < last:
+            chosen.append(item)
+            indices.append(index)
+            index = None
         else:
-            items.append(item)
-            iterators.append(iter(factories[len(iterators)]()))
+            yield (*chosen, item)
+            index += 1
 
 
 def _distinct_permutations(items):
@@ -283,15 +322,19 @@ def _distinct_permutations(items):
                 chosen.pop()
 
 
-def _variant_factories(expressions) -> list:
-    return [partial(_expression_variants, expr) for expr in expressions]
+def _drawn_variants(expressions) -> dict:
+    """One _Drawn of _expression_variants per distinct expression."""
+    return {expr: _Drawn(_expression_variants(expr)) for expr in dict.fromkeys(expressions)}
 
 
 def _ordered_variants(operands):
     """Every distinct ordering of the operands, times every variant of each
-    operand, as tuples: the orderings outermost, the original order first."""
+    operand, as tuples: the orderings outermost, the original order first.
+    Equal operands share one _Drawn, so each distinct operand's variants are
+    made once, however many orderings and positions use them."""
+    drawn = _drawn_variants(operands)
     for perm in _distinct_permutations(operands):
-        yield from _lazy_product(_variant_factories(perm))
+        yield from _product([drawn[operand] for operand in perm])
 
 
 def _expression_variants(expr: ClassExpression):
@@ -369,25 +412,28 @@ def _subclass_pool_variants(sub: ClassExpression, axioms: list):
     the head of the stream is always the verbatim input; the partition walk
     gives it again (a one-axiom pool gives nothing else), and _unit_variants
     drops such repeats.
+
+    For each ordering of the blocks, one product walks the variants of every
+    conjunct in block order, then of the sub once per block; each super is
+    its block's slice of the tuple, alone or as an intersection. That is the
+    order of a product over the blocks' supers, each itself a product over
+    its conjuncts, with the subs innermost. The sub and each distinct
+    conjunct have one _Drawn for the whole pool.
     """
     elements = [c for axiom in axioms for c in conjuncts(axiom.super)]
     yield list(axioms)
+    drawn = _drawn_variants([sub, *elements])
     for blocks in _distinct_partitions(elements):
-        orderings = [
-            partial(_distinct_permutations, [elements[i] for i in block]) for block in blocks
-        ]
-        for ordered_blocks in _lazy_product(orderings):
-            factories = [partial(_super_variants, block) for block in ordered_blocks]
-            for supers in _lazy_product(factories):
-                for sub_combo in _lazy_product(_variant_factories([sub] * len(supers))):
-                    yield [SubClassOf(s, sup) for s, sup in zip(sub_combo, supers)]
-
-
-def _super_variants(block: tuple):
-    """Every variant of the super one ordered block of conjuncts makes: the
-    conjunct alone, or their intersection in block order."""
-    for combo in _lazy_product(_variant_factories(block)):
-        yield combo[0] if len(combo) == 1 else Intersection(combo)
+        orderings = [_Drawn(_distinct_permutations([elements[i] for i in b])) for b in blocks]
+        for ordered_blocks in _product(orderings):
+            flat = [element for block in ordered_blocks for element in block]
+            for combo in _product([drawn[e] for e in flat] + [drawn[sub]] * len(blocks)):
+                supers, start = [], 0
+                for block in ordered_blocks:
+                    chosen = combo[start : start + len(block)]
+                    start += len(block)
+                    supers.append(chosen[0] if len(chosen) == 1 else Intersection(chosen))
+                yield [SubClassOf(s, sup) for s, sup in zip(combo[start:], supers)]
 
 
 def _axiom_unit_variants(axiom: Axiom):
@@ -399,7 +445,8 @@ def _axiom_unit_variants(axiom: Axiom):
         for variant in _expression_variants(axiom.expr):
             yield [ClassAssertion(variant, axiom.individual)]
     elif isinstance(axiom, DisjointUnion):
-        for combo in _lazy_product(_variant_factories(axiom.disjuncts)):
+        drawn = _drawn_variants(axiom.disjuncts)
+        for combo in _product([drawn[disjunct] for disjunct in axiom.disjuncts]):
             yield [DisjointUnion(axiom.union_class, combo)]
     else:
         raise TypeError(f"not an axiom: {axiom!r}")
@@ -424,47 +471,33 @@ def _unit_variants(variants, *args):
             yield axioms, texts
 
 
-class _UnitCache:
-    """The distinct variants of one unit, for the length of one stream: its
-    _unit_variants generator, and the (axioms, texts) drawn from it so far.
-    A variant is drawn when the walk first asks for its index, so the cache
-    holds no more than the walk has already paid for."""
-
-    __slots__ = ("source", "drawn")
-
-    def __init__(self, source):
-        self.source = source
-        self.drawn: list = []
-
-    def variant(self, index: int):
-        """The index-th distinct variant, or _END past the last one. The walk
-        asks only for an index already drawn or the next one."""
-        drawn = self.drawn
-        if index == len(drawn):
-            drawn.append(next(self.source, _END))
-        return drawn[index]
-
-
-def _units(axioms: list) -> list:
-    """Group axioms into variant units, one _UnitCache per unit: same-sub
-    SubClassOf axioms pool at the position of their first member, everything
-    else stands alone. Equal stand-alone axioms are one unit, so their
-    positions share one cache."""
+def _units(axioms: list) -> tuple:
+    """Group axioms into variant units, one _Drawn of _unit_variants per
+    unit: same-sub SubClassOf axioms pool at the position of their first
+    member, everything else stands alone. Equal stand-alone axioms are one
+    unit, so their positions share one _Drawn. Returns the units, one per
+    position, and the ties _product takes: per position, the previous
+    position with the same unit, or None."""
     pools: dict = {}
-    alone: dict = {}
-    units = []
+    last: dict = {}  # a stand-alone axiom -> the last position that holds it
+    units, ties = [], []
     for axiom in axioms:
         if isinstance(axiom, SubClassOf):
             if axiom.sub not in pools:
                 pools[axiom.sub] = []
                 source = _unit_variants(_subclass_pool_variants, axiom.sub, pools[axiom.sub])
-                units.append(_UnitCache(source))
+                units.append(_Drawn(source))
+                ties.append(None)
             pools[axiom.sub].append(axiom)
         else:
-            if axiom not in alone:
-                alone[axiom] = _UnitCache(_unit_variants(_axiom_unit_variants, axiom))
-            units.append(alone[axiom])
-    return units
+            tie = last.get(axiom)
+            if tie is None:
+                units.append(_Drawn(_unit_variants(_axiom_unit_variants, axiom)))
+            else:
+                units.append(units[tie])
+            ties.append(tie)
+            last[axiom] = len(units) - 1
+    return units, ties
 
 
 def _equivalent_stream(axioms: list):
@@ -475,69 +508,23 @@ def _equivalent_stream(axioms: list):
     order-insensitive identity. The texts are the units' own, joined; no axiom
     is serialized per version.
 
-    The walk is an odometer over one variant index per unit position, in
-    lexicographic order, the first version taking variant 0 of every unit;
-    the last position runs through its variants in one loop, joining them to
-    the texts of the positions before it. Each unit's variants come from its
-    _UnitCache, so they are drawn and serialized once per stream, however
-    often the walk returns to them. Each unit gives its distinct variants
-    only, so the walk makes no combination that repeats a unit's variant; a
-    version can still repeat an earlier one across units (two
-    EquivalentClasses axioms that permute each other's operands), and is
-    then dropped.
-
-    Equal stand-alone axioms are walked as a multiset: the index of each copy
-    starts at the current index of the previous copy, so the indices of the
-    copies never decrease, and k copies of a unit with v variants take
-    C(k + v - 1, k) tuples, not v^k. Why the stream is unchanged: a tuple the
-    walk skips has copies p < q with i_p > i_q. Swapping those two indices
-    gives a lexicographically earlier tuple with the same multiset of texts,
-    since both positions draw from one cache. So a skipped tuple is never the
-    first with its texts, the unrestricted walk would have dropped it as a
-    duplicate, and the first tuple of each multiset, which the restricted walk
-    keeps, comes in the same order.
+    One _product walks the units in lexicographic order, the first version
+    taking variant 0 of every unit, equal stand-alone axioms as a multiset
+    (see _product). Each unit's variants are made and serialized once per
+    stream, and inside a unit each distinct subexpression's variants are made
+    once, however often the walk returns to them. Each unit gives its
+    distinct variants only, so the walk makes no combination that repeats a
+    unit's variant; a version can still repeat an earlier one across units
+    (two EquivalentClasses axioms that permute each other's operands), and
+    is then dropped.
     """
-    units = _units(list(axioms))
-    if not units:
-        yield [], []
-        return
-    previous: dict = {}  # a cache's id -> the last position that uses it
-    ties = []  # per position: the previous position with the same cache, or None
-    for position, unit in enumerate(units):
-        ties.append(previous.get(id(unit)))
-        previous[id(unit)] = position
     seen = set()
-    heads: list = []  # the variant chosen at each position before the last
-    indices: list = []  # its index in the position's cache
-    index = None  # the index to try at position len(heads); None: its first
-    while True:
-        position = len(heads)
-        if index is None:
-            tie = ties[position]
-            index = 0 if tie is None else indices[tie]
-        if position < len(units) - 1:
-            head = units[position].variant(index)
-            if head is not _END:
-                heads.append(head)
-                indices.append(index)
-                index = None
-                continue
-        else:  # the last position runs through its variants in one loop
-            axioms_before = [axiom for head, _ in heads for axiom in head]
-            texts_before = [text for _, head_texts in heads for text in head_texts]
-            head = units[position].variant(index)
-            while head is not _END:
-                texts = texts_before + head[1]
-                key = tuple(sorted(texts))
-                if key not in seen:
-                    seen.add(key)
-                    yield axioms_before + head[0], texts
-                index += 1
-                head = units[position].variant(index)
-        if not heads:
-            return
-        heads.pop()
-        index = indices.pop() + 1
+    for heads in _product(*_units(list(axioms))):
+        texts = [text for _, head_texts in heads for text in head_texts]
+        key = tuple(sorted(texts))
+        if key not in seen:
+            seen.add(key)
+            yield [axiom for head, _ in heads for axiom in head], texts
 
 
 def enumerate_equivalents(axioms: list, cap: int = DEFAULT_CAP) -> EquivalentSet:

@@ -25,6 +25,7 @@ with UndeclaredEntity.
 
 from __future__ import annotations
 
+import codecs
 import logging
 import re
 from dataclasses import dataclass
@@ -100,10 +101,11 @@ class SourceDocument:
 
     @classmethod
     def from_path(cls, path) -> "SourceDocument":
-        """Read a UTF-8 file with universal newlines; a byte that does not
-        decode raises ParseError at its line and column."""
+        """Read a UTF-8 file with universal newlines; one leading byte-order
+        mark is dropped, and lines and columns count from after it. A byte
+        that does not decode raises ParseError at its line and column."""
         with open(path, "rb") as handle:
-            data = handle.read()
+            data = handle.read().removeprefix(codecs.BOM_UTF8)
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:

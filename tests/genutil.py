@@ -3,8 +3,9 @@
 The oracles are deliberately separate implementations of behavior the package
 computes elsewhere (class ids by direct case analysis, frames by a scan per
 class, survey tallies from those frames, group labels and directness by direct
-case analysis, the order of a SubClassOf pool's versions by the flatten and
-re-slice loop the enumerator once used,
+case analysis, products by plain recursion that re-makes every factor per
+combination, each expression's and axiom's variants by itertools, the order
+of a SubClassOf pool's versions by nested products per block,
 edit distance by plain recursion and by the textbook dynamic program,
 tokens by the one-match-at-a-time finditer walk the parser once used,
 assignments and the split/permutation family by brute force, text positions
@@ -430,48 +431,101 @@ def distinct_partitions_oracle(elements) -> list:
     return partitions
 
 
+def product_oracle(factories: list):
+    """Tuples in itertools.product order over the iterables factories[k](),
+    by plain recursion: each later factory is called again for every
+    combination of the items before it, and nothing is kept."""
+    if not factories:
+        yield ()
+        return
+    for item in factories[0]():
+        for rest in product_oracle(factories[1:]):
+            yield (item, *rest)
+
+
+def expression_variants_oracle(expr) -> list:
+    """Every variant of a class expression in the enumerator's order, by
+    plain recursion: an intersection gives each first-occurrence ordering of
+    itertools.permutations of its operands, times itertools.product of their
+    variants."""
+    if isinstance(expr, Named):
+        return [expr]
+    if isinstance(expr, Existential):
+        return [Existential(expr.prop, v) for v in expression_variants_oracle(expr.filler)]
+    if isinstance(expr, Intersection):
+        return [Intersection(combo) for combo in _ordered_variants_oracle(expr.operands)]
+    raise TypeError(expr)
+
+
+def _ordered_variants_oracle(operands) -> list:
+    return [
+        combo
+        for perm in distinct_permutations_oracle(operands)
+        for combo in itertools.product(*map(expression_variants_oracle, perm))
+    ]
+
+
+def axiom_unit_variants_oracle(axiom) -> list:
+    """Every variant of one non-SubClassOf axiom in the enumerator's order,
+    each as a one-axiom list: operand orderings and operand variants, a
+    ClassAssertion's expression variants, a DisjointUnion's disjunct
+    variants in their fixed order."""
+    if isinstance(axiom, (EquivalentClasses, DisjointClasses)):
+        return [[type(axiom)(combo)] for combo in _ordered_variants_oracle(axiom.operands)]
+    if isinstance(axiom, ClassAssertion):
+        variants = expression_variants_oracle(axiom.expr)
+        return [[ClassAssertion(v, axiom.individual)] for v in variants]
+    if isinstance(axiom, DisjointUnion):
+        variants = itertools.product(*map(expression_variants_oracle, axiom.disjuncts))
+        return [[DisjointUnion(axiom.union_class, combo)] for combo in variants]
+    raise TypeError(axiom)
+
+
+def _super_variants_oracle(block: tuple):
+    """Every super one ordered block of conjuncts makes: the conjunct alone,
+    or their intersection in block order."""
+    for combo in product_oracle([partial(expression_variants_oracle, e) for e in block]):
+        yield combo[0] if len(combo) == 1 else Intersection(combo)
+
+
 def subclass_pool_variants_oracle(sub, axioms: list):
     """The versions of a same-sub SubClassOf pool in the enumerator's order,
-    by one product over the variants of every conjunct of every block, sliced
-    back into blocks afterwards."""
+    by nested products: per partition and per ordering of its blocks, the
+    product of the blocks' supers, each itself the product of its conjuncts'
+    variants, and innermost the product of the sub's variants, one per
+    block."""
     elements = [c for axiom in axioms for c in conjuncts(axiom.super)]
     yield list(axioms)
     for blocks in evaluate._distinct_partitions(elements):
         orderings = [
-            partial(evaluate._distinct_permutations, [elements[i] for i in block])
-            for block in blocks
+            partial(distinct_permutations_oracle, [elements[i] for i in block]) for block in blocks
         ]
-        for ordered_blocks in evaluate._lazy_product(orderings):
-            flat = [element for block in ordered_blocks for element in block]
-            for combo in evaluate._lazy_product(evaluate._variant_factories(flat)):
-                position = 0
-                supers = []
-                for block in ordered_blocks:
-                    chosen = combo[position : position + len(block)]
-                    position += len(block)
-                    supers.append(chosen[0] if len(chosen) == 1 else Intersection(chosen))
-                subs = evaluate._variant_factories([sub] * len(supers))
-                for sub_combo in evaluate._lazy_product(subs):
-                    yield [SubClassOf(s, sup) for s, sup in zip(sub_combo, supers)]
+        for ordered_blocks in product_oracle(orderings):
+            supers = [partial(_super_variants_oracle, block) for block in ordered_blocks]
+            for chosen in product_oracle(supers):
+                subs = [partial(expression_variants_oracle, sub)] * len(chosen)
+                for sub_combo in product_oracle(subs):
+                    yield [SubClassOf(s, sup) for s, sup in zip(sub_combo, chosen)]
 
 
 def equivalent_stream_oracle(axioms: list):
     """The stream of equivalent versions as the enumerator first built it:
-    every unit gives all of its variants, repeats included, each version is
-    serialized axiom by axiom, and a set drops the versions met before.
-    Yields (version, texts) as evaluate._equivalent_stream does."""
+    every unit gives all of its variants, repeats included, by the oracles
+    above, each version is serialized axiom by axiom, and a set drops the
+    versions met before. Yields (version, texts) as
+    evaluate._equivalent_stream does."""
     pools: dict = {}
     units = []
     for axiom in axioms:
         if isinstance(axiom, SubClassOf):
             if axiom.sub not in pools:
                 pools[axiom.sub] = []
-                units.append(partial(evaluate._subclass_pool_variants, axiom.sub, pools[axiom.sub]))
+                units.append(partial(subclass_pool_variants_oracle, axiom.sub, pools[axiom.sub]))
             pools[axiom.sub].append(axiom)
         else:
-            units.append(partial(evaluate._axiom_unit_variants, axiom))
+            units.append(partial(axiom_unit_variants_oracle, axiom))
     seen = set()
-    for heads in evaluate._lazy_product(units):
+    for heads in product_oracle(units):
         version = [axiom for head in heads for axiom in head]
         texts = [serialize_axiom(ax) for ax in version]
         key = tuple(sorted(texts))

@@ -267,6 +267,36 @@ def test_undecodable_input_exits_1_with_one_line(capsys, tmp_path, ontology_path
     assert err == f"owlprose: {bad}: byte 0xff is not valid UTF-8 at line 1, column 15\n"
 
 
+@pytest.mark.parametrize("marked", ["ontology", "lexicon", "ids"])
+def test_a_byte_order_mark_is_dropped(capsys, tmp_path, marked):
+    """A file saved with a UTF-8 byte-order mark, as spreadsheet CSV exports
+    are, reads as the same file without one: the lexicon's first row, the
+    ontology's first token and the first listed id keep their meaning."""
+    texts = {"ontology": ONTOLOGY, "lexicon": LEXICON, "ids": ":Fever\n:Ague\n"}
+    outputs = []
+    for bom in (False, True):
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = tmp_path / f"{name}-{bom}"
+            encoding = "utf-8-sig" if bom and name == marked else "utf-8"
+            paths[name].write_text(text, encoding=encoding)
+        status = verbalize("--ontology", str(paths["ontology"]), "--lexicon",
+                           str(paths["lexicon"]), "--class", f"@{paths['ids']}")
+        outputs.append((status, *capsys.readouterr()))
+    assert outputs[1] == outputs[0]
+    assert outputs[0][0] == 0 and outputs[0][2] == ""
+    assert "A more specialised kind of fever is ague." in outputs[0][1]
+
+
+def test_undecodable_byte_after_a_byte_order_mark_counts_columns_after_it(capsys, tmp_path):
+    bad = tmp_path / "marked.ofs"
+    bad.write_bytes(b"\xef\xbb\xbf" + NOT_UTF8)
+    assert main(["verbalize", "--ontology", str(bad), "--class", ":A"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"owlprose: {bad}: byte 0xff is not valid UTF-8 at line 1, column 15\n"
+
+
 def deep_ontology(tmp_path, depth: int):
     """:F under intersections nested depth deep, each in the last operand of
     the one outside it: the shape that costs the realizer most frames."""

@@ -15,6 +15,7 @@ from genutil import version_key
 from owlprose import evaluate
 from owlprose.evaluate import (
     EquivalentExplosion,
+    _Drawn,
     _SimilarityRows,
     _assignment_mean,
     _axiom_unit_variants,
@@ -23,8 +24,8 @@ from owlprose.evaluate import (
     _distances,
     _equivalent_stream,
     _expression_variants,
-    _lazy_product,
     _pack,
+    _product,
     _similarity_row,
     _subclass_pool_variants,
     enumerate_equivalents,
@@ -244,10 +245,36 @@ def test_family_members_are_distinct_and_score_one(seed):
         assert report.mean == 1.0
 
 
-@given(st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=4))
-def test_lazy_product_follows_itertools_product(factors):
-    factories = [lambda f=f: iter(f) for f in factors]
-    assert list(_lazy_product(factories)) == list(itertools.product(*factors))
+@given(
+    st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(0, 2), st.booleans()), max_size=5),
+)
+def test_product_follows_itertools_product(distinct, positions):
+    """_product over fresh factors, and over factors shared between
+    positions, walked twice, equals itertools.product; with ties, it equals
+    itertools.product filtered to the tuples whose indices do not decrease
+    from each tied position's earlier partner."""
+    fresh = [_Drawn(iter(factor)) for factor in distinct]
+    assert list(_product(fresh)) == list(itertools.product(*distinct))
+
+    keys = [key % len(distinct) for key, _ in positions]
+    shared = {key: _Drawn(distinct[key]) for key in keys}
+    factors = [shared[key] for key in keys]
+    expected = list(itertools.product(*(distinct[key] for key in keys)))
+    assert list(_product(factors)) == expected
+    assert list(_product(factors)) == expected
+
+    ties, last = [], {}
+    for position, (key, (_, tied)) in enumerate(zip(keys, positions)):
+        ties.append(last.get(key) if tied else None)
+        last[key] = position
+    walks = itertools.product(*(range(len(distinct[key])) for key in keys))
+    expected = [
+        tuple(distinct[key][i] for key, i in zip(keys, indices))
+        for indices in walks
+        if all(tie is None or indices[tie] <= i for tie, i in zip(ties, indices))
+    ]
+    assert list(_product(factors, ties)) == expected
 
 
 @settings(deadline=None)
@@ -286,6 +313,32 @@ def test_equal_operands_give_one_ordering():
     reference = [SubClassOf(A, Existential(":p", nine)), SubClassOf(A, B)]
     report = score_submission(frame([SubClassOf(A, C)]), frame(reference), cap=3)
     assert not report.truncated
+
+
+EXPRESSIONS = st.recursive(
+    st.sampled_from([A, B, C]),
+    lambda inner: st.one_of(
+        st.builds(Existential, st.sampled_from([":p", ":q"]), inner),
+        st.lists(inner, min_size=2, max_size=3).map(lambda ops: Intersection(tuple(ops))),
+    ),
+    max_leaves=6,
+)
+OPERANDS = st.lists(EXPRESSIONS, min_size=2, max_size=3).map(tuple)
+
+
+@settings(deadline=None)
+@given(
+    EXPRESSIONS,
+    st.one_of(
+        st.builds(EquivalentClasses, OPERANDS),
+        st.builds(DisjointClasses, OPERANDS),
+        st.builds(ClassAssertion, EXPRESSIONS, st.just(":i")),
+        st.builds(DisjointUnion, st.just(":U"), OPERANDS),
+    ),
+)
+def test_variants_inside_a_unit_follow_the_itertools_oracle(expr, axiom):
+    assert list(_expression_variants(expr)) == genutil.expression_variants_oracle(expr)
+    assert list(_axiom_unit_variants(axiom)) == genutil.axiom_unit_variants_oracle(axiom)
 
 
 @settings(deadline=None)
@@ -393,6 +446,35 @@ def test_each_unit_draws_its_variants_once_per_stream(monkeypatch):
     assert list(started.values()) == [1, 1, 1, 1]
 
 
+def test_each_subexpression_draws_its_variants_once_per_unit(monkeypatch):
+    """Over a whole stream, each distinct subexpression's variant generator
+    starts once, however often the products inside its unit come back to it.
+    A walker that re-made each later factor per combination started them
+    1913 times for the first frame's 432 versions."""
+    started = Counter()
+    expression_variants = evaluate._expression_variants
+
+    def counted(expr):
+        started[expr] += 1
+        yield from expression_variants(expr)
+
+    monkeypatch.setattr(evaluate, "_expression_variants", counted)
+    F, G, H = Named(":F"), Named(":G"), Named(":H")
+    nested = Intersection((D, Existential(":p", Intersection((F, G, H)))))
+    equivalent = EquivalentClasses((Named(":X"), Intersection((A, B, C)), nested))
+    K, L = Named(":K"), Named(":L")
+    pool_super = Intersection((Named(":J"), Existential(":q", Intersection((K, L)))))
+    pool = SubClassOf(Named(":Y"), pool_super)
+    cases = [([equivalent], 432, 12), ([equivalent, pool], 432 * 6, 18)]
+    for axioms, versions, subexpressions in cases:
+        started.clear()
+        stream = list(_equivalent_stream(axioms))
+        assert len(stream) == versions
+        assert len(started) == subexpressions
+        assert set(started.values()) == {1}
+        assert stream == list(genutil.equivalent_stream_oracle(axioms))
+
+
 NAMED = st.sampled_from([A, B, C])
 # conjuncts that have variants of their own: an existential over an
 # intersection, possibly of repeated classes
@@ -432,18 +514,24 @@ WIDE = tuple(Named(f":W{i}") for i in range(12))
             SubClassOf(A, Existential(":p", Intersection(WIDE[:10]))),
             SubClassOf(A, Existential(":p", Intersection(WIDE[9::-1]))),
         ),
+        (SubClassOf(A, Intersection(WIDE[:10])), SubClassOf(A, Intersection(WIDE[9::-1]))),
     ],
-    ids=["12-conjunct-super", "10-conjunct-filler"],
+    ids=["12-conjunct-super", "10-conjunct-filler", "10-conjunct-super"],
 )
 def test_cap_bounds_memory_on_wide_conjunctions(reference, candidate):
+    """The orderings and variants a unit keeps are those its walk has drawn,
+    though one block of 10 conjuncts has 10! orderings."""
     tracemalloc.start()
     try:
+        started = time.perf_counter()
         report = score_submission(frame([candidate]), frame([reference]), cap=1)
+        elapsed = time.perf_counter() - started
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.truncated
     assert 0.0 < report.mean < 1.0
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
     assert peak < 1 << 20, f"traced peak {peak} bytes"
 
 

@@ -313,6 +313,18 @@ def test_undecodable_byte_is_a_parse_error_at_its_position(tmp_path):
     assert "0xff" in str(err.value)
 
 
+def test_one_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "marked.ofs"
+    path.write_bytes(b"\xef\xbb\xbfSubClassOf(:A :B)\r\n")
+    assert SourceDocument.from_path(path).text == "SubClassOf(:A :B)\n"
+    # a second mark is text, and its column counts from after the first
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + b"SubClassOf(:A :B)\n")
+    with pytest.raises(ParseError) as err:
+        parse_ontology(SourceDocument.from_path(path))
+    assert (err.value.line, err.value.column) == (1, 1)
+    assert "'\\ufeff'" in str(err.value)
+
+
 def test_serialize_expression_nests():
     expr = Intersection((Named(":A"), Existential(":p", Named(":B"))))
     assert (
