@@ -125,9 +125,18 @@ def cmd_survey(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     reference = parse_ontology(SourceDocument.from_path(args.reference), strict=args.strict)
     candidate = parse_ontology(SourceDocument.from_path(args.candidate), strict=args.strict)
-    reference_frame = collect_frame(reference, args.class_id)
-    candidate_frame = collect_frame(candidate, args.class_id)
-    report = score_submission(candidate_frame, reference_frame, cap=args.cap)
+    side_frames = {}
+    for side, path, ontology in (
+        ("reference", args.reference, reference), ("candidate", args.candidate, candidate)
+    ):
+        try:
+            side_frames[side] = collect_frame(ontology, args.class_id)
+        except UnknownClass:
+            print(f"owlprose: unknown class {args.class_id} in the {side} file {path}",
+                  file=sys.stderr)
+    if len(side_frames) < 2:
+        return 2
+    report = score_submission(side_frames["candidate"], side_frames["reference"], cap=args.cap)
     if report.truncated:
         print(
             f"owlprose: equivalence family larger than cap={args.cap}; "
@@ -221,9 +230,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnknownClass as exc:
-        print(f"owlprose: unknown class {exc.args[0]}", file=sys.stderr)
-        return 2
     except (ParseError, UndeclaredEntity, LexiconFormatError, OSError) as exc:
         print(f"owlprose: {exc}", file=sys.stderr)
         return 1

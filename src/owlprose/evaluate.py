@@ -30,6 +30,7 @@ import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 from .model import (
@@ -246,13 +247,25 @@ class _Drawn:
             items.append(next(self.source, _END))
         return items[index]
 
+    def __iter__(self):
+        """Every item in order, each drawn when the iteration reaches it."""
+        index = 0
+        while (item := self.item(index)) is not _END:
+            yield item
+            index += 1
+
 
 def _product(factors: list, ties: list | None = None):
-    """Tuples in itertools.product order over the items of the _Drawn
-    factors: an odometer over one item index per position, in lexicographic
-    order (mixed-radix generation, Knuth TAOCP 4A 7.2.1.1). The first tuple
-    costs one item per factor, however large the factors are, and each
+    """Tuples in itertools.product order over the items of the factors: an
+    odometer over one item index per position, in lexicographic order
+    (mixed-radix generation, Knuth TAOCP 4A 7.2.1.1). The first tuple costs
+    one item per factor, however large the factors are, and each _Drawn
     factor's items are made once, however often the walk returns to them.
+
+    Every factor after the first is a _Drawn. The walk never comes back to
+    an item of the first position once it has moved past it, so the first
+    factor may be any iterable, which keeps nothing it has given; it must be
+    a _Drawn when a later position, or a later walk, shares it.
 
     ties[p], when given, is an earlier position that shares position p's
     factor, or None; then the index at p starts at the current index at
@@ -271,27 +284,29 @@ def _product(factors: list, ties: list | None = None):
         yield ()
         return
     last = len(factors) - 1
-    chosen: list = []  # the item at each position before the one being walked
-    indices: list = []  # its index in the position's factor
-    index = None  # the index to try at position len(chosen); None: its first
-    while True:
-        position = len(chosen)
-        if index is None:
-            tie = ties[position] if ties else None
-            index = 0 if tie is None else indices[tie]
-        item = factors[position].item(index)
-        if item is _END:
-            if not chosen:
-                return
-            chosen.pop()
-            index = indices.pop() + 1
-        elif position < last:
-            chosen.append(item)
-            indices.append(index)
-            index = None
-        else:
-            yield (*chosen, item)
-            index += 1
+    for first_index, first in enumerate(factors[0]):
+        if not last:
+            yield (first,)
+            continue
+        chosen = [first]  # the item at each position before the one being walked
+        indices = [first_index]  # its index in the position's factor
+        index = None  # the index to try at position len(chosen); None: its first
+        while chosen:
+            position = len(chosen)
+            if index is None:
+                tie = ties[position] if ties else None
+                index = 0 if tie is None else indices[tie]
+            item = factors[position].item(index)
+            if item is _END:
+                chosen.pop()
+                index = indices.pop() + 1
+            elif position < last:
+                chosen.append(item)
+                indices.append(index)
+                index = None
+            else:
+                yield (*chosen, item)
+                index += 1
 
 
 def _distinct_permutations(items):
@@ -338,17 +353,22 @@ def _ordered_variants(operands):
 
 
 def _expression_variants(expr: ClassExpression):
-    """All reorderings of the expression's intersections, original form first."""
-    if isinstance(expr, Named):
-        yield expr
-    elif isinstance(expr, Existential):
-        for variant in _expression_variants(expr.filler):
+    """All reorderings of the expression's intersections, original form first.
+
+    The original is the expression itself, given before any machinery starts:
+    a walk that stops after it (a perfect match on the verbatim reference)
+    builds no permutation or product. Asked for more, the generator starts
+    its machinery and skips its first output, which equals the original since
+    every generator here gives its original form first."""
+    if not isinstance(expr, (Named, Existential, Intersection)):
+        raise TypeError(f"not a class expression: {expr!r}")
+    yield expr
+    if isinstance(expr, Existential):
+        for variant in islice(_expression_variants(expr.filler), 1, None):
             yield Existential(expr.prop, variant)
     elif isinstance(expr, Intersection):
-        for combo in _ordered_variants(expr.operands):
+        for combo in islice(_ordered_variants(expr.operands), 1, None):
             yield Intersection(combo)
-    else:
-        raise TypeError(f"not a class expression: {expr!r}")
 
 
 def _distinct_partitions(elements: list):
@@ -418,13 +438,15 @@ def _subclass_pool_variants(sub: ClassExpression, axioms: list):
     its block's slice of the tuple, alone or as an intersection. That is the
     order of a product over the blocks' supers, each itself a product over
     its conjuncts, with the subs innermost. The sub and each distinct
-    conjunct have one _Drawn for the whole pool.
+    conjunct have one _Drawn for the whole pool. The first block's orderings
+    are walked once, so they are not kept.
     """
-    elements = [c for axiom in axioms for c in conjuncts(axiom.super)]
     yield list(axioms)
+    elements = [c for axiom in axioms for c in conjuncts(axiom.super)]
     drawn = _drawn_variants([sub, *elements])
     for blocks in _distinct_partitions(elements):
-        orderings = [_Drawn(_distinct_permutations([elements[i] for i in b])) for b in blocks]
+        orderings = [_distinct_permutations([elements[i] for i in b]) for b in blocks]
+        orderings[1:] = map(_Drawn, orderings[1:])
         for ordered_blocks in _product(orderings):
             flat = [element for block in ordered_blocks for element in block]
             for combo in _product([drawn[e] for e in flat] + [drawn[sub]] * len(blocks)):
@@ -437,19 +459,22 @@ def _subclass_pool_variants(sub: ClassExpression, axioms: list):
 
 
 def _axiom_unit_variants(axiom: Axiom):
-    """Variants of one non-SubClassOf axiom, original form first."""
+    """Variants of one non-SubClassOf axiom, original form first: [axiom]
+    itself before any machinery starts, then the machinery's outputs after
+    its first, which equals the original (see _expression_variants)."""
+    if not isinstance(axiom, (EquivalentClasses, DisjointClasses, ClassAssertion, DisjointUnion)):
+        raise TypeError(f"not an axiom: {axiom!r}")
+    yield [axiom]
     if isinstance(axiom, (EquivalentClasses, DisjointClasses)):
-        for combo in _ordered_variants(axiom.operands):
+        for combo in islice(_ordered_variants(axiom.operands), 1, None):
             yield [type(axiom)(combo)]
     elif isinstance(axiom, ClassAssertion):
-        for variant in _expression_variants(axiom.expr):
+        for variant in islice(_expression_variants(axiom.expr), 1, None):
             yield [ClassAssertion(variant, axiom.individual)]
-    elif isinstance(axiom, DisjointUnion):
-        drawn = _drawn_variants(axiom.disjuncts)
-        for combo in _product([drawn[disjunct] for disjunct in axiom.disjuncts]):
-            yield [DisjointUnion(axiom.union_class, combo)]
     else:
-        raise TypeError(f"not an axiom: {axiom!r}")
+        drawn = _drawn_variants(axiom.disjuncts)
+        for combo in islice(_product([drawn[d] for d in axiom.disjuncts]), 1, None):
+            yield [DisjointUnion(axiom.union_class, combo)]
 
 
 def _unit_variants(variants, *args):
@@ -477,7 +502,9 @@ def _units(axioms: list) -> tuple:
     member, everything else stands alone. Equal stand-alone axioms are one
     unit, so their positions share one _Drawn. Returns the units, one per
     position, and the ties _product takes: per position, the previous
-    position with the same unit, or None."""
+    position with the same unit, or None. A first unit that no later
+    position shares is returned as its plain generator, which keeps none of
+    the variants _product's first position walks past."""
     pools: dict = {}
     last: dict = {}  # a stand-alone axiom -> the last position that holds it
     units, ties = [], []
@@ -497,6 +524,8 @@ def _units(axioms: list) -> tuple:
                 units.append(units[tie])
             ties.append(tie)
             last[axiom] = len(units) - 1
+    if ties and 0 not in ties:
+        units[0] = units[0].source
     return units, ties
 
 

@@ -127,6 +127,10 @@ def _universal_newlines(text: str) -> str:
 # Tokenizer and recursive-descent parser
 # ---------------------------------------------------------------------------
 
+# The text of one token: a parenthesis, an id or a keyword.
+_TOKEN = r"[()]|:[^\s()#]+|[A-Za-z][A-Za-z0-9]*"
+_WHOLE_TOKEN_RE = re.compile(_TOKEN)
+
 # One match per token, skipped run or bad character, so findall walks the text
 # once. A token is its text: its kind follows from its first character (see
 # _kind), and the end of input is the empty token "". Offsets are not kept;
@@ -134,13 +138,34 @@ def _universal_newlines(text: str) -> str:
 # Every alternative matches one run with no nested repetition, so the walk is
 # linear in the text's length.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     \s+|\#[^\n]*
-  | (?P<token>[()]|:[^\s()#]+|[A-Za-z][A-Za-z0-9]*)
+  | (?P<token>{_TOKEN})
   | (?P<bad>.)
     """,
     re.VERBOSE,
 )
+
+
+def _split_tokens(text: str) -> list | None:
+    """The text's tokens as _TOKEN_RE finds them, one string object per
+    distinct text, taken by str.split without a match or tuple per token; or
+    None when splitting would not give them.
+
+    With its parentheses padded with spaces, the text splits at exactly the
+    characters \\s matches (str.split and \\s agree on whitespace). When
+    each piece is one whole token, findall finds those pieces and nothing
+    else. A piece such as "Class:X" (a keyword glued to an id), or one that
+    holds a bad character or a comment's "#", is not one token, and the text
+    goes through findall. Each distinct piece is checked once, and a text
+    with a "#" in it is not split at all."""
+    if "#" in text:
+        return None
+    texts: dict = {}
+    pieces = text.replace("(", " ( ").replace(")", " ) ").split()
+    tokens = list(map(texts.setdefault, pieces, pieces))
+    return tokens if all(map(_WHOLE_TOKEN_RE.fullmatch, texts)) else None
+
 
 # first character of a token -> its kind; any other first character is a letter
 _KINDS = {"": "eof", "(": "(", ")": ")", ":": "id"}
@@ -171,18 +196,20 @@ class _Parser:
             "ObjectProperty": ("property", self.ontology.properties),
             "NamedIndividual": ("individual", self.ontology.individuals),
         }
-        matches = _TOKEN_RE.findall(self.text)  # (token, bad) per match
-        if any(map(itemgetter(1), matches)):
-            bad = next(m for m in _TOKEN_RE.finditer(self.text) if m.lastgroup == "bad")
-            raise ParseError(
-                f"unexpected character {bad.group()!r}",
-                self.path,
-                *_position(self.text, bad.start()),
-            )
         # one string object per distinct token text: every mention of an id is
         # then the same object, and set lookups over ids match by identity
-        tokens = list(filter(None, map(itemgetter(0), matches)))
-        self.tokens = list(map({}.setdefault, tokens, tokens))
+        self.tokens = _split_tokens(self.text)
+        if self.tokens is None:
+            matches = _TOKEN_RE.findall(self.text)  # (token, bad) per match
+            if any(map(itemgetter(1), matches)):
+                bad = next(m for m in _TOKEN_RE.finditer(self.text) if m.lastgroup == "bad")
+                raise ParseError(
+                    f"unexpected character {bad.group()!r}",
+                    self.path,
+                    *_position(self.text, bad.start()),
+                )
+            tokens = list(filter(None, map(itemgetter(0), matches)))
+            self.tokens = list(map({}.setdefault, tokens, tokens))
         self.tokens.append("")
         self.pos = 0
 

@@ -7,7 +7,8 @@ case analysis, products by plain recursion that re-makes every factor per
 combination, each expression's and axiom's variants by itertools, the order
 of a SubClassOf pool's versions by nested products per block,
 edit distance by plain recursion and by the textbook dynamic program,
-tokens by the one-match-at-a-time finditer walk the parser once used,
+tokens by the one-match-at-a-time finditer walk the parser once used
+and by one findall walk over the same pattern,
 assignments and the split/permutation family by brute force, text positions
 by walking the text, normalization one character at a time, scoring by the
 plain scan without pruning, the equivalent-version stream by serializing
@@ -18,6 +19,7 @@ production code to an answer derived another way.
 from __future__ import annotations
 
 import itertools
+import logging
 import random
 import re
 import unicodedata
@@ -38,7 +40,7 @@ from owlprose.model import (
     conjuncts,
 )
 from owlprose import evaluate
-from owlprose.parser import serialize_axiom
+from owlprose.parser import ParseError, UndeclaredEntity, parse_ontology, serialize_axiom
 
 DESIGNATED = ":F"
 
@@ -163,6 +165,88 @@ def ontology_text(ontology: Ontology) -> str:
     lines.append(")")
     return "\n".join(lines) + "\n"
 
+
+# the whitespace a laid-out document separates its tokens with: every character
+# here is whitespace to str.split and to \s alike
+LAYOUT_SPACES = (
+    " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+)
+LINE_ENDS = ("\n", "\r\n", "\r")
+BAD_CHARACTERS = ("$", "é", "∀", "1", "_", ";", "%", ":")
+
+
+def laid_out_document(rng: random.Random) -> str:
+    """A generated ontology, about a fifth of its class declarations dropped,
+    written token by token with random layout: runs of LAYOUT_SPACES, line
+    ends of each kind, and ids that end in non-ASCII letters. Independently,
+    a third of the documents carry comments, a third glue neighbouring
+    tokens together (a keyword to an id as in "Class:X", or two ids into
+    one as in ":A:B") and a sixth hold one bad character."""
+    ontology = drop_declarations(rng, gen_ontology(rng), 0.2)
+    accent = rng.choice(["", "é", "∀x", "日本"])
+    tokens = re.findall(r"[()]|[^\s()]+", ontology_text(ontology))
+    tokens = [t + accent if t.startswith(":") else t for t in tokens]
+    comments, glued = rng.random() < 1 / 3, rng.random() < 1 / 3
+    if glued:  # drop some "(" after a keyword, so that it may meet an id
+        tokens = [t for previous, t in zip([""] + tokens, tokens)
+                  if not (t == "(" and previous[:1].isalpha() and rng.random() < 0.2)]
+    parts = []
+    for previous, token in zip([None] + tokens, tokens):
+        roll = rng.random()
+        if roll < 0.3:
+            separator = ""
+        elif roll < 0.7:
+            separator = "".join(rng.choices(LAYOUT_SPACES, k=rng.randint(1, 3)))
+        else:
+            separator = rng.choice(LINE_ENDS) + rng.choice(["", "  ", "\t"])
+        if comments and rng.random() < 0.1:
+            separator = f"{rng.choice(('', ' '))}# note ( :x é{rng.choice(LINE_ENDS)}"
+        words = previous not in (None, "(", ")") and token not in ("(", ")")
+        if words and not separator and not (glued and rng.random() < 0.5):
+            separator = " "
+        parts += [separator, token]
+    text = "".join(parts) + rng.choice(("", "\n", "\r\n"))
+    if rng.random() < 1 / 6:
+        offset = rng.randrange(len(text) + 1)
+        text = text[:offset] + rng.choice(BAD_CHARACTERS) + text[offset:]
+    return text
+
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages: list = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def parse_outcome(text: str, strict: bool) -> tuple:
+    """What parse_ontology makes of the text, in a form whose repr does not
+    depend on PYTHONHASHSEED: ("parsed", its sorted classes, properties and
+    individuals, its axioms, the auto-declare warnings in order), or the
+    exception's type name, message, line, column and expected set (the last
+    three None for UndeclaredEntity)."""
+    parser_log = logging.getLogger("owlprose.parser")
+    handler, level, propagate = _Messages(), parser_log.level, parser_log.propagate
+    parser_log.addHandler(handler)
+    parser_log.setLevel(logging.WARNING)
+    parser_log.propagate = False  # the warnings are collected, not printed
+    try:
+        ontology = parse_ontology(text, strict=strict)
+    except ParseError as exc:
+        return type(exc).__name__, str(exc), exc.line, exc.column, exc.expected
+    except UndeclaredEntity as exc:
+        return type(exc).__name__, str(exc), None, None, None
+    finally:
+        parser_log.removeHandler(handler)
+        parser_log.setLevel(level)
+        parser_log.propagate = propagate
+    return (
+        "parsed", sorted(ontology.classes), sorted(ontology.properties),
+        sorted(ontology.individuals), ontology.axioms, handler.messages,
+    )
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -341,6 +425,17 @@ def tokens_oracle(text: str) -> list:
             tokens.append((value if kind == "paren" else kind, value, match.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def findall_tokens_oracle(text: str) -> list | None:
+    """The token texts one findall walk over the oracle's token pattern gives,
+    then "" for the end of input; None when the text holds a character no
+    token can start with."""
+    matches = _TOKEN_ORACLE_RE.findall(text)  # (skip, paren, id, keyword, bad) per match
+    if any(match[4] for match in matches):
+        return None
+    return [paren or id_ or keyword for _, paren, id_, keyword, _ in matches
+            if paren or id_ or keyword] + [""]
 
 
 def line_column(text: str, offset: int) -> tuple:

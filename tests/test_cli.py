@@ -469,6 +469,26 @@ def test_eval_unknown_class_exits_2(capsys, ontology_path):
     capsys.readouterr()
 
 
+def test_eval_names_the_file_that_lacks_the_class(capsys, tmp_path, ontology_path):
+    other = tmp_path / "other.ofs"
+    other.write_text("Declaration(Class(:Fever))\nDeclaration(Class(:Ague))\n", encoding="utf-8")
+    for reference, candidate, class_id, lacking in (
+        (ontology_path, str(other), ":Disease", [("candidate", other)]),
+        (str(other), ontology_path, ":Disease", [("reference", other)]),
+        (str(other), str(other), ":Disease", [("reference", other), ("candidate", other)]),
+    ):
+        status = main(
+            ["eval", "--reference", reference, "--candidate", candidate, "--class", class_id]
+        )
+        assert status == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"owlprose: unknown class {class_id} in the {side} file {path}"
+            for side, path in lacking
+        ]
+
+
 def test_eval_notes_a_truncated_scan(capsys, tmp_path):
     reference, candidate = tmp_path / "reference.ofs", tmp_path / "candidate.ofs"
     declarations = "".join(f"Declaration(Class(:{c}))\n" for c in "FABC")

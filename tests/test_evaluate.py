@@ -45,8 +45,9 @@ from owlprose.model import (
     Intersection,
     Named,
     SubClassOf,
+    collect_frame,
 )
-from owlprose.parser import serialize_axiom
+from owlprose.parser import SourceDocument, parse_ontology, serialize_axiom
 
 A, B, C, D = Named(":A"), Named(":B"), Named(":C"), Named(":D")
 
@@ -535,6 +536,21 @@ def test_cap_bounds_memory_on_wide_conjunctions(reference, candidate):
     assert peak < 1 << 20, f"traced peak {peak} bytes"
 
 
+def test_a_one_block_walk_keeps_no_ordering():
+    """The one-block partition of a SubClassOf over 10 distinct conjuncts is
+    walked once, so the orderings it gives are not kept: 5000 of them, each
+    a 10-tuple, took about 0.66 MB while they were."""
+    axioms = [SubClassOf(A, Intersection(WIDE[:10]))]
+    tracemalloc.start()
+    try:
+        walked = sum(1 for _ in itertools.islice(_subclass_pool_variants(A, axioms), 5000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert walked == 5000
+    assert peak < 1 << 17, f"traced peak {peak} bytes"
+
+
 @pytest.mark.parametrize("cap", [1, evaluate.DEFAULT_CAP])
 @pytest.mark.parametrize(
     "reference, candidate, versions",
@@ -663,6 +679,27 @@ def test_one_dominant_assignment_keeps_few_dp_states():
 
 def frame(axioms):
     return ClassFrame(":A", list(axioms))
+
+
+def test_scoring_a_fixture_against_itself_starts_no_permutation(
+    monkeypatch, fixture_dir, manifest
+):
+    """A perfect match on the verbatim reference reads each unit's original
+    form only, so no unit or subexpression starts its permutations."""
+    calls = []
+    distinct_permutations = evaluate._distinct_permutations
+
+    def counted(items):
+        calls.append(items)
+        return distinct_permutations(items)
+
+    monkeypatch.setattr(evaluate, "_distinct_permutations", counted)
+    for entry in manifest.values():
+        ontology = parse_ontology(SourceDocument.from_path(fixture_dir / entry["ontology"]))
+        reference = collect_frame(ontology, entry["designated"])
+        report = score_submission(reference, reference)
+        assert (report.mean, report.best_version_index) == (1.0, 0)
+    assert calls == []
 
 
 def test_verbatim_candidate_scores_one_at_version_zero():

@@ -7,7 +7,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import genutil
 from owlprose import parser
@@ -212,6 +212,27 @@ def test_tokens_match_the_finditer_oracle(pieces, bad_pieces):
     assert str(err.value) == (
         f"pieces.ofs: unexpected character {value!r} at line {line}, column {column}"
     )
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**9))
+def test_split_tokens_and_parses_match_the_findall_walk(seed):
+    """On laid-out documents with comments, every kind of line end and
+    whitespace, glued tokens, non-ASCII ids and bad characters: the split
+    path is taken exactly when splitting gives the findall walk's tokens,
+    the parser's tokens are that walk's, and parsing in lenient and strict
+    mode ends as it does when every text goes through findall."""
+    text = genutil.laid_out_document(random.Random(seed))
+    expected = genutil.findall_tokens_oracle(text)
+    split = text.replace("(", " ( ").replace(")", " ) ").split() + [""]
+    splittable = "#" not in text and split == expected
+    assert parser._split_tokens(text) == (expected[:-1] if splittable else None)
+    if expected is not None:
+        assert parser._Parser(SourceDocument(text), strict=False).tokens == expected
+    outcomes = [genutil.parse_outcome(text, strict) for strict in (False, True)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "_split_tokens", lambda text: None)
+        assert outcomes == [genutil.parse_outcome(text, strict) for strict in (False, True)]
 
 
 def test_tokenizing_stays_linear_on_a_long_adversarial_document():

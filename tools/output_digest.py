@@ -38,6 +38,10 @@ The surfaces:
                      seeded tests/genutil.gen_ontology documents, each broken
                      by one edit: a bad character or a parenthesis inserted,
                      the text cut at a random offset, or a lone ":" inserted
+  parse              repr of what parsing gives, in lenient and in strict
+                     mode, for 2000 seeded tests/genutil.laid_out_document
+                     texts: the ontology and its auto-declare warnings, or the
+                     exception's type, message, line, column and expected set
 
 A line that differs names the surface to look into; its raw output is one
 command away.
@@ -96,6 +100,7 @@ CLASSIFY_ONTOLOGIES = 1000
 EVAL_FRAMES = 200
 EVAL_CAPS = (1, 5, 20)
 BROKEN_DOCUMENTS = 2000
+LAID_OUT_DOCUMENTS = 2000
 
 
 def owlprose(*args: str) -> subprocess.CompletedProcess:
@@ -286,6 +291,16 @@ def parse_errors_surface():
     return digest
 
 
+def parse_surface():
+    digest = hashlib.sha256()
+    rng = random.Random(37)
+    for _ in range(LAID_OUT_DOCUMENTS):
+        text = genutil.laid_out_document(rng)
+        for strict in (False, True):
+            digest.update(f"{genutil.parse_outcome(text, strict)!r}\n".encode())
+    return digest
+
+
 def read_pinned() -> dict:
     """The pinned lines of tools/output_digest.txt: name -> hex digest."""
     lines = PINNED.read_text(encoding="utf-8").splitlines()
@@ -306,6 +321,7 @@ def main(argv=None) -> int:
     digests["classify"] = classify_surface()
     digests["eval-generated"] = eval_generated_surface()
     digests["parse-errors"] = parse_errors_surface()
+    digests["parse"] = parse_surface()
     lines = {name: digest.hexdigest() for name, digest in digests.items()}
     if not args.check:
         for name, digest in lines.items():
