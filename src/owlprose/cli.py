@@ -53,7 +53,10 @@ def _read_id_list(path: str) -> list[str]:
 
 
 def positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a whole number, not {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
     return value

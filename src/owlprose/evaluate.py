@@ -153,28 +153,9 @@ def _distances(text: str, pack: _Pack) -> list:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance with unit-cost insert, delete and substitute.
-
-    The common prefix and suffix are trimmed first. The rest is computed
-    bit-parallel by _distances, with the longer trimmed text as its one
-    packed text (Myers 1999; Hyyrö 2001; Hyyrö, Fredriksson and Navarro
-    2005): each character of the shorter text updates the whole column of
-    vertical deltas at once. Looping over the shorter text takes fewer
-    interpreter steps, and a wider int costs little more per step. The one
-    segment is followed by a zero guard bit, where eq, pv and mv stay zero
-    (see _distances).
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    start, end_a, end_b = 0, len(a), len(b)
-    while start < end_b and a[start] == b[start]:
-        start += 1
-    while end_b > start and a[end_a - 1] == b[end_b - 1]:
-        end_a -= 1
-        end_b -= 1
-    if start == end_b:
-        return end_a - end_b
-    return _distances(b[start:end_b], _pack([a[start:end_a]]))[0]
+    """Edit distance with unit-cost insert, delete and substitute: one
+    _distances pass over a, with b as the one packed text."""
+    return _distances(a, _pack([b]))[0]
 
 
 def _score(distance: int, longest: int) -> float:
@@ -187,7 +168,7 @@ def similarity(candidate: str, reference: str) -> float:
     Both texts are expected to be normalized already. Two empty strings are a
     perfect match; the result is clamped into [0, 1].
     """
-    return _score(levenshtein(candidate, reference), max(len(candidate), len(reference)))
+    return _similarity_row(reference, _pack([candidate]))[0]
 
 
 def _similarity_row(reference: str, pack: _Pack) -> list:
@@ -198,6 +179,15 @@ def _similarity_row(reference: str, pack: _Pack) -> list:
         _score(distance, max(length, n))
         for (_, length), distance in zip(pack.segments, _distances(reference, pack))
     ]
+
+
+class _Normalized(dict):
+    """Text -> normalize(text), each distinct text normalized once, on first
+    use."""
+
+    def __missing__(self, text: str) -> str:
+        value = self[text] = normalize(text)
+        return value
 
 
 class _SimilarityRows(dict):
@@ -703,17 +693,6 @@ def _assignment_mean(
     return total / n, chosen
 
 
-def _normalize_all(texts, normalized: dict) -> list:
-    """normalize(text) for each text, normalizing each distinct text once per
-    dict."""
-    result = []
-    for text in texts:
-        if text not in normalized:
-            normalized[text] = normalize(text)
-        result.append(normalized[text])
-    return result
-
-
 def _perfect_assignment(version_texts: list, candidate_texts: list) -> list:
     """Candidate index per reference axiom when texts match exactly."""
     unused: dict = {}
@@ -739,8 +718,8 @@ def score_submission(candidate, reference, cap: int = DEFAULT_CAP) -> Similarity
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     candidate_axioms = list(candidate.axioms)
-    normalized: dict = {}  # serialized text -> normalize(text), for this call only
-    candidate_texts = _normalize_all(map(serialize_axiom, candidate_axioms), normalized)
+    normalized = _Normalized()
+    candidate_texts = list(map(normalized.__getitem__, map(serialize_axiom, candidate_axioms)))
     candidate_counts = Counter(candidate_texts)
 
     scanned: list = []
@@ -750,7 +729,7 @@ def score_submission(candidate, reference, cap: int = DEFAULT_CAP) -> Similarity
         if index >= cap:
             truncated = True
             break
-        version_texts = _normalize_all(texts, normalized)
+        version_texts = list(map(normalized.__getitem__, texts))
         scanned.append((version, version_texts))
         if Counter(version_texts) <= candidate_counts:
             perfect = (index, version, version_texts)

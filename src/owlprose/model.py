@@ -108,6 +108,10 @@ def expressions_of(axiom: Axiom) -> tuple:
     first operand of EquivalentClasses/DisjointClasses, the union class of a
     DisjointUnion (wrapped in Named). ClassAssertion contributes only its
     class expression, not the individual.
+
+    This is the one statement of each axiom kind's layout: the classifier,
+    the realizer and class_ids read it, and parser.serialize_axiom writes an
+    axiom's arguments in this order.
     """
     if isinstance(axiom, SubClassOf):
         return (axiom.sub, axiom.super)

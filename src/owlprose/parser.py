@@ -45,6 +45,7 @@ from .model import (
     Named,
     Ontology,
     SubClassOf,
+    expressions_of,
 )
 
 log = logging.getLogger(__name__)
@@ -352,21 +353,16 @@ def serialize_expression(expr: ClassExpression) -> str:
 
 
 def serialize_axiom(axiom: Axiom) -> str:
-    """Canonical single-line rendering; parsing it back recovers the axiom."""
-    if isinstance(axiom, SubClassOf):
-        return f"SubClassOf({serialize_expression(axiom.sub)} {serialize_expression(axiom.super)})"
-    if isinstance(axiom, EquivalentClasses):
-        inner = " ".join(serialize_expression(op) for op in axiom.operands)
-        return f"EquivalentClasses({inner})"
-    if isinstance(axiom, DisjointClasses):
-        inner = " ".join(serialize_expression(op) for op in axiom.operands)
-        return f"DisjointClasses({inner})"
+    """Canonical single-line rendering; parsing it back recovers the axiom.
+
+    The keyword is the axiom's class name. The arguments are the expressions
+    model.expressions_of gives, in its order, then a ClassAssertion's
+    individual; a DisjointUnion's union class comes as a Named, which
+    serializes to its id. A non-axiom raises TypeError from expressions_of."""
+    parts = [serialize_expression(expr) for expr in expressions_of(axiom)]
     if isinstance(axiom, ClassAssertion):
-        return f"ClassAssertion({serialize_expression(axiom.expr)} {axiom.individual})"
-    if isinstance(axiom, DisjointUnion):
-        inner = " ".join(serialize_expression(d) for d in axiom.disjuncts)
-        return f"DisjointUnion({axiom.union_class} {inner})"
-    raise TypeError(f"not an axiom: {axiom!r}")
+        parts.append(axiom.individual)
+    return f"{type(axiom).__name__}({' '.join(parts)})"
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,16 @@ def lev_dp_oracle(a: str, b: str) -> int:
     return previous[len(b)]
 
 
+def similarity_oracle(candidate: str, reference: str) -> float:
+    """evaluate.similarity by the textbook DP, sharing no code with the
+    scorer: 1 - distance / the longer length, 1.0 for two empty texts,
+    never below 0."""
+    longest = max(len(candidate), len(reference))
+    if longest == 0:
+        return 1.0
+    return max(0.0, (longest - lev_dp_oracle(candidate, reference)) / longest)
+
+
 def assignment_oracle(matrix: list, m: int) -> float:
     """Mean over rows of the best injective partial assignment of rows to
     columns, by trying every assignment (-1 leaves a row unmatched)."""
@@ -640,8 +650,9 @@ def normalize_oracle(text: str) -> str:
 def score_oracle(candidate, reference, cap: int) -> evaluate.SimilarityReport:
     """score_submission by the plain scan: every scanned version normalized
     from scratch, one full similarity matrix and one assignment DP per
-    version, no pruning. similarity is looked up on the evaluate module at
-    call time, so a test that wraps it counts the oracle's calls too."""
+    version, no pruning. Each pair is scored by similarity_oracle, looked up
+    on this module at call time, so a test that wraps it counts the
+    oracle's pairs."""
     candidate_axioms = list(candidate.axioms)
     candidate_texts = [normalize_oracle(serialize_axiom(ax)) for ax in candidate_axioms]
     scanned, truncated = [], False
@@ -669,7 +680,7 @@ def score_oracle(candidate, reference, cap: int) -> evaluate.SimilarityReport:
             for candidate_text in candidate_texts:
                 key = (reference_text, candidate_text)
                 if key not in pair_cache:
-                    pair_cache[key] = evaluate.similarity(candidate_text, reference_text)
+                    pair_cache[key] = similarity_oracle(candidate_text, reference_text)
             matrix.append([pair_cache[(reference_text, c)] for c in candidate_texts])
         mean, chosen = _assignment_dp(matrix, len(candidate_texts))
         if mean > best_mean:

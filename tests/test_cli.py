@@ -543,6 +543,18 @@ def test_eval_rejects_a_cap_below_1(capsys, ontology_path, cap):
     assert "--cap" in err and "at least 1" in err
 
 
+@pytest.mark.parametrize("cap", ["abc", "1.5", ""])
+def test_eval_names_a_cap_that_is_not_a_whole_number(capsys, ontology_path, cap):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "--reference", ontology_path, "--candidate", ontology_path,
+              "--class", ":Fever", "--cap", cap])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --cap: must be a whole number, not {cap!r}" in err
+    assert "positive_int" not in err
+
+
 def test_version_string(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--version"])

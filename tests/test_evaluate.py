@@ -88,6 +88,13 @@ def test_levenshtein_known_distances():
     assert levenshtein("abcd", "abce") == 1
     assert levenshtein("", "abc") == 3
     assert levenshtein("same", "same") == 0
+    assert levenshtein("", "") == 0
+    assert levenshtein("abc", "") == 3
+    assert levenshtein("kitten", "kit") == 3  # a prefix of the other, both orders
+    assert levenshtein("kit", "kitten") == 3
+    assert levenshtein("sitting", "ting") == 3  # a suffix of the other, both orders
+    assert levenshtein("ting", "sitting") == 3
+    assert levenshtein("naïve café", "naive cafe") == 2
 
 
 @given(st.text(alphabet="abc", max_size=8), st.text(alphabet="abc", max_size=8))
@@ -158,7 +165,9 @@ def test_one_row_pass_gives_each_candidate_its_own_distance(case):
     reference, candidates = case
     pack = _pack(candidates)
     assert _distances(reference, pack) == [genutil.lev_dp_oracle(reference, c) for c in candidates]
-    assert _similarity_row(reference, pack) == [similarity(c, reference) for c in candidates]
+    assert _similarity_row(reference, pack) == [
+        genutil.similarity_oracle(c, reference) for c in candidates
+    ]
 
 
 def test_similarity_examples():
@@ -900,21 +909,22 @@ def test_pruning_shows_in_the_module_level_calls(monkeypatch):
     """Scoring calls evaluate._similarity_row once per reference row and
     evaluate.normalize once per distinct text, so a benchmark tracer that
     wraps them sees pruned versions as fewer calls. The plain scan of the
-    oracle calls evaluate.similarity once per pair."""
+    oracle calls genutil.similarity_oracle once per pair."""
     counts: Counter = Counter()
 
-    def counting(name):
-        wrapped = getattr(evaluate, name)
+    def counting(module, name):
+        wrapped = getattr(module, name)
 
         def wrapper(*args):
             counts[name] += 1
             return wrapped(*args)
 
-        monkeypatch.setattr(evaluate, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counting("_similarity_row")
-    counting("similarity")
-    counting("normalize")
+    counting(evaluate, "_similarity_row")
+    counting(evaluate, "similarity")
+    counting(evaluate, "normalize")
+    counting(genutil, "similarity_oracle")
     c0, c1, c4, c5, f = (Named(iri) for iri in (":C0", ":C1", ":C4", ":C5", ":F"))
     kept = SubClassOf(c0, Intersection((f, Intersection((c4, c1, c0)))))
     reference = frame([SubClassOf(c5, f), kept])
@@ -930,7 +940,8 @@ def test_pruning_shows_in_the_module_level_calls(monkeypatch):
     # references, so its ceiling min(n, m) / n = 1 / n is at most 0.5 and no
     # row of it is scored
     assert scored["_similarity_row"] == 2
-    assert 2 * len(candidate.axioms) < counts["similarity"]  # fewer pairs than the plain scan
+    # fewer pairs than the plain scan
+    assert 2 * len(candidate.axioms) < counts["similarity_oracle"]
     # each distinct serialized text, of the candidate and the scanned versions, once
     texts = {t for _, version_texts in itertools.islice(_equivalent_stream(reference.axioms), 20)
              for t in version_texts}
