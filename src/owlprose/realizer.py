@@ -81,8 +81,9 @@ class Paragraph:
 
 
 def _sentence_case(text: str) -> str:
+    """Upper-case the first letter or digit, so a leading digit leaves the text as it is."""
     for i, ch in enumerate(text):
-        if ch.isalpha():
+        if ch.isalnum():
             return text[:i] + ch.upper() + text[i + 1 :]
     return text
 

@@ -3,8 +3,11 @@
 import io
 import json
 import logging
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -447,6 +450,19 @@ def test_eval_mean_only(capsys, ontology_path):
     assert out == "1.0000\n"
 
 
+def test_eval_scores_a_reference_frame_with_no_axioms_one(capsys, tmp_path, ontology_path):
+    reference = tmp_path / "reference.ofs"
+    reference.write_text("Ontology(\n  Declaration(Class(:Fever))\n)\n", encoding="utf-8")
+    status = main(
+        ["eval", "--reference", str(reference), "--candidate", ontology_path,
+         "--class", ":Fever"]
+    )
+    assert status == 0
+    out, err = capsys.readouterr()
+    assert out == "reference_axiom,candidate_axiom,score\nmean,1.0000\n"
+    assert err == ""
+
+
 def test_eval_names_the_broken_file(capsys, tmp_path, ontology_path):
     truncated = tmp_path / "candidate.ofs"
     truncated.write_text(ONTOLOGY[: ONTOLOGY.index(":Ague :Fever") + 5], encoding="utf-8")
@@ -561,6 +577,29 @@ def test_version_string(capsys):
     assert exit_info.value.code == 0
     out, _ = capsys.readouterr()
     assert out == "owlprose 0.1.0 (grammar 1)\n"
+
+
+def test_the_entry_point_runs_in_a_fresh_interpreter():
+    """python -m owlprose.cli, with only src/ on the path, prints what the
+    in-process run prints."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    argv = [
+        "verbalize", "--ontology", str(root / "fixtures" / "table2_travel.ofs"),
+        "--lexicon", str(root / "fixtures" / "table2_travel.tsv"), "--class", ":Settlement",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def fresh(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "owlprose.cli", *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    child = fresh(*argv)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout == run(argv)[1]
+    version = fresh("--version")
+    assert (version.returncode, version.stdout) == (0, "owlprose 0.1.0 (grammar 1)\n")
 
 
 # ---------------------------------------------------------------------------

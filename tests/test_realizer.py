@@ -169,6 +169,18 @@ def test_duplicate_supers_collapse():
     assert paragraph.sentences == ["Fever is a kind of disease, ague and pyrexia."]
 
 
+def test_sentence_case_leaves_a_leading_digit_and_what_follows_it():
+    frame = ClassFrame(":DPG", [SubClassOf(Named(":DPG"), Named(":Metabolite"))])
+    lexicon = {":DPG": LexEntry("2,3-diphosphoglycerate"), ":Metabolite": LexEntry("metabolite")}
+    classified = [classify(ax, frame.designated) for ax in frame.axioms]
+    paragraph = realize(build_rst(frame, classified), lexicon)
+    assert paragraph.sentences == ["2,3-diphosphoglycerate is a kind of metabolite."]
+    # punctuation before the first letter or digit is still skipped
+    lexicon[":DPG"] = LexEntry('"dpg"')
+    paragraph = realize(build_rst(frame, classified), lexicon)
+    assert paragraph.sentences == ['"Dpg" is a kind of metabolite.']
+
+
 def test_disjointness_sentence_opens_with_also():
     paragraph = verbalize([DisjointClasses((F, A, B))])
     assert paragraph.sentences == ["Also fever is different from disease and ague."]

@@ -43,8 +43,9 @@ The surfaces:
                      texts: the ontology and its auto-declare warnings, or the
                      exception's type, message, line, column and expected set
 
-A line that differs names the surface to look into; its raw output is one
-command away.
+Each owlprose command line runs in this process through cli.main, with its
+stdout and stderr captured; the script starts no child process. A line that
+differs names the surface to look into; its raw output is one command away.
 
 The lines of the last accepted output are kept in tools/output_digest.txt.
 To compare the checkout with them:
@@ -56,21 +57,24 @@ each surface that differs on stderr and exits 1. A change that alters output
 on purpose records the new lines with
 
     python3 tools/output_digest.py > tools/output_digest.txt
+
+tests/test_output_digest.py makes the same comparison for every line, through
+surfaces() and differing(), so the test suite fails on any differing surface.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import itertools
 import json
 import logging
-import os
 import pathlib
 import random
-import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -79,6 +83,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
 
 import genutil  # noqa: E402
 from perfbench import inputs  # noqa: E402
+from owlprose import cli  # noqa: E402
 from owlprose.classifier import classify  # noqa: E402
 from owlprose.evaluate import _equivalent_stream, emit_report, score_submission  # noqa: E402
 from owlprose.model import ClassFrame, LexEntry, frames  # noqa: E402
@@ -103,13 +108,23 @@ BROKEN_DOCUMENTS = 2000
 LAID_OUT_DOCUMENTS = 2000
 
 
-def owlprose(*args: str) -> subprocess.CompletedProcess:
-    """Run the command line in a child process; fail on a nonzero exit."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run(
-        [sys.executable, "-m", "owlprose.cli", *args],
-        env=env, capture_output=True, text=True, check=True,
-    )
+def owlprose(*args: str) -> tuple:
+    """Run the command line in this process and return its (stdout, stderr);
+    fail on a nonzero exit. The root logger has no handler during the call,
+    so cli.main's own logging.basicConfig sends the log records to the
+    captured stderr, as it does in a fresh interpreter."""
+    root = logging.getLogger()
+    handlers = root.handlers[:]
+    root.handlers.clear()
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            status = cli.main(list(args))
+    finally:
+        root.handlers[:] = handlers
+    if status != 0:
+        raise RuntimeError(f"owlprose {' '.join(args)} exited {status}: {err.getvalue()}")
+    return out.getvalue(), err.getvalue()
 
 
 def generated_lexicon() -> dict:
@@ -128,9 +143,8 @@ def generated_lexicon() -> dict:
     return lexicon
 
 
-def fixture_surfaces(run=owlprose) -> dict:
-    """The surfaces made from fixtures/: name -> sha256 object. run(*args)
-    runs the command line and returns its subprocess.CompletedProcess."""
+def fixture_surfaces() -> dict:
+    """The surfaces made from fixtures/: name -> sha256 object."""
     manifest = json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8"))
     digests = {
         name: hashlib.sha256()
@@ -145,26 +159,26 @@ def fixture_surfaces(run=owlprose) -> dict:
             "--class", entry["designated"],
             *(f"--{flag.replace('_', '-')}" for flag, on in entry["flags"].items() if on),
         ]
-        text = run(*args)
-        records = run(*args, "--format", "records", "--rst-debug")
+        text, _ = owlprose(*args)
+        records, trees = owlprose(*args, "--format", "records", "--rst-debug")
         args[args.index("--class") + 1] = "all"
-        all_text = run(*args)
-        all_records = run(*args, "--format", "records", "--rst-debug")
-        scored = run(
+        all_text, _ = owlprose(*args)
+        all_records, all_trees = owlprose(*args, "--format", "records", "--rst-debug")
+        scored, _ = owlprose(
             "eval", "--reference", ontology, "--candidate", ontology,
             "--class", entry["designated"],
         )
         for surface, output in (
-            ("verbalize-text", text.stdout),
-            ("verbalize-records", records.stdout),
-            ("rst-debug", records.stderr),
-            ("verbalize-all", all_text.stdout),
-            ("verbalize-all", all_records.stdout),
-            ("verbalize-all", all_records.stderr),
-            ("self-eval", scored.stdout),
+            ("verbalize-text", text),
+            ("verbalize-records", records),
+            ("rst-debug", trees),
+            ("verbalize-all", all_text),
+            ("verbalize-all", all_records),
+            ("verbalize-all", all_trees),
+            ("self-eval", scored),
         ):
             digests[surface].update(f"{name}\n{output}\n".encode())
-    digests["survey"] = hashlib.sha256(run("survey", str(FIXTURES)).stdout.encode())
+    digests["survey"] = hashlib.sha256(owlprose("survey", str(FIXTURES))[0].encode())
     return digests
 
 
@@ -181,10 +195,10 @@ def survey_generated_surface():
             (directory / f"generated_{index:02d}.ofs").write_text(text, encoding="utf-8")
         text, _ = inputs.synthetic_ontology(random.Random(17), SYNTHETIC_CLASSES, 4)
         (directory / "synthetic.ofs").write_text(text, encoding="utf-8")
-        result = owlprose("survey", tmp)
+        stdout, stderr = owlprose("survey", tmp)
         # the auto-declare warnings name the file, which sits in a fresh directory
-        stderr = result.stderr.replace(tmp, "DIR")
-    return hashlib.sha256(f"{result.stdout}\n{stderr}".encode())
+        stderr = stderr.replace(tmp, "DIR")
+    return hashlib.sha256(f"{stdout}\n{stderr}".encode())
 
 
 def realize_surface():
@@ -301,10 +315,26 @@ def parse_surface():
     return digest
 
 
-def read_pinned() -> dict:
-    """The pinned lines of tools/output_digest.txt: name -> hex digest."""
-    lines = PINNED.read_text(encoding="utf-8").splitlines()
-    return dict(line.split(" ", 1) for line in lines if line)
+def surfaces() -> dict:
+    """Every output surface: name -> hex sha256, in the pinned file's order."""
+    digests = fixture_surfaces()
+    digests["survey-generated"] = survey_generated_surface()
+    digests["realize"] = realize_surface()
+    digests["equivalents"] = equivalents_surface()
+    digests["classify"] = classify_surface()
+    digests["eval-generated"] = eval_generated_surface()
+    digests["parse-errors"] = parse_errors_surface()
+    digests["parse"] = parse_surface()
+    return {name: digest.hexdigest() for name, digest in digests.items()}
+
+
+def differing(lines: dict) -> list:
+    """The surfaces whose line differs from tools/output_digest.txt, or that
+    only one side has."""
+    pinned = dict(
+        line.split(" ", 1) for line in PINNED.read_text(encoding="utf-8").splitlines() if line
+    )
+    return [name for name in {**pinned, **lines} if pinned.get(name) != lines.get(name)]
 
 
 def main(argv=None) -> int:
@@ -314,24 +344,15 @@ def main(argv=None) -> int:
         help=f"compare with {PINNED.name} instead of printing; exit 1 if a surface differs",
     )
     args = parser.parse_args(argv)
-    digests = fixture_surfaces()
-    digests["survey-generated"] = survey_generated_surface()
-    digests["realize"] = realize_surface()
-    digests["equivalents"] = equivalents_surface()
-    digests["classify"] = classify_surface()
-    digests["eval-generated"] = eval_generated_surface()
-    digests["parse-errors"] = parse_errors_surface()
-    digests["parse"] = parse_surface()
-    lines = {name: digest.hexdigest() for name, digest in digests.items()}
+    lines = surfaces()
     if not args.check:
         for name, digest in lines.items():
             print(name, digest)
         return 0
-    pinned = read_pinned()
-    differing = [name for name in {**pinned, **lines} if pinned.get(name) != lines.get(name)]
-    for name in differing:
+    names = differing(lines)
+    for name in names:
         print(f"{name}: differs from {PINNED.relative_to(ROOT)}", file=sys.stderr)
-    return 1 if differing else 0
+    return 1 if names else 0
 
 
 if __name__ == "__main__":
