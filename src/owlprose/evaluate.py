@@ -14,6 +14,16 @@ assignment by normalized Levenshtein similarity; the report keeps the version
 with the highest mean. A missing reference axiom scores 0 and extra candidate
 axioms are ignored.
 
+Axioms are compared and reported by their canonical serializations, and each
+text is made once per scored submission. The candidate's axioms go through
+parser.serialize_axiom once. The reference's versions carry their texts from
+the stream: a unit's verbatim form is serialized once, and every other
+variant's text is built from the texts of its parts with parser.term_text.
+Each report row keeps the reference and candidate texts the scan made, and
+emit_report prints those; a row built by hand serializes its axioms when it
+is made. The report is CSV, with a field quoted where an id holds a comma, a
+quote or a line break.
+
 Edit distances are bit-parallel: Myers' algorithm (J. ACM 1999) in Hyyrö's
 2001 formulation, with several texts packed into one int as Hyyrö,
 Fredriksson and Navarro (ACM JEA 2005) pack several patterns into one
@@ -46,7 +56,7 @@ from .model import (
     SubClassOf,
     conjuncts,
 )
-from .parser import serialize_axiom
+from .parser import serialize_axiom, serialize_expression, term_text
 
 DEFAULT_CAP = 10_000
 
@@ -60,8 +70,8 @@ class EquivalentExplosion(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-# the ASCII characters whose Unicode category is punctuation, mapped to None
-_ASCII_PUNCTUATION = dict.fromkeys(
+# the ASCII characters whose Unicode category is punctuation, as bytes
+_ASCII_PUNCTUATION = bytes(
     code for code in range(128) if unicodedata.category(chr(code)).startswith("P")
 )
 
@@ -69,12 +79,13 @@ _ASCII_PUNCTUATION = dict.fromkeys(
 def normalize(text: str) -> str:
     """Case-fold, drop punctuation, collapse all whitespace to single spaces.
 
-    Text that is ASCII once folded drops its punctuation through one
-    translate table; other text is checked one character at a time.
+    Text that is ASCII once folded drops its punctuation by one bytes
+    translate, which deletes bytes several times faster than str.translate
+    deletes characters; other text is checked one character at a time.
     """
     folded = text.casefold()
     if folded.isascii():
-        stripped = folded.translate(_ASCII_PUNCTUATION)
+        stripped = folded.encode("ascii").translate(None, _ASCII_PUNCTUATION).decode("ascii")
     else:
         stripped = "".join(
             ch for ch in folded if not unicodedata.category(ch).startswith("P")
@@ -327,23 +338,39 @@ def _distinct_permutations(items):
                 chosen.pop()
 
 
-def _drawn_variants(expressions) -> dict:
-    """One _Drawn of _expression_variants per distinct expression."""
-    return {expr: _Drawn(_expression_variants(expr)) for expr in dict.fromkeys(expressions)}
+def _drawn_variants(expressions) -> tuple:
+    """(drawn, keys): drawn holds one _Drawn of _expression_variants per
+    distinct expression, in order of first occurrence, and keys[i] is the
+    index in drawn of expressions[i]'s. Equal expressions get one key, so
+    permutations and partitions of the keys treat them alike, as they would
+    the expressions, and compare and hash small ints in their place: each
+    expression is hashed once here."""
+    index: dict = {}
+    keys = [index.setdefault(expr, len(index)) for expr in expressions]
+    return [_Drawn(_expression_variants(expr)) for expr in index], keys
 
 
 def _ordered_variants(operands):
     """Every distinct ordering of the operands, times every variant of each
-    operand, as tuples: the orderings outermost, the original order first.
-    Equal operands share one _Drawn, so each distinct operand's variants are
-    made once, however many orderings and positions use them."""
-    drawn = _drawn_variants(operands)
-    for perm in _distinct_permutations(operands):
-        yield from _product([drawn[operand] for operand in perm])
+    operand, as tuples of (variant, text) pairs: the orderings outermost, the
+    original order first. Equal operands share one _Drawn, so each distinct
+    operand's variants are made once, however many orderings and positions
+    use them."""
+    drawn, keys = _drawn_variants(operands)
+    for perm in _distinct_permutations(keys):
+        yield from _product([drawn[key] for key in perm])
+
+
+def _intersection(pairs) -> tuple:
+    """(Intersection, text) of (operand, text) pairs, in their order."""
+    operands, texts = zip(*pairs)
+    return Intersection(operands), term_text("ObjectIntersectionOf", texts)
 
 
 def _expression_variants(expr: ClassExpression):
-    """All reorderings of the expression's intersections, original form first.
+    """All reorderings of the expression's intersections, original form first,
+    each as (variant, text): text is the variant's canonical serialization,
+    made from the texts of its parts.
 
     The original is the expression itself, given before any machinery starts:
     a walk that stops after it (a perfect match on the verbatim reference)
@@ -352,13 +379,16 @@ def _expression_variants(expr: ClassExpression):
     every generator here gives its original form first."""
     if not isinstance(expr, (Named, Existential, Intersection)):
         raise TypeError(f"not a class expression: {expr!r}")
-    yield expr
+    yield expr, serialize_expression(expr)
     if isinstance(expr, Existential):
-        for variant in islice(_expression_variants(expr.filler), 1, None):
-            yield Existential(expr.prop, variant)
+        for variant, text in islice(_expression_variants(expr.filler), 1, None):
+            yield (
+                Existential(expr.prop, variant),
+                term_text("ObjectSomeValuesFrom", (expr.prop, text)),
+            )
     elif isinstance(expr, Intersection):
         for combo in islice(_ordered_variants(expr.operands), 1, None):
-            yield Intersection(combo)
+            yield _intersection(combo)
 
 
 def _distinct_partitions(elements: list):
@@ -430,47 +460,62 @@ def _subclass_pool_variants(sub: ClassExpression, axioms: list):
     its conjuncts, with the subs innermost. The sub and each distinct
     conjunct have one _Drawn for the whole pool. The first block's orderings
     are walked once, so they are not kept.
+
+    Yields (axioms, texts), texts the serialization of each axiom, made from
+    the texts its sub and its conjuncts' variants came with.
     """
-    yield list(axioms)
-    elements = [c for axiom in axioms for c in conjuncts(axiom.super)]
-    drawn = _drawn_variants([sub, *elements])
-    for blocks in _distinct_partitions(elements):
-        orderings = [_distinct_permutations([elements[i] for i in b]) for b in blocks]
+    yield list(axioms), list(map(serialize_axiom, axioms))
+    # the pooled conjuncts stand for themselves by their keys
+    drawn, (sub_key, *keys) = _drawn_variants(
+        [sub, *(c for axiom in axioms for c in conjuncts(axiom.super))]
+    )
+    for blocks in _distinct_partitions(keys):
+        orderings = [_distinct_permutations([keys[i] for i in b]) for b in blocks]
         orderings[1:] = map(_Drawn, orderings[1:])
         for ordered_blocks in _product(orderings):
-            flat = [element for block in ordered_blocks for element in block]
-            for combo in _product([drawn[e] for e in flat] + [drawn[sub]] * len(blocks)):
-                supers, start = [], 0
-                for block in ordered_blocks:
+            flat = [key for block in ordered_blocks for key in block]
+            for combo in _product([drawn[key] for key in flat + [sub_key] * len(blocks)]):
+                version, texts, start = [], [], 0
+                for block, (sub_variant, sub_text) in zip(ordered_blocks, combo[len(flat) :]):
                     chosen = combo[start : start + len(block)]
                     start += len(block)
-                    supers.append(chosen[0] if len(chosen) == 1 else Intersection(chosen))
-                yield [SubClassOf(s, sup) for s, sup in zip(combo[start:], supers)]
+                    super_, super_text = chosen[0] if len(chosen) == 1 else _intersection(chosen)
+                    version.append(SubClassOf(sub_variant, super_))
+                    texts.append(term_text("SubClassOf", (sub_text, super_text)))
+                yield version, texts
 
 
 def _axiom_unit_variants(axiom: Axiom):
     """Variants of one non-SubClassOf axiom, original form first: [axiom]
     itself before any machinery starts, then the machinery's outputs after
-    its first, which equals the original (see _expression_variants)."""
+    its first, which equals the original (see _expression_variants). Each
+    comes as ([variant], [text]), the text made from its operands' texts."""
     if not isinstance(axiom, (EquivalentClasses, DisjointClasses, ClassAssertion, DisjointUnion)):
         raise TypeError(f"not an axiom: {axiom!r}")
-    yield [axiom]
+    yield [axiom], [serialize_axiom(axiom)]
+    keyword = type(axiom).__name__
     if isinstance(axiom, (EquivalentClasses, DisjointClasses)):
         for combo in islice(_ordered_variants(axiom.operands), 1, None):
-            yield [type(axiom)(combo)]
+            operands, texts = zip(*combo)
+            yield [type(axiom)(operands)], [term_text(keyword, texts)]
     elif isinstance(axiom, ClassAssertion):
-        for variant in islice(_expression_variants(axiom.expr), 1, None):
-            yield [ClassAssertion(variant, axiom.individual)]
+        for variant, text in islice(_expression_variants(axiom.expr), 1, None):
+            yield [ClassAssertion(variant, axiom.individual)], [
+                term_text(keyword, (text, axiom.individual))
+            ]
     else:
-        drawn = _drawn_variants(axiom.disjuncts)
-        for combo in islice(_product([drawn[d] for d in axiom.disjuncts]), 1, None):
-            yield [DisjointUnion(axiom.union_class, combo)]
+        drawn, keys = _drawn_variants(axiom.disjuncts)
+        for combo in islice(_product([drawn[key] for key in keys]), 1, None):
+            disjuncts, texts = zip(*combo)
+            yield [DisjointUnion(axiom.union_class, disjuncts)], [
+                term_text(keyword, (axiom.union_class, *texts))
+            ]
 
 
 def _unit_variants(variants, *args):
-    """(axioms, texts) for each variant variants(*args) gives: texts holds
-    the canonical serialization of each axiom, in order. A variant whose
-    sorted texts equal an earlier one's is skipped.
+    """The (axioms, texts) pairs variants(*args) gives, texts holding the
+    canonical serialization of each axiom in order, less each variant whose
+    sorted texts equal an earlier one's.
 
     Skipping keeps the stream unchanged: _equivalent_stream walks the units'
     variant indices in lexicographic order, so a version that uses the repeat
@@ -478,8 +523,7 @@ def _unit_variants(variants, *args):
     would drop it as a duplicate.
     """
     seen = set()
-    for axioms in variants(*args):
-        texts = [serialize_axiom(ax) for ax in axioms]
+    for axioms, texts in variants(*args):
         key = tuple(sorted(texts))
         if key not in seen:
             seen.add(key)
@@ -496,24 +540,25 @@ def _units(axioms: list) -> tuple:
     position shares is returned as its plain generator, which keeps none of
     the variants _product's first position walks past."""
     pools: dict = {}
-    last: dict = {}  # a stand-alone axiom -> the last position that holds it
+    held: dict = {}  # a stand-alone axiom -> the positions that hold it
     units, ties = [], []
-    for axiom in axioms:
+    for axiom in axioms:  # each axiom, or its sub, is hashed once
         if isinstance(axiom, SubClassOf):
-            if axiom.sub not in pools:
-                pools[axiom.sub] = []
-                source = _unit_variants(_subclass_pool_variants, axiom.sub, pools[axiom.sub])
-                units.append(_Drawn(source))
+            pool = pools.get(axiom.sub)
+            if pool is None:
+                pool = pools[axiom.sub] = []
+                units.append(_Drawn(_unit_variants(_subclass_pool_variants, axiom.sub, pool)))
                 ties.append(None)
-            pools[axiom.sub].append(axiom)
+            pool.append(axiom)
         else:
-            tie = last.get(axiom)
+            positions = held.setdefault(axiom, [])
+            tie = positions[-1] if positions else None
             if tie is None:
                 units.append(_Drawn(_unit_variants(_axiom_unit_variants, axiom)))
             else:
                 units.append(units[tie])
             ties.append(tie)
-            last[axiom] = len(units) - 1
+            positions.append(len(units) - 1)
     if ties and 0 not in ties:
         units[0] = units[0].source
     return units, ties
@@ -525,7 +570,8 @@ def _equivalent_stream(axioms: list):
     Yields (version, texts): texts holds the canonical serialization of each
     axiom of the version, in order, and their sorted tuple is the version's
     order-insensitive identity. The texts are the units' own, joined; no axiom
-    is serialized per version.
+    is serialized per version, and a unit's variant other than its verbatim
+    form is not serialized at all: its text is built from its parts' texts.
 
     One _product walks the units in lexicographic order, the first version
     taking variant 0 of every unit, equal stand-alone axioms as a multiset
@@ -563,9 +609,22 @@ def enumerate_equivalents(axioms: list, cap: int = DEFAULT_CAP) -> EquivalentSet
 
 @dataclass
 class AxiomScore:
+    """One report row. The texts are the canonical serializations of the
+    reference and the candidate axiom ("" for no candidate); score_submission
+    passes the ones its scan made, and a row built without them serializes
+    its axioms."""
+
     reference: Axiom
     candidate: Axiom | None
     score: float
+    reference_text: str | None = None
+    candidate_text: str | None = None
+
+    def __post_init__(self):
+        if self.reference_text is None:
+            self.reference_text = serialize_axiom(self.reference)
+        if self.candidate_text is None:
+            self.candidate_text = "" if self.candidate is None else serialize_axiom(self.candidate)
 
 
 @dataclass
@@ -718,51 +777,73 @@ def score_submission(candidate, reference, cap: int = DEFAULT_CAP) -> Similarity
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     candidate_axioms = list(candidate.axioms)
+    candidate_serialized = list(map(serialize_axiom, candidate_axioms))
     normalized = _Normalized()
-    candidate_texts = list(map(normalized.__getitem__, map(serialize_axiom, candidate_axioms)))
+    candidate_texts = list(map(normalized.__getitem__, candidate_serialized))
     candidate_counts = Counter(candidate_texts)
 
+    # per scanned version: its axioms and their serializations, normalized
+    # again from the memo if the assignment fallback needs them
     scanned: list = []
     truncated = False
-    perfect: tuple | None = None
-    for index, (version, texts) in enumerate(_equivalent_stream(list(reference.axioms))):
+    perfect = False
+    for index, (version, serialized) in enumerate(_equivalent_stream(list(reference.axioms))):
         if index >= cap:
             truncated = True
             break
-        version_texts = list(map(normalized.__getitem__, texts))
-        scanned.append((version, version_texts))
-        if Counter(version_texts) <= candidate_counts:
-            perfect = (index, version, version_texts)
+        scanned.append((version, serialized))
+        version_texts = list(map(normalized.__getitem__, serialized))
+        # a text the candidate lacks rules the version out without a Counter
+        if all(map(candidate_counts.__contains__, version_texts)) and (
+            Counter(version_texts) <= candidate_counts
+        ):
+            perfect = True
             break
 
-    if perfect is not None:
-        best_index, version, version_texts = perfect
-        best_mean = 1.0
+    if perfect:
+        best_index, best_mean = index, 1.0
         chosen = _perfect_assignment(version_texts, candidate_texts)
         scores = [1.0] * len(chosen)  # equal texts score 1.0
     else:
         rows = _SimilarityRows(candidate_texts)  # packed only off the perfect path
         best_mean = -1.0  # below every mean, so the first version is never pruned
-        for index, (scanned_version, scanned_texts) in enumerate(scanned):
+        for index, (scanned_version, scanned_serialized) in enumerate(scanned):
+            scanned_texts = list(map(normalized.__getitem__, scanned_serialized))
             scored = _assignment_mean(scanned_texts, candidate_texts, rows, best_mean)
             if scored is not None and scored[0] > best_mean:
                 best_mean, chosen = scored
-                best_index, version, version_texts = index, scanned_version, scanned_texts
+                best_index, version_texts = index, scanned_texts
+        version, serialized = scanned[best_index]
         scores = [0.0 if j is None else rows[text][j] for text, j in zip(version_texts, chosen)]
 
     per_axiom = [
-        AxiomScore(axiom, None if j is None else candidate_axioms[j], score)
-        for axiom, j, score in zip(version, chosen, scores)
+        AxiomScore(axiom, candidate_axioms[j], score, text, candidate_serialized[j])
+        if j is not None
+        else AxiomScore(axiom, None, score, text, "")
+        for axiom, text, j, score in zip(version, serialized, chosen, scores)
     ]
     return SimilarityReport(per_axiom, best_mean, best_index, truncated)
 
 
+def _csv_field(text: str) -> str:
+    """The text as one CSV field: in double quotes, each quote inside doubled,
+    when it holds a comma, a quote or a line break; as it is otherwise."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def emit_report(report: SimilarityReport) -> str:
-    """CSV rows reference_axiom,candidate_axiom,score plus a mean summary."""
+    """CSV rows reference_axiom,candidate_axiom,score plus a mean summary.
+
+    The axiom columns print the texts each row carries: for a report from
+    score_submission, the serializations its scan already made (the winning
+    version's texts from the equivalence stream, the candidate's from its one
+    serializing pass), so no axiom is serialized again here."""
     lines = ["reference_axiom,candidate_axiom,score"]
     for item in report.per_axiom:
-        reference = serialize_axiom(item.reference)
-        matched = serialize_axiom(item.candidate) if item.candidate is not None else ""
-        lines.append(f"{reference},{matched},{item.score:.4f}")
+        lines.append(
+            f"{_csv_field(item.reference_text)},{_csv_field(item.candidate_text)},{item.score:.4f}"
+        )
     lines.append(f"mean,{report.mean:.4f}")
     return "\n".join(lines) + "\n"

@@ -7,9 +7,16 @@ scans the axioms for one class; ``frames`` builds the frame of every declared
 class in a single pass, for the whole-ontology commands.
 
 Identifiers are plain ``:``-prefixed tokens kept as strings (including the
-colon); human-readable names live in the lexicon, not here. Expressions, axioms
-and lexicon entries are frozen; Ontology and ClassFrame are mutable
-dataclasses.
+colon); human-readable names live in the lexicon, not here.
+
+Expressions and axioms are frozen dataclasses with slots: an instance has no
+``__dict__``, and equality and hashing still compare field values. The parser
+makes one Named per class id per parsed document, so every mention of an id
+in that document is the same object, and a tuple, set or dict comparison of
+two such mentions stops at the identity check. A Named built anywhere else
+(by the equivalence family, by a test, by another parse) is equal to it by
+value, as before. Lexicon entries are frozen too; Ontology and ClassFrame
+are mutable dataclasses.
 """
 
 from __future__ import annotations
@@ -25,14 +32,14 @@ class UnknownClass(KeyError):
 # Class expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Named:
     """A named class, referenced by its identifier."""
 
     iri: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Intersection:
     """Conjunction of two or more class expressions, in source order."""
 
@@ -43,7 +50,7 @@ class Intersection:
             raise ValueError("intersection needs at least two operands")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Existential:
     """Existential restriction: ``property some filler``."""
 
@@ -58,13 +65,13 @@ ClassExpression = Named | Intersection | Existential
 # Axioms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubClassOf:
     sub: ClassExpression
     super: ClassExpression
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivalentClasses:
     operands: tuple
 
@@ -73,7 +80,7 @@ class EquivalentClasses:
             raise ValueError("EquivalentClasses needs at least two operands")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisjointClasses:
     operands: tuple
 
@@ -82,13 +89,13 @@ class DisjointClasses:
             raise ValueError("DisjointClasses needs at least two operands")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassAssertion:
     expr: ClassExpression
     individual: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisjointUnion:
     union_class: str
     disjuncts: tuple

@@ -213,6 +213,9 @@ class _Parser:
             self.tokens = list(map({}.setdefault, tokens, tokens))
         self.tokens.append("")
         self.pos = 0
+        # class id -> the one Named of this document for it, made at the id's
+        # first mention as a class expression
+        self.named: dict = {}
 
     def error(self, index: int, expected=(), message: str | None = None) -> ParseError:
         """The ParseError at the token with that index; the message defaults
@@ -263,7 +266,8 @@ class _Parser:
         if wrapped:
             self.advance()
             self.expect("(")
-        while self.peek() and not (wrapped and self.peek() == ")"):
+        ends = ("", ")") if wrapped else ("",)  # the tokens that end the items
+        while self.peek() not in ends:
             self.parse_item()
         if wrapped:
             self.expect(")")
@@ -275,8 +279,23 @@ class _Parser:
         if keyword not in _ITEM_KEYWORDS:
             message = f"unexpected keyword {keyword!r}" if _kind(keyword) == "keyword" else None
             raise self.error(self.pos - 1, _ITEM_KEYWORDS, message)
-        self.expect("(")
         if keyword == "Declaration":
+            # a well-formed ( Kind ( :id ) ) is read as one slice of tokens;
+            # any other run goes token by token, which raises at the first
+            # token out of place
+            window = self.tokens[self.pos : self.pos + 6]
+            if len(window) == 6:
+                opening, declared, inner, iri, closing, outer = window
+                if (
+                    opening == inner == "("
+                    and closing == outer == ")"
+                    and declared in self.declarations
+                    and _kind(iri) == "id"
+                ):
+                    self.declarations[declared][1].add(iri)
+                    self.pos += 6
+                    return
+            self.expect("(")
             declared = self.advance()
             if declared not in self.declarations:
                 raise self.error(self.pos - 1, tuple(self.declarations))
@@ -287,6 +306,7 @@ class _Parser:
             self.expect(")")
             ids.add(iri)
             return
+        self.expect("(")
         if keyword == "SubClassOf":
             axiom = SubClassOf(self.parse_expression(), self.parse_expression())
         elif keyword == "EquivalentClasses":
@@ -312,8 +332,14 @@ class _Parser:
     def parse_expression(self, depth: int = 1) -> ClassExpression:
         """One expression; a constructor here sits at nesting level depth."""
         token = self.advance()
+        # a class id met before is its Named already: reference() ran at the
+        # first mention, which declared the id or raised
+        named = self.named.get(token)
+        if named is not None:
+            return named
         if _kind(token) == "id":
-            return Named(self.reference(token, "Class"))
+            named = self.named[token] = Named(self.reference(token, "Class"))
+            return named
         if token not in _CONSTRUCTORS:
             raise self.error(self.pos - 1, (":id",) + _CONSTRUCTORS)
         if depth > MAX_NESTING:
@@ -341,14 +367,21 @@ def parse_ontology(doc: SourceDocument | str, strict: bool = False) -> Ontology:
 # Serialization
 # ---------------------------------------------------------------------------
 
+def term_text(keyword: str, parts) -> str:
+    """One term of the format from its parts' texts: the keyword, then the
+    parts separated by single spaces, in parentheses. Every constructor and
+    axiom is written this way; evaluate builds the texts of the equivalent
+    versions with it from the texts of their parts."""
+    return f"{keyword}({' '.join(parts)})"
+
+
 def serialize_expression(expr: ClassExpression) -> str:
     if isinstance(expr, Named):
         return expr.iri
     if isinstance(expr, Intersection):
-        inner = " ".join(serialize_expression(op) for op in expr.operands)
-        return f"ObjectIntersectionOf({inner})"
+        return term_text("ObjectIntersectionOf", map(serialize_expression, expr.operands))
     if isinstance(expr, Existential):
-        return f"ObjectSomeValuesFrom({expr.prop} {serialize_expression(expr.filler)})"
+        return term_text("ObjectSomeValuesFrom", (expr.prop, serialize_expression(expr.filler)))
     raise TypeError(f"not a class expression: {expr!r}")
 
 
@@ -362,7 +395,7 @@ def serialize_axiom(axiom: Axiom) -> str:
     parts = [serialize_expression(expr) for expr in expressions_of(axiom)]
     if isinstance(axiom, ClassAssertion):
         parts.append(axiom.individual)
-    return f"{type(axiom).__name__}({' '.join(parts)})"
+    return term_text(type(axiom).__name__, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,20 @@ assignments and the split/permutation family by brute force, text positions
 by walking the text, normalization one character at a time, scoring by the
 plain scan without pruning, the equivalent-version stream by serializing
 every combination of every unit's variants), so tests can hold the
-production code to an answer derived another way.
+production code to an answer derived another way. run_cli runs one command
+line in this process as a fresh interpreter would.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import logging
 import random
 import re
 import unicodedata
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 
 from owlprose.model import (
@@ -39,7 +42,7 @@ from owlprose.model import (
     SubClassOf,
     conjuncts,
 )
-from owlprose import evaluate
+from owlprose import cli, evaluate
 from owlprose.parser import ParseError, UndeclaredEntity, parse_ontology, serialize_axiom
 
 DESIGNATED = ":F"
@@ -247,6 +250,25 @@ def parse_outcome(text: str, strict: bool) -> tuple:
         "parsed", sorted(ontology.classes), sorted(ontology.properties),
         sorted(ontology.individuals), ontology.axioms, handler.messages,
     )
+
+
+def run_cli(argv) -> tuple:
+    """(exit status, stdout, stderr) of one owlprose command line, run in this
+    process through cli.main. The root logger has no handler during the call,
+    so cli.main's own logging.basicConfig sends the log records to the
+    captured stderr, as in a fresh interpreter; the handlers it had (pytest's
+    among them) are put back afterwards."""
+    root = logging.getLogger()
+    handlers = root.handlers[:]
+    root.handlers.clear()
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            status = cli.main(list(argv))
+    finally:
+        root.handlers[:] = handlers
+    return status, out.getvalue(), err.getvalue()
+
 
 # ---------------------------------------------------------------------------
 # Oracles

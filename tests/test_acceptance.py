@@ -7,10 +7,8 @@ run against the independent oracles in genutil, and the timed criteria assert
 their budgets directly.
 """
 
-import io
 import random
 import time
-from contextlib import redirect_stdout
 
 import pytest
 
@@ -22,7 +20,6 @@ from owlprose.parser import SourceDocument, parse_ontology, serialize_axiom
 from owlprose.planner import build_rst, leaves
 from owlprose.realizer import realize
 from owlprose.survey import survey
-from owlprose.cli import main as cli_main
 
 APPENDIX = [f"appendix_{i:02d}" for i in range(1, 11)]
 TABLE2 = ["table2_travel", "table2_snomed", "table2_efo"]
@@ -47,11 +44,9 @@ def run_verbalize(fixture_dir, entry) -> str:
     for flag, option in FLAG_OPTIONS.items():
         if entry["flags"].get(flag):
             argv.append(option)
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        status = cli_main(argv)
+    status, out, _ = genutil.run_cli(argv)
     assert status == 0
-    return buffer.getvalue()
+    return out
 
 
 def load_frame(fixture_dir, entry):

@@ -1,6 +1,5 @@
 """Command-line behavior: selectors, formats, exit codes, stream separation."""
 
-import io
 import json
 import logging
 import os
@@ -9,7 +8,6 @@ import random
 import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +18,8 @@ from owlprose.model import Ontology, frames
 from owlprose.parser import MAX_NESTING
 
 import genutil
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 ONTOLOGY = """\
 Ontology(
@@ -118,12 +118,7 @@ def test_batch_reports_unknown_ids_and_keeps_the_rest(capsys, tmp_path, ontology
     assert err.splitlines() == ["owlprose: unknown class :Nope", "owlprose: unknown class :Zilch"]
 
 
-def run(argv: list) -> tuple:
-    """(exit status, stdout, stderr) of one in-process command."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        status = main(argv)
-    return status, out.getvalue(), err.getvalue()
+run = genutil.run_cli  # (exit status, stdout, stderr) of one in-process command
 
 
 def concatenated_single_runs(base: list, ids) -> tuple:
@@ -579,22 +574,23 @@ def test_version_string(capsys):
     assert out == "owlprose 0.1.0 (grammar 1)\n"
 
 
+def fresh(*args) -> subprocess.CompletedProcess:
+    """python -m owlprose.cli with the arguments, in a fresh interpreter with
+    only src/ on the path."""
+    return subprocess.run(
+        [sys.executable, "-m", "owlprose.cli", *args],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_the_entry_point_runs_in_a_fresh_interpreter():
     """python -m owlprose.cli, with only src/ on the path, prints what the
     in-process run prints."""
-    root = pathlib.Path(__file__).resolve().parent.parent
     argv = [
-        "verbalize", "--ontology", str(root / "fixtures" / "table2_travel.ofs"),
-        "--lexicon", str(root / "fixtures" / "table2_travel.tsv"), "--class", ":Settlement",
+        "verbalize", "--ontology", str(FIXTURES / "table2_travel.ofs"),
+        "--lexicon", str(FIXTURES / "table2_travel.tsv"), "--class", ":Settlement",
     ]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-
-    def fresh(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "owlprose.cli", *args],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-
     child = fresh(*argv)
     assert (child.returncode, child.stderr) == (0, "")
     assert child.stdout == run(argv)[1]
@@ -602,11 +598,24 @@ def test_the_entry_point_runs_in_a_fresh_interpreter():
     assert (version.returncode, version.stdout) == (0, "owlprose 0.1.0 (grammar 1)\n")
 
 
+def test_an_in_process_run_keeps_the_log_records(tmp_path):
+    """run gives the stderr a fresh interpreter prints, log records included:
+    the survey's skip warning and the auto-declare warnings, in order."""
+    (tmp_path / "good.ofs").write_text("SubClassOf(:A :B)\n", encoding="utf-8")
+    bad = tmp_path / "bad.ofs"
+    bad.write_text("SubClassOf(:A\n", encoding="utf-8")
+    child = fresh("survey", str(tmp_path))
+    status, out, err = run(["survey", str(tmp_path)])
+    assert (status, out, err) == (child.returncode, child.stdout, child.stderr)
+    assert f"WARNING: skipping {bad}: unexpected end of input at line 2" in err
+    assert err.endswith("skipped 1 file(s)\n")
+
+
 # ---------------------------------------------------------------------------
 # any input
 # ---------------------------------------------------------------------------
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURES = ROOT / "fixtures"
 DESIGNATED = {
     entry["ontology"]: entry["designated"]
     for entry in json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8")).values()
@@ -652,5 +661,9 @@ def test_no_input_ends_in_a_traceback(case):
             status, _, err = run(argv)
             assert status in (0, 1, 2), argv
             if status == 1:
-                assert err.startswith("owlprose: "), argv
-                assert err.count("\n") == 1, argv
+                # the log records a fresh interpreter prints (auto-declare
+                # warnings) come first, then the one-line message
+                *records, message = err.split("\n")[:-1]
+                assert message.startswith("owlprose: "), argv
+                assert err.endswith("\n"), argv
+                assert all(line.startswith("WARNING: ") for line in records), argv

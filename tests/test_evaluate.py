@@ -1,6 +1,8 @@
 """Round-trip evaluation: text measures, the equivalence family, scoring."""
 
+import csv
 import dataclasses
+import io
 import itertools
 import random
 import time
@@ -14,7 +16,9 @@ import genutil
 from genutil import version_key
 from owlprose import evaluate
 from owlprose.evaluate import (
+    AxiomScore,
     EquivalentExplosion,
+    SimilarityReport,
     _Drawn,
     _SimilarityRows,
     _assignment_mean,
@@ -47,9 +51,26 @@ from owlprose.model import (
     SubClassOf,
     collect_frame,
 )
-from owlprose.parser import SourceDocument, parse_ontology, serialize_axiom
+from owlprose.parser import (
+    SourceDocument,
+    parse_ontology,
+    serialize_axiom,
+    serialize_expression,
+)
 
 A, B, C, D = Named(":A"), Named(":B"), Named(":C"), Named(":D")
+
+
+def untexted(pairs, serialize) -> list:
+    """The first items of (item, text) pairs from a variant generator, after
+    checking that each text is serialize(item)."""
+    pairs = list(pairs)
+    assert [text for _, text in pairs] == [serialize(item) for item, _ in pairs]
+    return [item for item, _ in pairs]
+
+
+def serialize_axioms(axioms: list) -> list:
+    return list(map(serialize_axiom, axioms))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +338,10 @@ def test_distinct_permutations_follow_first_occurrences_in_itertools(items):
 
 def test_equal_operands_give_one_ordering():
     nine = Intersection((A,) * 9)
-    assert list(_expression_variants(nine)) == [nine]
-    assert list(_axiom_unit_variants(EquivalentClasses((A,) * 9))) == [[EquivalentClasses((A,) * 9)]]
+    assert untexted(_expression_variants(nine), serialize_expression) == [nine]
+    assert untexted(_axiom_unit_variants(EquivalentClasses((A,) * 9)), serialize_axioms) == [
+        [EquivalentClasses((A,) * 9)]
+    ]
     # a scan that once walked 9! orderings of the filler stops at the cap
     reference = [SubClassOf(A, Existential(":p", nine)), SubClassOf(A, B)]
     report = score_submission(frame([SubClassOf(A, C)]), frame(reference), cap=3)
@@ -347,8 +370,12 @@ OPERANDS = st.lists(EXPRESSIONS, min_size=2, max_size=3).map(tuple)
     ),
 )
 def test_variants_inside_a_unit_follow_the_itertools_oracle(expr, axiom):
-    assert list(_expression_variants(expr)) == genutil.expression_variants_oracle(expr)
-    assert list(_axiom_unit_variants(axiom)) == genutil.axiom_unit_variants_oracle(axiom)
+    assert untexted(
+        _expression_variants(expr), serialize_expression
+    ) == genutil.expression_variants_oracle(expr)
+    assert untexted(
+        _axiom_unit_variants(axiom), serialize_axioms
+    ) == genutil.axiom_unit_variants_oracle(axiom)
 
 
 @settings(deadline=None)
@@ -510,7 +537,7 @@ def test_pool_versions_follow_the_flatten_and_slice_order(sub, supers):
     limit = 400
     produced = itertools.islice(_subclass_pool_variants(sub, axioms), limit)
     expected = itertools.islice(genutil.subclass_pool_variants_oracle(sub, axioms), limit)
-    assert list(produced) == list(expected)
+    assert untexted(produced, serialize_axioms) == list(expected)
 
 
 WIDE = tuple(Named(f":W{i}") for i in range(12))
@@ -777,6 +804,16 @@ def test_emit_report_shape():
     assert lines[-1] == "mean,1.0000"
 
 
+@settings(deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 300))
+def test_every_text_the_walk_carries_serializes_its_axiom(seed, cap):
+    """The units build each variant's text from its parts' texts; every
+    version up to the cap carries serialize_axiom of each of its axioms."""
+    axioms = genutil.gen_frame(random.Random(seed)).axioms
+    for version, texts in itertools.islice(_equivalent_stream(axioms), cap):
+        assert texts == [serialize_axiom(axiom) for axiom in version]
+
+
 def substitute_id(node, old: str, new: str):
     """node with every Named(old) inside it replaced by Named(new)."""
     if isinstance(node, Named):
@@ -842,6 +879,64 @@ def test_score_submission_matches_the_plain_scan(case):
         score_submission(candidate, reference, cap=cap),
         genutil.score_oracle(candidate, reference, cap),
     )
+
+
+def csv_rendered(report) -> str:
+    """The report rendered by the csv module from serialize_axiom of each
+    row's axioms."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["reference_axiom", "candidate_axiom", "score"])
+    for item in report.per_axiom:
+        candidate = "" if item.candidate is None else serialize_axiom(item.candidate)
+        writer.writerow([serialize_axiom(item.reference), candidate, f"{item.score:.4f}"])
+    writer.writerow(["mean", f"{report.mean:.4f}"])
+    return out.getvalue()
+
+
+def hand_built(report) -> SimilarityReport:
+    """The report with rows that carry no texts, as a caller builds one."""
+    rows = [AxiomScore(item.reference, item.candidate, item.score) for item in report.per_axiom]
+    return SimilarityReport(rows, report.mean, report.best_version_index, report.truncated)
+
+
+@settings(deadline=None)
+@given(scoring_cases())
+def test_report_rows_print_the_texts_of_their_axioms(case):
+    """emit_report prints the texts score_submission's scan made; they are
+    the rows serialize_axiom gives, and a report built by hand from the same
+    axioms renders the same bytes."""
+    candidate, reference, cap = case
+    report = score_submission(candidate, reference, cap=cap)
+    assert emit_report(report) == csv_rendered(report)
+    assert emit_report(hand_built(report)) == emit_report(report)
+
+
+ODD_IDS = (":a,b", ':q"x', ':r""', ':s,"t",')
+
+
+def test_report_rows_are_csv_for_every_legal_id(tmp_path):
+    """Ids may hold commas and quotes; such a field is quoted, with each quote
+    doubled, so csv.reader reads three fields per row back."""
+    ids = (":F",) + ODD_IDS
+    lines = [f"Declaration(Class({iri}))" for iri in ids]
+    lines += [f"SubClassOf(:F {iri})" for iri in ODD_IDS] + ["SubClassOf(:F :G)"]
+    path = tmp_path / "odd.ofs"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    status, out, _ = genutil.run_cli(
+        ["eval", "--reference", str(path), "--candidate", str(path), "--class", ":F"]
+    )
+    assert status == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    expected = [f"SubClassOf(:F {iri})" for iri in ODD_IDS] + ["SubClassOf(:F :G)"]
+    assert rows[0] == ["reference_axiom", "candidate_axiom", "score"]
+    assert rows[1:-1] == [[text, text, "1.0000"] for text in expected]
+    assert rows[-1] == ["mean", "1.0000"]
+    assert "SubClassOf(:F :G),SubClassOf(:F :G),1.0000\n" in out  # ordinary ids stay bare
+    odd, plain = SubClassOf(Named(":F"), Named(':q"x')), SubClassOf(Named(":F"), Named(":G"))
+    report = score_submission(frame([plain]), frame([odd, plain]))
+    assert emit_report(report).splitlines()[1] == '"SubClassOf(:F :q""x)",,0.0000'
+    assert emit_report(report) == csv_rendered(report)
 
 
 @st.composite

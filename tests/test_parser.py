@@ -19,6 +19,7 @@ from owlprose.model import (
     Intersection,
     Named,
     SubClassOf,
+    expressions_of,
 )
 from owlprose.parser import (
     MAX_NESTING,
@@ -300,6 +301,95 @@ def test_lenient_mode_auto_declares_with_warning(caplog):
     assert ontology.properties == {":p"}
     assert ontology.individuals == {":rome"}
     assert any("auto-declaring" in rec.getMessage() for rec in caplog.records)
+
+
+def test_auto_declare_warns_once_per_id_at_its_first_mention(caplog):
+    """A class id's later mentions reuse its Named without a warning; an id
+    first met as a property or an individual is not declared again as a
+    class."""
+    doc = (
+        "SubClassOf(:A ObjectSomeValuesFrom(:p :B))\n"
+        "EquivalentClasses(:B :A ObjectIntersectionOf(:A :C))\n"
+        "ClassAssertion(:C :i)\n"
+        "DisjointClasses(:i :p :D)\n"
+        "DisjointUnion(:E :A :E)\n"
+    )
+    with caplog.at_level(logging.WARNING, logger="owlprose.parser"):
+        ontology = parse_ontology(doc)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"<string>: auto-declaring undeclared {kind} {iri}"
+        for kind, iri in [
+            ("class", ":A"), ("property", ":p"), ("class", ":B"), ("class", ":C"),
+            ("individual", ":i"), ("class", ":D"), ("class", ":E"),
+        ]
+    ]
+    assert ontology.classes == {":A", ":B", ":C", ":D", ":E"}
+    assert (ontology.properties, ontology.individuals) == ({":p"}, {":i"})
+
+
+def test_strict_mode_raises_at_the_first_undeclared_mention():
+    doc = "Declaration(Class(:A))\nSubClassOf(:A :A)\nSubClassOf(:A :B)\nSubClassOf(:B :A)\n"
+    with pytest.raises(UndeclaredEntity) as err:
+        parse_ontology(doc, strict=True)
+    assert str(err.value) == "<string>: :B referenced at line 3 but never declared"
+
+
+def parsed_nameds(axiom) -> list:
+    """Every Named object the parser put into the axiom, at any depth; a
+    DisjointUnion's class is an id string, not a Named."""
+    stack = list(axiom.disjuncts if isinstance(axiom, DisjointUnion) else expressions_of(axiom))
+    nameds = []
+    while stack:
+        expr = stack.pop()
+        if isinstance(expr, Named):
+            nameds.append(expr)
+        elif isinstance(expr, Intersection):
+            stack.extend(expr.operands)
+        else:
+            stack.append(expr.filler)
+    return nameds
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**9), st.floats(0.0, 1.0))
+def test_each_class_id_is_one_named_per_document(seed, dropped):
+    """Within one parsed document every mention of a class id is the same
+    Named object, declared or auto-declared; another parse of the text makes
+    its own, equal by value."""
+    rng = random.Random(seed)
+    ontology = genutil.drop_declarations(rng, genutil.gen_ontology(rng), dropped)
+    text = genutil.ontology_text(ontology)
+    first = {}
+    for axiom in parse_ontology(text).axioms:
+        for named in parsed_nameds(axiom):
+            assert first.setdefault(named.iri, named) is named
+    for axiom in parse_ontology(text).axioms:
+        for named in parsed_nameds(axiom):
+            assert named == first[named.iri] and named is not first[named.iri]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("Declaration(Class :A))", "unexpected ':A' at line 1, column 19 (expected ()"),
+        (
+            "Declaration(Klass(:A))",
+            "unexpected 'Klass' at line 1, column 13 "
+            "(expected Class or ObjectProperty or NamedIndividual)",
+        ),
+        ("Declaration(Class(A))", "unexpected 'A' at line 1, column 19 (expected id)"),
+        ("Declaration(Class((:A))", "unexpected '(' at line 1, column 19 (expected id)"),
+        (
+            "Declaration(Class(:A) SubClassOf(:A :B)",
+            "unexpected 'SubClassOf' at line 1, column 23 (expected ))",
+        ),
+        ("Declaration(Class(:A)", "unexpected end of input at line 1, column 22 (expected ))"),
+    ],
+)
+def test_a_malformed_declaration_fails_at_its_first_wrong_token(doc, message):
+    with pytest.raises(ParseError) as err:
+        parse_ontology(doc)
+    assert str(err.value) == f"<string>: {message}"
 
 
 def test_strict_mode_rejects_undeclared_ids():

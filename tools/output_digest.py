@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import itertools
 import json
 import logging
@@ -74,7 +73,6 @@ import pathlib
 import random
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -83,7 +81,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
 
 import genutil  # noqa: E402
 from perfbench import inputs  # noqa: E402
-from owlprose import cli  # noqa: E402
 from owlprose.classifier import classify  # noqa: E402
 from owlprose.evaluate import _equivalent_stream, emit_report, score_submission  # noqa: E402
 from owlprose.model import ClassFrame, LexEntry, frames  # noqa: E402
@@ -109,22 +106,13 @@ LAID_OUT_DOCUMENTS = 2000
 
 
 def owlprose(*args: str) -> tuple:
-    """Run the command line in this process and return its (stdout, stderr);
-    fail on a nonzero exit. The root logger has no handler during the call,
-    so cli.main's own logging.basicConfig sends the log records to the
-    captured stderr, as it does in a fresh interpreter."""
-    root = logging.getLogger()
-    handlers = root.handlers[:]
-    root.handlers.clear()
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            status = cli.main(list(args))
-    finally:
-        root.handlers[:] = handlers
+    """Run the command line in this process by genutil.run_cli, which sends
+    the log records to the captured stderr as a fresh interpreter does, and
+    return its (stdout, stderr); fail on a nonzero exit."""
+    status, out, err = genutil.run_cli(args)
     if status != 0:
-        raise RuntimeError(f"owlprose {' '.join(args)} exited {status}: {err.getvalue()}")
-    return out.getvalue(), err.getvalue()
+        raise RuntimeError(f"owlprose {' '.join(args)} exited {status}: {err}")
+    return out, err
 
 
 def generated_lexicon() -> dict:
