@@ -16,13 +16,14 @@ axioms are ignored.
 
 Axioms are compared and reported by their canonical serializations, and each
 text is made once per scored submission. The candidate's axioms go through
-parser.serialize_axiom once. The reference's versions carry their texts from
-the stream: a unit's verbatim form is serialized once, and every other
-variant's text is built from the texts of its parts with parser.term_text.
-Each report row keeps the reference and candidate texts the scan made, and
-emit_report prints those; a row built by hand serializes its axioms when it
-is made. The report is CSV, with a field quoted where an id holds a comma, a
-quote or a line break.
+parser.serialize_axiom once. The equivalence family is a family of texts: the
+walk reads the reference's parsed axioms, but a version is the list of its
+axioms' texts, and no rewritten axiom is built. A unit's verbatim form is
+serialized once, and every other variant's text is built from the texts of
+its parts with parser.term_text. A report row is the reference text, the
+matched candidate's text and their score, and emit_report prints those. The
+report is CSV, with a field quoted where an id holds a comma, a quote or a
+line break.
 
 Edit distances are bit-parallel: Myers' algorithm (J. ACM 1999) in Hyyrö's
 2001 formulation, with several texts packed into one int as Hyyrö,
@@ -222,7 +223,7 @@ class _SimilarityRows(dict):
 
 @dataclass
 class EquivalentSet:
-    versions: list = field(default_factory=list)
+    versions: list = field(default_factory=list)  # per version, its axioms' texts
 
 
 _END = object()
@@ -352,7 +353,7 @@ def _drawn_variants(expressions) -> tuple:
 
 def _ordered_variants(operands):
     """Every distinct ordering of the operands, times every variant of each
-    operand, as tuples of (variant, text) pairs: the orderings outermost, the
+    operand, as tuples of the operands' texts: the orderings outermost, the
     original order first. Equal operands share one _Drawn, so each distinct
     operand's variants are made once, however many orderings and positions
     use them."""
@@ -361,34 +362,25 @@ def _ordered_variants(operands):
         yield from _product([drawn[key] for key in perm])
 
 
-def _intersection(pairs) -> tuple:
-    """(Intersection, text) of (operand, text) pairs, in their order."""
-    operands, texts = zip(*pairs)
-    return Intersection(operands), term_text("ObjectIntersectionOf", texts)
-
-
 def _expression_variants(expr: ClassExpression):
-    """All reorderings of the expression's intersections, original form first,
-    each as (variant, text): text is the variant's canonical serialization,
-    made from the texts of its parts.
+    """The canonical serialization of every reordering of the expression's
+    intersections, original form first, each made from the texts of its
+    parts.
 
-    The original is the expression itself, given before any machinery starts:
-    a walk that stops after it (a perfect match on the verbatim reference)
-    builds no permutation or product. Asked for more, the generator starts
-    its machinery and skips its first output, which equals the original since
+    The original is serialized before any machinery starts: a walk that stops
+    after it (a perfect match on the verbatim reference) builds no
+    permutation or product. Asked for more, the generator starts its
+    machinery and skips its first output, which equals the original since
     every generator here gives its original form first."""
     if not isinstance(expr, (Named, Existential, Intersection)):
         raise TypeError(f"not a class expression: {expr!r}")
-    yield expr, serialize_expression(expr)
+    yield serialize_expression(expr)
     if isinstance(expr, Existential):
-        for variant, text in islice(_expression_variants(expr.filler), 1, None):
-            yield (
-                Existential(expr.prop, variant),
-                term_text("ObjectSomeValuesFrom", (expr.prop, text)),
-            )
+        for text in islice(_expression_variants(expr.filler), 1, None):
+            yield term_text("ObjectSomeValuesFrom", (expr.prop, text))
     elif isinstance(expr, Intersection):
-        for combo in islice(_ordered_variants(expr.operands), 1, None):
-            yield _intersection(combo)
+        for texts in islice(_ordered_variants(expr.operands), 1, None):
+            yield term_text("ObjectIntersectionOf", texts)
 
 
 def _distinct_partitions(elements: list):
@@ -461,10 +453,10 @@ def _subclass_pool_variants(sub: ClassExpression, axioms: list):
     conjunct have one _Drawn for the whole pool. The first block's orderings
     are walked once, so they are not kept.
 
-    Yields (axioms, texts), texts the serialization of each axiom, made from
-    the texts its sub and its conjuncts' variants came with.
+    Yields each fragment as the serialization of each of its axioms, made
+    from the texts of its sub's and its conjuncts' variants.
     """
-    yield list(axioms), list(map(serialize_axiom, axioms))
+    yield list(map(serialize_axiom, axioms))
     # the pooled conjuncts stand for themselves by their keys
     drawn, (sub_key, *keys) = _drawn_variants(
         [sub, *(c for axiom in axioms for c in conjuncts(axiom.super))]
@@ -475,47 +467,42 @@ def _subclass_pool_variants(sub: ClassExpression, axioms: list):
         for ordered_blocks in _product(orderings):
             flat = [key for block in ordered_blocks for key in block]
             for combo in _product([drawn[key] for key in flat + [sub_key] * len(blocks)]):
-                version, texts, start = [], [], 0
-                for block, (sub_variant, sub_text) in zip(ordered_blocks, combo[len(flat) :]):
+                texts, start = [], 0
+                for block, sub_text in zip(ordered_blocks, combo[len(flat) :]):
                     chosen = combo[start : start + len(block)]
                     start += len(block)
-                    super_, super_text = chosen[0] if len(chosen) == 1 else _intersection(chosen)
-                    version.append(SubClassOf(sub_variant, super_))
+                    super_text = chosen[0]
+                    if len(chosen) > 1:
+                        super_text = term_text("ObjectIntersectionOf", chosen)
                     texts.append(term_text("SubClassOf", (sub_text, super_text)))
-                yield version, texts
+                yield texts
 
 
 def _axiom_unit_variants(axiom: Axiom):
-    """Variants of one non-SubClassOf axiom, original form first: [axiom]
-    itself before any machinery starts, then the machinery's outputs after
-    its first, which equals the original (see _expression_variants). Each
-    comes as ([variant], [text]), the text made from its operands' texts."""
+    """Variants of one non-SubClassOf axiom, original form first, each as a
+    one-text list: the axiom's serialization before any machinery starts,
+    then the machinery's outputs after its first, which equals the original
+    (see _expression_variants), each made from its operands' texts."""
     if not isinstance(axiom, (EquivalentClasses, DisjointClasses, ClassAssertion, DisjointUnion)):
         raise TypeError(f"not an axiom: {axiom!r}")
-    yield [axiom], [serialize_axiom(axiom)]
+    yield [serialize_axiom(axiom)]
     keyword = type(axiom).__name__
     if isinstance(axiom, (EquivalentClasses, DisjointClasses)):
-        for combo in islice(_ordered_variants(axiom.operands), 1, None):
-            operands, texts = zip(*combo)
-            yield [type(axiom)(operands)], [term_text(keyword, texts)]
+        for texts in islice(_ordered_variants(axiom.operands), 1, None):
+            yield [term_text(keyword, texts)]
     elif isinstance(axiom, ClassAssertion):
-        for variant, text in islice(_expression_variants(axiom.expr), 1, None):
-            yield [ClassAssertion(variant, axiom.individual)], [
-                term_text(keyword, (text, axiom.individual))
-            ]
+        for text in islice(_expression_variants(axiom.expr), 1, None):
+            yield [term_text(keyword, (text, axiom.individual))]
     else:
         drawn, keys = _drawn_variants(axiom.disjuncts)
-        for combo in islice(_product([drawn[key] for key in keys]), 1, None):
-            disjuncts, texts = zip(*combo)
-            yield [DisjointUnion(axiom.union_class, disjuncts)], [
-                term_text(keyword, (axiom.union_class, *texts))
-            ]
+        for texts in islice(_product([drawn[key] for key in keys]), 1, None):
+            yield [term_text(keyword, (axiom.union_class, *texts))]
 
 
 def _unit_variants(variants, *args):
-    """The (axioms, texts) pairs variants(*args) gives, texts holding the
-    canonical serialization of each axiom in order, less each variant whose
-    sorted texts equal an earlier one's.
+    """The text lists variants(*args) gives, each holding the canonical
+    serialization of each axiom of a variant in order, less each variant
+    whose sorted texts equal an earlier one's.
 
     Skipping keeps the stream unchanged: _equivalent_stream walks the units'
     variant indices in lexicographic order, so a version that uses the repeat
@@ -523,11 +510,11 @@ def _unit_variants(variants, *args):
     would drop it as a duplicate.
     """
     seen = set()
-    for axioms, texts in variants(*args):
+    for texts in variants(*args):
         key = tuple(sorted(texts))
         if key not in seen:
             seen.add(key)
-            yield axioms, texts
+            yield texts
 
 
 def _units(axioms: list) -> tuple:
@@ -567,11 +554,11 @@ def _units(axioms: list) -> tuple:
 def _equivalent_stream(axioms: list):
     """Deduplicated stream of equivalent versions, verbatim reference first.
 
-    Yields (version, texts): texts holds the canonical serialization of each
-    axiom of the version, in order, and their sorted tuple is the version's
-    order-insensitive identity. The texts are the units' own, joined; no axiom
-    is serialized per version, and a unit's variant other than its verbatim
-    form is not serialized at all: its text is built from its parts' texts.
+    Yields each version as the canonical serialization of each of its axioms,
+    in order, and their sorted tuple is the version's order-insensitive
+    identity. The texts are the units' own, joined; no axiom is built or
+    serialized per version, and a unit's variant other than its verbatim form
+    is not serialized at all: its text is built from its parts' texts.
 
     One _product walks the units in lexicographic order, the first version
     taking variant 0 of every unit, equal stand-alone axioms as a multiset
@@ -585,17 +572,18 @@ def _equivalent_stream(axioms: list):
     """
     seen = set()
     for heads in _product(*_units(list(axioms))):
-        texts = [text for _, head_texts in heads for text in head_texts]
+        texts = [text for head in heads for text in head]
         key = tuple(sorted(texts))
         if key not in seen:
             seen.add(key)
-            yield [axiom for head, _ in heads for axiom in head], texts
+            yield texts
 
 
 def enumerate_equivalents(axioms: list, cap: int = DEFAULT_CAP) -> EquivalentSet:
-    """Materialize the whole equivalence family, or fail once it passes cap."""
+    """Materialize the whole equivalence family, as each version's texts, or
+    fail once it passes cap."""
     versions = []
-    for version, _ in _equivalent_stream(axioms):
+    for version in _equivalent_stream(axioms):
         if len(versions) >= cap:
             raise EquivalentExplosion(f"more than {cap} equivalent versions")
         versions.append(version)
@@ -607,24 +595,13 @@ def enumerate_equivalents(axioms: list, cap: int = DEFAULT_CAP) -> EquivalentSet
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AxiomScore:
-    """One report row. The texts are the canonical serializations of the
-    reference and the candidate axiom ("" for no candidate); score_submission
-    passes the ones its scan made, and a row built without them serializes
-    its axioms."""
+class AxiomScore(NamedTuple):
+    """One report row: the canonical serializations of a reference axiom and
+    of the candidate axiom assigned to it ("" for none), and their score."""
 
-    reference: Axiom
-    candidate: Axiom | None
+    reference_text: str
+    candidate_text: str
     score: float
-    reference_text: str | None = None
-    candidate_text: str | None = None
-
-    def __post_init__(self):
-        if self.reference_text is None:
-            self.reference_text = serialize_axiom(self.reference)
-        if self.candidate_text is None:
-            self.candidate_text = "" if self.candidate is None else serialize_axiom(self.candidate)
 
 
 @dataclass
@@ -776,22 +753,21 @@ def score_submission(candidate, reference, cap: int = DEFAULT_CAP) -> Similarity
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    candidate_axioms = list(candidate.axioms)
-    candidate_serialized = list(map(serialize_axiom, candidate_axioms))
+    candidate_serialized = list(map(serialize_axiom, candidate.axioms))
     normalized = _Normalized()
     candidate_texts = list(map(normalized.__getitem__, candidate_serialized))
     candidate_counts = Counter(candidate_texts)
 
-    # per scanned version: its axioms and their serializations, normalized
-    # again from the memo if the assignment fallback needs them
+    # per scanned version: its axioms' serializations, normalized again from
+    # the memo if the assignment fallback needs them
     scanned: list = []
     truncated = False
     perfect = False
-    for index, (version, serialized) in enumerate(_equivalent_stream(list(reference.axioms))):
+    for index, serialized in enumerate(_equivalent_stream(reference.axioms)):
         if index >= cap:
             truncated = True
             break
-        scanned.append((version, serialized))
+        scanned.append(serialized)
         version_texts = list(map(normalized.__getitem__, serialized))
         # a text the candidate lacks rules the version out without a Counter
         if all(map(candidate_counts.__contains__, version_texts)) and (
@@ -807,20 +783,18 @@ def score_submission(candidate, reference, cap: int = DEFAULT_CAP) -> Similarity
     else:
         rows = _SimilarityRows(candidate_texts)  # packed only off the perfect path
         best_mean = -1.0  # below every mean, so the first version is never pruned
-        for index, (scanned_version, scanned_serialized) in enumerate(scanned):
+        for index, scanned_serialized in enumerate(scanned):
             scanned_texts = list(map(normalized.__getitem__, scanned_serialized))
             scored = _assignment_mean(scanned_texts, candidate_texts, rows, best_mean)
             if scored is not None and scored[0] > best_mean:
                 best_mean, chosen = scored
                 best_index, version_texts = index, scanned_texts
-        version, serialized = scanned[best_index]
+        serialized = scanned[best_index]
         scores = [0.0 if j is None else rows[text][j] for text, j in zip(version_texts, chosen)]
 
     per_axiom = [
-        AxiomScore(axiom, candidate_axioms[j], score, text, candidate_serialized[j])
-        if j is not None
-        else AxiomScore(axiom, None, score, text, "")
-        for axiom, text, j, score in zip(version, serialized, chosen, scores)
+        AxiomScore(text, "" if j is None else candidate_serialized[j], score)
+        for text, j, score in zip(serialized, chosen, scores)
     ]
     return SimilarityReport(per_axiom, best_mean, best_index, truncated)
 
@@ -839,7 +813,7 @@ def emit_report(report: SimilarityReport) -> str:
     The axiom columns print the texts each row carries: for a report from
     score_submission, the serializations its scan already made (the winning
     version's texts from the equivalence stream, the candidate's from its one
-    serializing pass), so no axiom is serialized again here."""
+    serializing pass)."""
     lines = ["reference_axiom,candidate_axiom,score"]
     for item in report.per_axiom:
         lines.append(

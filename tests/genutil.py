@@ -11,10 +11,10 @@ tokens by the one-match-at-a-time finditer walk the parser once used
 and by one findall walk over the same pattern,
 assignments and the split/permutation family by brute force, text positions
 by walking the text, normalization one character at a time, scoring by the
-plain scan without pruning, the equivalent-version stream by serializing
-every combination of every unit's variants), so tests can hold the
-production code to an answer derived another way. run_cli runs one command
-line in this process as a fresh interpreter would.
+plain scan without pruning, the equivalent-version stream by building every
+combination of every unit's variants as axioms and serializing it), so tests
+can hold the production code to an answer derived another way. run_cli runs
+one command line in this process as a fresh interpreter would.
 """
 
 from __future__ import annotations
@@ -637,9 +637,9 @@ def subclass_pool_variants_oracle(sub, axioms: list):
 
 def equivalent_stream_oracle(axioms: list):
     """The stream of equivalent versions as the enumerator first built it:
-    every unit gives all of its variants, repeats included, by the oracles
-    above, each version is serialized axiom by axiom, and a set drops the
-    versions met before. Yields (version, texts) as
+    every unit gives all of its variants, repeats included, as axioms by the
+    oracles above, each version is serialized axiom by axiom, and a set drops
+    the versions met before. Yields each version's texts, as
     evaluate._equivalent_stream does."""
     pools: dict = {}
     units = []
@@ -653,12 +653,11 @@ def equivalent_stream_oracle(axioms: list):
             units.append(partial(axiom_unit_variants_oracle, axiom))
     seen = set()
     for heads in product_oracle(units):
-        version = [axiom for head in heads for axiom in head]
-        texts = [serialize_axiom(ax) for ax in version]
+        texts = [serialize_axiom(axiom) for head in heads for axiom in head]
         key = tuple(sorted(texts))
         if key not in seen:
             seen.add(key)
-            yield version, texts
+            yield texts
 
 
 def normalize_oracle(text: str) -> str:
@@ -674,22 +673,23 @@ def score_oracle(candidate, reference, cap: int) -> evaluate.SimilarityReport:
     from scratch, one full similarity matrix and one assignment DP per
     version, no pruning. Each pair is scored by similarity_oracle, looked up
     on this module at call time, so a test that wraps it counts the
-    oracle's pairs."""
-    candidate_axioms = list(candidate.axioms)
-    candidate_texts = [normalize_oracle(serialize_axiom(ax)) for ax in candidate_axioms]
+    oracle's pairs. The rows hold the stream's texts and serialize_axiom of
+    the candidate's axioms."""
+    candidate_serialized = [serialize_axiom(ax) for ax in candidate.axioms]
+    candidate_texts = [normalize_oracle(text) for text in candidate_serialized]
     scanned, truncated = [], False
-    for index, (version, _) in enumerate(evaluate._equivalent_stream(list(reference.axioms))):
+    for index, version in enumerate(evaluate._equivalent_stream(list(reference.axioms))):
         if index >= cap:
             truncated = True
             break
-        version_texts = [normalize_oracle(serialize_axiom(ax)) for ax in version]
+        version_texts = [normalize_oracle(text) for text in version]
         if Counter(version_texts) <= Counter(candidate_texts):
             unused: dict = {}
             for j, text in enumerate(candidate_texts):
                 unused.setdefault(text, []).append(j)
             per_axiom = [
-                evaluate.AxiomScore(ax, candidate_axioms[unused[text].pop(0)], 1.0)
-                for ax, text in zip(version, version_texts)
+                evaluate.AxiomScore(text, candidate_serialized[unused[normal].pop(0)], 1.0)
+                for text, normal in zip(version, version_texts)
             ]
             return evaluate.SimilarityReport(per_axiom, 1.0, index, truncated)
         scanned.append((version, version_texts))
@@ -710,11 +710,11 @@ def score_oracle(candidate, reference, cap: int) -> evaluate.SimilarityReport:
 
     version, version_texts, chosen = best_detail
     per_axiom = []
-    for i, axiom in enumerate(version):
+    for i, text in enumerate(version):
         j = chosen[i] if i < len(chosen) else None
-        matched = candidate_axioms[j] if j is not None else None
+        matched = candidate_serialized[j] if j is not None else ""
         score = pair_cache[(version_texts[i], candidate_texts[j])] if j is not None else 0.0
-        per_axiom.append(evaluate.AxiomScore(axiom, matched, score))
+        per_axiom.append(evaluate.AxiomScore(text, matched, score))
     return evaluate.SimilarityReport(per_axiom, max(best_mean, 0.0), best_index, truncated)
 
 

@@ -18,7 +18,6 @@ from owlprose import evaluate
 from owlprose.evaluate import (
     AxiomScore,
     EquivalentExplosion,
-    SimilarityReport,
     _Drawn,
     _SimilarityRows,
     _assignment_mean,
@@ -61,16 +60,14 @@ from owlprose.parser import (
 A, B, C, D = Named(":A"), Named(":B"), Named(":C"), Named(":D")
 
 
-def untexted(pairs, serialize) -> list:
-    """The first items of (item, text) pairs from a variant generator, after
-    checking that each text is serialize(item)."""
-    pairs = list(pairs)
-    assert [text for _, text in pairs] == [serialize(item) for item, _ in pairs]
-    return [item for item, _ in pairs]
-
-
 def serialize_axioms(axioms: list) -> list:
     return list(map(serialize_axiom, axioms))
+
+
+def text_key(texts: list) -> tuple:
+    """Order-insensitive identity of a version given as its axioms' texts,
+    as genutil.version_key gives it for a version given as axioms."""
+    return tuple(sorted(texts))
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +210,14 @@ def test_similarity_bounds_and_symmetry(a, b):
 def test_plain_axiom_has_one_version():
     family = enumerate_equivalents([SubClassOf(A, B)])
     assert len(family.versions) == 1
-    assert family.versions[0] == [SubClassOf(A, B)]
+    assert family.versions[0] == serialize_axioms([SubClassOf(A, B)])
 
 
 def test_two_conjunct_super_gives_three_versions():
     family = enumerate_equivalents([SubClassOf(A, Intersection((B, C)))])
     assert len(family.versions) == 3
-    assert family.versions[0] == [SubClassOf(A, Intersection((B, C)))]
-    keys = {version_key(v) for v in family.versions}
+    assert family.versions[0] == serialize_axioms([SubClassOf(A, Intersection((B, C)))])
+    keys = {text_key(v) for v in family.versions}
     assert version_key([SubClassOf(A, B), SubClassOf(A, C)]) in keys
 
 
@@ -228,14 +225,14 @@ def test_three_conjunct_super_matches_brute_force():
     family = enumerate_equivalents([SubClassOf(A, Intersection((B, C, D)))])
     oracle = genutil.split_permutation_oracle(A, (B, C, D))
     assert len(family.versions) == len(oracle)
-    assert {version_key(v) for v in family.versions} == oracle
+    assert {text_key(v) for v in family.versions} == oracle
 
 
 def test_equivalence_arguments_permute_verbatim_first():
     family = enumerate_equivalents([EquivalentClasses((A, B))])
     assert family.versions == [
-        [EquivalentClasses((A, B))],
-        [EquivalentClasses((B, A))],
+        serialize_axioms([EquivalentClasses((A, B))]),
+        serialize_axioms([EquivalentClasses((B, A))]),
     ]
 
 
@@ -268,11 +265,13 @@ def test_family_members_are_distinct_and_score_one(seed):
         EquivalentClasses((A, rng.choice([B, Existential(":p", C)]))),
     ]
     family = enumerate_equivalents(axioms)
-    keys = [version_key(v) for v in family.versions]
+    keys = [text_key(v) for v in family.versions]
     assert len(keys) == len(set(keys))
     reference = ClassFrame(":A", axioms)
     for version in family.versions:
-        report = score_submission(ClassFrame(":A", list(version)), reference)
+        candidate = parse_ontology("\n".join(version)).axioms
+        assert serialize_axioms(candidate) == version
+        report = score_submission(ClassFrame(":A", candidate), reference)
         assert report.mean == 1.0
 
 
@@ -338,9 +337,9 @@ def test_distinct_permutations_follow_first_occurrences_in_itertools(items):
 
 def test_equal_operands_give_one_ordering():
     nine = Intersection((A,) * 9)
-    assert untexted(_expression_variants(nine), serialize_expression) == [nine]
-    assert untexted(_axiom_unit_variants(EquivalentClasses((A,) * 9)), serialize_axioms) == [
-        [EquivalentClasses((A,) * 9)]
+    assert list(_expression_variants(nine)) == [serialize_expression(nine)]
+    assert list(_axiom_unit_variants(EquivalentClasses((A,) * 9))) == [
+        serialize_axioms([EquivalentClasses((A,) * 9)])
     ]
     # a scan that once walked 9! orderings of the filler stops at the cap
     reference = [SubClassOf(A, Existential(":p", nine)), SubClassOf(A, B)]
@@ -370,34 +369,32 @@ OPERANDS = st.lists(EXPRESSIONS, min_size=2, max_size=3).map(tuple)
     ),
 )
 def test_variants_inside_a_unit_follow_the_itertools_oracle(expr, axiom):
-    assert untexted(
-        _expression_variants(expr), serialize_expression
-    ) == genutil.expression_variants_oracle(expr)
-    assert untexted(
-        _axiom_unit_variants(axiom), serialize_axioms
-    ) == genutil.axiom_unit_variants_oracle(axiom)
+    """The texts each generator gives are the serializations of the oracle's
+    variants, built as objects, in the oracle's order."""
+    assert list(_expression_variants(expr)) == list(
+        map(serialize_expression, genutil.expression_variants_oracle(expr))
+    )
+    assert list(_axiom_unit_variants(axiom)) == list(
+        map(serialize_axioms, genutil.axiom_unit_variants_oracle(axiom))
+    )
 
 
 @settings(deadline=None)
 @given(st.integers(0, 10**9))
 def test_stream_starts_verbatim_and_has_no_duplicates(seed):
     frame = genutil.gen_frame(random.Random(seed))
-    stream = list(itertools.islice(_equivalent_stream(frame.axioms), 100))
-    versions = [version for version, _ in stream]
+    versions = list(itertools.islice(_equivalent_stream(frame.axioms), 100))
     # same-sub SubClassOf axioms move next to the first one: compare as sets
-    assert version_key(versions[0]) == version_key(frame.axioms)
-    keys = [version_key(v) for v in versions]
+    assert text_key(versions[0]) == version_key(frame.axioms)
+    keys = [text_key(v) for v in versions]
     assert len(keys) == len(set(keys))
-    # each version comes with its own axioms' serializations, in order
-    for version, texts in stream:
-        assert texts == [serialize_axiom(ax) for ax in version]
 
 
 @given(st.integers(2, 5), st.sampled_from([A, Existential(":p", B)]))
 def test_stream_of_one_split_super_matches_brute_force(width, sub):
     conjuncts = tuple(Named(f":K{i}") for i in range(width))
-    versions = [v for v, _ in _equivalent_stream([SubClassOf(sub, Intersection(conjuncts))])]
-    assert {version_key(v) for v in versions} == genutil.split_permutation_oracle(
+    versions = _equivalent_stream([SubClassOf(sub, Intersection(conjuncts))])
+    assert {text_key(v) for v in versions} == genutil.split_permutation_oracle(
         sub, conjuncts
     )
 
@@ -438,8 +435,9 @@ def repeated_frame(rng: random.Random, kind) -> list:
 def test_stream_matches_the_plain_stream():
     """The first 400 versions of 300 generated frames, of ten one-axiom
     pools, and of frames that repeat stand-alone axioms of every kind at
-    positions apart, against the stream that serializes every combination of
-    every unit's variants."""
+    positions apart, against the stream that builds every combination of
+    every unit's variants as axioms and serializes each axiom: each version's
+    texts are serialize_axiom of the oracle's axioms, in order."""
     rng = random.Random(31)
     references = [genutil.gen_frame(rng).axioms for _ in range(300)] + [pool_frame(10, "X")]
     references += [repeated_frame(rng, kind) for kind in ALONE_KINDS for _ in range(12)]
@@ -447,8 +445,6 @@ def test_stream_matches_the_plain_stream():
         produced = list(itertools.islice(_equivalent_stream(axioms), 400))
         expected = list(itertools.islice(genutil.equivalent_stream_oracle(axioms), 400))
         assert produced == expected
-        for version, texts in produced:
-            assert texts == [serialize_axiom(ax) for ax in version]
 
 
 def test_each_unit_draws_its_variants_once_per_stream(monkeypatch):
@@ -537,7 +533,7 @@ def test_pool_versions_follow_the_flatten_and_slice_order(sub, supers):
     limit = 400
     produced = itertools.islice(_subclass_pool_variants(sub, axioms), limit)
     expected = itertools.islice(genutil.subclass_pool_variants_oracle(sub, axioms), limit)
-    assert untexted(produced, serialize_axioms) == list(expected)
+    assert list(produced) == list(map(serialize_axioms, expected))
 
 
 WIDE = tuple(Named(f":W{i}") for i in range(12))
@@ -570,6 +566,24 @@ def test_cap_bounds_memory_on_wide_conjunctions(reference, candidate):
     assert 0.0 < report.mean < 1.0
     assert elapsed < 1.0, f"{elapsed:.2f} s"
     assert peak < 1 << 20, f"traced peak {peak} bytes"
+
+
+def test_scanned_versions_keep_only_their_texts():
+    """An imperfect scan keeps every scanned version for the assignment
+    fallback, each as its axioms' texts. At cap 3000, one SubClassOf over 10
+    distinct conjuncts peaked at about 2.7 MB traced while each scanned
+    version also kept its axiom objects, and at about 1.7 MB with texts
+    only."""
+    reference = frame([SubClassOf(Named(":F"), Intersection(WIDE[:10]))])
+    candidate = frame([SubClassOf(Named(":F"), Named(":Z"))])
+    tracemalloc.start()
+    try:
+        report = score_submission(candidate, reference, cap=3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.truncated
+    assert peak < 2 << 20, f"traced peak {peak} bytes"
 
 
 def test_a_one_block_walk_keeps_no_ordering():
@@ -768,10 +782,10 @@ def test_missing_axiom_scores_two_thirds():
     candidate = frame([SubClassOf(A, B), EquivalentClasses((A, C))])
     report = score_submission(candidate, reference)
     assert report.mean == pytest.approx(2 / 3)
-    unmatched = [item for item in report.per_axiom if item.candidate is None]
+    unmatched = [item for item in report.per_axiom if item.candidate_text == ""]
     assert len(unmatched) == 1
     assert unmatched[0].score == 0.0
-    assert isinstance(unmatched[0].reference, DisjointClasses)
+    assert unmatched[0].reference_text == serialize_axiom(DisjointClasses((A, D)))
 
 
 def test_extra_candidate_axioms_do_not_hurt():
@@ -797,21 +811,41 @@ def test_cap_below_one_is_rejected():
 
 def test_emit_report_shape():
     reference = frame([SubClassOf(A, B)])
-    text = emit_report(score_submission(reference, reference))
-    lines = text.splitlines()
+    report = score_submission(reference, reference)
+    assert report.per_axiom == [AxiomScore("SubClassOf(:A :B)", "SubClassOf(:A :B)", 1.0)]
+    lines = emit_report(report).splitlines()
     assert lines[0] == "reference_axiom,candidate_axiom,score"
     assert lines[1] == "SubClassOf(:A :B),SubClassOf(:A :B),1.0000"
     assert lines[-1] == "mean,1.0000"
 
 
+def frame_declarations() -> str:
+    """Declarations of every id a genutil.gen_frame frame may use."""
+    classes, props, inds = genutil.make_pools()
+    lines = [f"Declaration(Class({iri}))" for iri in classes + [genutil.DESIGNATED]]
+    lines += [f"Declaration(ObjectProperty({iri}))" for iri in props]
+    lines += [f"Declaration(NamedIndividual({iri}))" for iri in inds]
+    return "\n".join(lines) + "\n"
+
+
 @settings(deadline=None)
 @given(st.integers(0, 10**9), st.integers(1, 300))
 def test_every_text_the_walk_carries_serializes_its_axiom(seed, cap):
-    """The units build each variant's text from its parts' texts; every
-    version up to the cap carries serialize_axiom of each of its axioms."""
+    """The units build each variant's text from its parts' texts, and no
+    axiom of it; every text of every version up to the cap is one axiom's
+    canonical serialization: parsed strictly under the frame's declarations
+    it gives exactly one axiom, and serialize_axiom of that axiom gives the
+    text back."""
     axioms = genutil.gen_frame(random.Random(seed)).axioms
-    for version, texts in itertools.islice(_equivalent_stream(axioms), cap):
-        assert texts == [serialize_axiom(axiom) for axiom in version]
+    declarations = frame_declarations()
+    checked = set()
+    for version in itertools.islice(_equivalent_stream(axioms), cap):
+        for text in version:
+            if text not in checked:
+                checked.add(text)
+                parsed = parse_ontology(declarations + text, strict=True).axioms
+                assert len(parsed) == 1, text
+                assert serialize_axiom(parsed[0]) == text
 
 
 def substitute_id(node, old: str, new: str):
@@ -882,34 +916,33 @@ def test_score_submission_matches_the_plain_scan(case):
 
 
 def csv_rendered(report) -> str:
-    """The report rendered by the csv module from serialize_axiom of each
-    row's axioms."""
+    """The report rendered by the csv module from each row's texts."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["reference_axiom", "candidate_axiom", "score"])
     for item in report.per_axiom:
-        candidate = "" if item.candidate is None else serialize_axiom(item.candidate)
-        writer.writerow([serialize_axiom(item.reference), candidate, f"{item.score:.4f}"])
+        writer.writerow([item.reference_text, item.candidate_text, f"{item.score:.4f}"])
     writer.writerow(["mean", f"{report.mean:.4f}"])
     return out.getvalue()
-
-
-def hand_built(report) -> SimilarityReport:
-    """The report with rows that carry no texts, as a caller builds one."""
-    rows = [AxiomScore(item.reference, item.candidate, item.score) for item in report.per_axiom]
-    return SimilarityReport(rows, report.mean, report.best_version_index, report.truncated)
 
 
 @settings(deadline=None)
 @given(scoring_cases())
 def test_report_rows_print_the_texts_of_their_axioms(case):
-    """emit_report prints the texts score_submission's scan made; they are
-    the rows serialize_axiom gives, and a report built by hand from the same
-    axioms renders the same bytes."""
+    """emit_report prints the texts score_submission's scan made: the
+    reference column is the winning version's texts, in the stream's order,
+    and the candidate column holds serialize_axiom of distinct candidate
+    axioms, or nothing for an unmatched row. The csv module renders the same
+    bytes from the rows."""
     candidate, reference, cap = case
     report = score_submission(candidate, reference, cap=cap)
+    winner = next(
+        itertools.islice(_equivalent_stream(reference.axioms), report.best_version_index, None)
+    )
+    assert [item.reference_text for item in report.per_axiom] == winner
+    matched = Counter(item.candidate_text for item in report.per_axiom if item.candidate_text)
+    assert matched <= Counter(serialize_axioms(candidate.axioms))
     assert emit_report(report) == csv_rendered(report)
-    assert emit_report(hand_built(report)) == emit_report(report)
 
 
 ODD_IDS = (":a,b", ':q"x', ':r""', ':s,"t",')
@@ -1038,7 +1071,7 @@ def test_pruning_shows_in_the_module_level_calls(monkeypatch):
     # fewer pairs than the plain scan
     assert 2 * len(candidate.axioms) < counts["similarity_oracle"]
     # each distinct serialized text, of the candidate and the scanned versions, once
-    texts = {t for _, version_texts in itertools.islice(_equivalent_stream(reference.axioms), 20)
+    texts = {t for version_texts in itertools.islice(_equivalent_stream(reference.axioms), 20)
              for t in version_texts}
     texts.update(serialize_axiom(ax) for ax in candidate.axioms)
     assert scored["normalize"] == len(texts)
