@@ -3,8 +3,10 @@ survey axiom patterns over a corpus, and score round-trip re-codings.
 
 The pipeline for one class: parse_ontology + load_lexicon, collect_frame,
 classify each frame axiom, build_rst, realize. ``frames`` gives every declared
-class's frame from one pass over the axioms, as the survey and batch
-verbalization use it; the evaluation entry point reuses the same parsed model.
+class's frame from one pass over the axioms, as batch verbalization uses it.
+An axiom's group label depends only on the axiom, its directness on the
+class, so the survey reads each axiom once, labels it and builds no frames.
+The evaluation entry point reuses the same parsed model.
 """
 
 from .classifier import ClassifiedAxiom, classify, frame_groups, pattern_label

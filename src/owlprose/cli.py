@@ -24,7 +24,7 @@ import pathlib
 import sys
 
 from . import __version__
-from .classifier import classify
+from .classifier import classify_frame_axiom
 from .evaluate import DEFAULT_CAP, emit_report as emit_eval_report, score_submission
 from .model import UnknownClass, collect_frame, frames
 from .parser import (
@@ -88,7 +88,7 @@ def cmd_verbalize(args: argparse.Namespace) -> int:
             print(f"owlprose: unknown class {class_id}", file=sys.stderr)
             unknown += 1
             continue
-        classified = [classify(axiom, class_id) for axiom in frame.axioms]
+        classified = [classify_frame_axiom(axiom, class_id) for axiom in frame.axioms]
         tree = build_rst(frame, classified)
         if args.rst_debug:
             print(render_debug(tree), file=sys.stderr)
@@ -107,18 +107,22 @@ def cmd_survey(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         print(f"owlprose: not a readable directory: {directory}", file=sys.stderr)
         return 1
-    corpus = []
     skipped = 0
-    for path in sorted(directory.rglob("*.ofs")):
-        try:
-            corpus.append(parse_ontology(SourceDocument.from_path(path), strict=args.strict))
-        except (ParseError, UndeclaredEntity) as exc:  # the message names the file
-            log.warning("skipping %s", exc)
-            skipped += 1
-        except OSError as exc:
-            log.warning("skipping %s: %s", path, exc.strerror)
-            skipped += 1
-    stats = survey(corpus)
+
+    def corpus():
+        """Each readable file's ontology, parsed when the survey reaches it."""
+        nonlocal skipped
+        for path in sorted(directory.rglob("*.ofs")):
+            try:
+                yield parse_ontology(SourceDocument.from_path(path), strict=args.strict)
+            except (ParseError, UndeclaredEntity) as exc:  # the message names the file
+                log.warning("skipping %s", exc)
+                skipped += 1
+            except OSError as exc:
+                log.warning("skipping %s: %s", path, exc.strerror)
+                skipped += 1
+
+    stats = survey(corpus())
     if skipped:
         print(f"skipped {skipped} file(s)", file=sys.stderr)
     sys.stdout.write(emit_survey_report(stats))

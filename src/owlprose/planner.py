@@ -12,7 +12,7 @@ trailing list, one leaf per axiom. Car, Dcr and Du axioms are never planned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .classifier import ClassifiedAxiom
 from .model import ClassFrame, Named, conjuncts
@@ -80,7 +80,7 @@ def _route(ca: ClassifiedAxiom) -> tuple[str, ClassifiedAxiom] | None:
         # named classes. A subclass of an intersection is a subclass of every
         # conjunct, and the conjuncts then aggregate into the kind-of sentence
         # instead of spawning a separate complex sentence.
-        return ("sc-super", replace(ca, group="Sc"))
+        return ("sc-super", ca._replace(group="Sc"))
     return (label, ca)  # ec, dc, ca, scr, ecr
 
 

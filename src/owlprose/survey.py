@@ -8,6 +8,11 @@ pattern. Roles bundle the simple and complex variants of a group: taxonomy
 Car) and alternatives (Du). Containment is counted once per class however
 many axioms of the group the frame holds.
 
+A group label depends only on the axiom (``classifier.group_of``), so the
+survey reads each axiom once: it takes the axiom's label and the class ids it
+mentions (``model.class_ids``, the frame rule) and adds the label to the
+group set of each declared class among them. It builds no frames.
+
 The report gives every frequency against two denominators, all classes and
 classes with a nonempty frame, because either population can be the one of
 interest when profiling a corpus.
@@ -16,10 +21,11 @@ interest when profiling a corpus.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .classifier import frame_groups
-from .model import Ontology, frames
+from .classifier import group_of
+from .model import Ontology, class_ids
 
 ROLES = {
     "taxonomy": frozenset(("Sc", "Scr")),
@@ -44,17 +50,31 @@ class PatternStats:
         return self.total_classes - self.per_pattern.get("", 0)
 
 
-def survey(corpus: list[Ontology]) -> PatternStats:
-    """Tally the pattern of every declared class in every ontology, from frames
-    built in one pass over each ontology's axioms."""
+def _class_groups(ontology: Ontology) -> Iterable[set]:
+    """Each declared class's set of group labels, from one pass over the
+    axioms. Mentioned but undeclared ids get no set."""
+    groups = {iri: set() for iri in ontology.classes}
+    for axiom in ontology.axioms:
+        group = group_of(axiom)
+        for iri in class_ids(axiom):
+            members = groups.get(iri)
+            if members is not None:
+                members.add(group)
+    return groups.values()
+
+
+def survey(corpus: Iterable[Ontology]) -> PatternStats:
+    """Tally the pattern of every declared class in every ontology.
+
+    The corpus may be any iterable, a generator included: each ontology is
+    read once, and none is held once its tally is taken."""
     stats = PatternStats()
-    for ontology in corpus:
-        for frame in frames(ontology).values():
-            groups = frame_groups(frame)
+    # map, not a loop variable, so no ontology is bound while the next is made
+    for class_groups in map(_class_groups, corpus):
+        for groups in class_groups:
             stats.per_pattern["".join(sorted(groups))] += 1
             stats.total_classes += 1
-            for group in groups:
-                stats.group_containment[group] += 1
+            stats.group_containment.update(groups)
             for role, members in ROLES.items():
                 if groups & members:
                     stats.role_containment[role] += 1

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import genutil
-from owlprose.classifier import NotInFrame, classify, frame_groups, pattern_label
+from owlprose.classifier import (
+    NotInFrame,
+    classify,
+    classify_frame_axiom,
+    frame_groups,
+    group_of,
+    pattern_label,
+)
 from owlprose.model import (
     ClassAssertion,
     ClassFrame,
@@ -17,6 +24,7 @@ from owlprose.model import (
     Intersection,
     Named,
     SubClassOf,
+    frames,
 )
 
 D = ":F"
@@ -100,3 +108,23 @@ def test_classify_agrees_with_case_analysis_oracle(seed):
             genutil.oracle_group(axiom, D),
             genutil.oracle_direct(axiom, D),
         )
+
+
+@given(st.integers(0, 10**9))
+def test_frame_core_agrees_with_classify(seed):
+    """On every axiom of every frame, the unchecked core and classify give the
+    same group, directness and axiom object; the group is the axiom's alone;
+    classify still rejects every axiom outside the frame."""
+    ontology = genutil.gen_ontology(random.Random(seed), max_axioms=12)
+    for iri, frame in frames(ontology).items():
+        for axiom in frame.axioms:
+            core, checked = classify_frame_axiom(axiom, iri), classify(axiom, iri)
+            assert (core.group, core.direct) == (checked.group, checked.direct)
+            assert core.axiom is axiom and checked.axiom is axiom
+            assert core.group == group_of(axiom) == genutil.oracle_group(axiom, iri)
+        assert frame_groups(frame) == {genutil.oracle_group(ax, iri) for ax in frame.axioms}
+        assert pattern_label(frame) == genutil.oracle_pattern(frame)
+        for axiom in ontology.axioms:
+            if iri not in genutil.class_ids_oracle(axiom):
+                with pytest.raises(NotInFrame):
+                    classify(axiom, iri)

@@ -8,14 +8,16 @@ import random
 import subprocess
 import sys
 import tempfile
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from owlprose import model
+from owlprose import cli, model
 from owlprose.cli import main
-from owlprose.model import Ontology, frames
-from owlprose.parser import MAX_NESTING
+from owlprose.model import Ontology
+from owlprose.parser import MAX_NESTING, SourceDocument, parse_ontology
+from owlprose.survey import emit_report, survey
 
 import genutil
 
@@ -155,8 +157,9 @@ def test_batch_on_a_generated_ontology_equals_single_runs(tmp_path, seed, extra)
 
 def test_whole_ontology_commands_walk_each_frame_once(tmp_path, monkeypatch):
     """Linear work, counted: survey and verbalize --class all call class_ids
-    once per axiom to build the frames and once per frame axiom to classify
-    it, where a scan per class would call it classes x axioms times."""
+    exactly once per axiom, where a scan per class would call it classes x
+    axioms times and a membership check per frame axiom once more for each.
+    Every binding of class_ids in the package is counted."""
     rng = random.Random(300)
     classes, props, inds = genutil.make_pools(300, 12, 12)
     axioms = [genutil.gen_axiom(rng, classes, props, inds, rng.randint(0, 2)) for _ in range(1200)]
@@ -164,18 +167,20 @@ def test_whole_ontology_commands_walk_each_frame_once(tmp_path, monkeypatch):
     (tmp_path / "corpus").mkdir()
     path = tmp_path / "corpus" / "large.ofs"
     path.write_text(genutil.ontology_text(ontology), encoding="utf-8")
-    bound = len(axioms) + sum(len(frame.axioms) for frame in frames(ontology).values())
 
     calls = []
     class_ids = model.class_ids
-    monkeypatch.setattr(model, "class_ids", lambda axiom: calls.append(1) or class_ids(axiom))
+    counted = lambda axiom: calls.append(1) or class_ids(axiom)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "owlprose" and getattr(module, "class_ids", None) is class_ids:
+            monkeypatch.setattr(module, "class_ids", counted)
     for argv in (
         ["survey", str(tmp_path / "corpus")],
         ["verbalize", "--ontology", str(path), "--class", "all"],
     ):
         calls.clear()
         assert run(argv)[0] == 0
-        assert len(axioms) <= len(calls) <= bound, argv
+        assert len(calls) == len(axioms), argv
 
 
 def test_records_format_labels_each_sentence(capsys, ontology_path, lexicon_path):
@@ -418,6 +423,33 @@ def test_survey_rejects_a_missing_directory(capsys, tmp_path):
     assert status == 1
     _, err = capsys.readouterr()
     assert "not a readable directory" in err
+
+
+def test_survey_parses_each_file_after_the_last_is_released(tmp_path, monkeypatch):
+    """survey streams the corpus: when a file is parsed, no ontology parsed
+    before it is alive, and the report is the survey of the parsed list."""
+    rng = random.Random(41)
+    for i in range(4):
+        text = genutil.ontology_text(genutil.gen_ontology(rng))
+        (tmp_path / f"f{i}.ofs").write_text(text, encoding="utf-8")
+    (tmp_path / "f2b.ofs").write_text("SubClassOf(:A\n", encoding="utf-8")
+    paths = sorted(tmp_path.glob("*.ofs"))
+    listed = [parse_ontology(SourceDocument.from_path(p)) for p in paths if p.name != "f2b.ofs"]
+
+    parsed, alive_at_parse = [], []
+
+    def tracked(document, **kwargs):
+        alive_at_parse.append(sum(ref() is not None for ref in parsed))
+        ontology = parse_ontology(document, **kwargs)
+        parsed.append(weakref.ref(ontology))
+        return ontology
+
+    monkeypatch.setattr(cli, "parse_ontology", tracked)
+    status, out, err = run(["survey", str(tmp_path)])
+    assert (status, out) == (0, emit_report(survey(listed)))
+    assert err.endswith("skipped 1 file(s)\n") and "skipping" in err
+    assert len(alive_at_parse) == len(paths) and len(parsed) == len(listed)
+    assert alive_at_parse == [0] * len(paths)
 
 
 # ---------------------------------------------------------------------------
