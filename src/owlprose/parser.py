@@ -275,26 +275,15 @@ class _Parser:
         return self.ontology
 
     def parse_item(self):
+        """One declaration, whose id joins its kind's id set, or one axiom,
+        appended to the ontology's axioms."""
         keyword = self.advance()
         if keyword not in _ITEM_KEYWORDS:
             message = f"unexpected keyword {keyword!r}" if _kind(keyword) == "keyword" else None
             raise self.error(self.pos - 1, _ITEM_KEYWORDS, message)
         if keyword == "Declaration":
-            # a well-formed ( Kind ( :id ) ) is read as one slice of tokens;
-            # any other run goes token by token, which raises at the first
-            # token out of place
-            window = self.tokens[self.pos : self.pos + 6]
-            if len(window) == 6:
-                opening, declared, inner, iri, closing, outer = window
-                if (
-                    opening == inner == "("
-                    and closing == outer == ")"
-                    and declared in self.declarations
-                    and _kind(iri) == "id"
-                ):
-                    self.declarations[declared][1].add(iri)
-                    self.pos += 6
-                    return
+            # ( Kind ( :id ) ), read token by token: the first token out of
+            # place raises
             self.expect("(")
             declared = self.advance()
             if declared not in self.declarations:

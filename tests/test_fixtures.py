@@ -1,20 +1,21 @@
-"""The fixtures directory is exactly what tools/make_fixtures.py writes."""
+"""The fixtures directory is consistent with its manifest."""
 
-import importlib.util
+import dataclasses
+
+from owlprose.parser import SourceDocument, load_lexicon, parse_ontology
+from owlprose.realizer import RealizeOptions
 
 
-def test_generator_reproduces_the_fixtures(fixture_dir, tmp_path, monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location(
-        "make_fixtures", fixture_dir.parent / "tools" / "make_fixtures.py"
-    )
-    make_fixtures = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_fixtures)
-    monkeypatch.setattr(make_fixtures, "FIXTURES", tmp_path)
-    make_fixtures.main()
-    capsys.readouterr()
-
-    generated = sorted(path.name for path in tmp_path.iterdir())
-    committed = sorted(path.name for path in fixture_dir.iterdir())
-    assert generated == committed
-    for name in generated:
-        assert (tmp_path / name).read_bytes() == (fixture_dir / name).read_bytes(), name
+def test_fixtures_directory_is_self_consistent(fixture_dir, manifest):
+    named = [name for entry in manifest.values() for name in (entry["ontology"], entry["lexicon"])]
+    present = sorted(path.name for path in fixture_dir.iterdir() if path.name != "manifest.json")
+    assert sorted(named) == present
+    option_fields = {field.name for field in dataclasses.fields(RealizeOptions)}
+    for name, entry in manifest.items():
+        assert (entry["ontology"], entry["lexicon"]) == (f"{name}.ofs", f"{name}.tsv")
+        ontology_doc = SourceDocument.from_path(fixture_dir / entry["ontology"])
+        ontology = parse_ontology(ontology_doc, strict=True)
+        assert entry["designated"] in ontology.classes, name
+        load_lexicon(SourceDocument.from_path(fixture_dir / entry["lexicon"]))
+        for flag, value in entry["flags"].items():
+            assert flag in option_fields and isinstance(value, bool), (name, flag)
