@@ -29,8 +29,7 @@ import codecs
 import logging
 import re
 from dataclasses import dataclass
-from itertools import islice
-from operator import itemgetter
+from itertools import filterfalse, islice
 
 from .model import (
     Axiom,
@@ -128,19 +127,20 @@ def _universal_newlines(text: str) -> str:
 # Tokenizer and recursive-descent parser
 # ---------------------------------------------------------------------------
 
-# The text of one token: a parenthesis, an id or a keyword.
+# The text of one token: a parenthesis, an id or a keyword. No token holds a
+# "#", so every "#" starts a comment and _tokens can cut comments first.
 _TOKEN = r"[()]|:[^\s()#]+|[A-Za-z][A-Za-z0-9]*"
 _WHOLE_TOKEN_RE = re.compile(_TOKEN)
+_COMMENT_RE = re.compile(r"\#[^\n]*")
 
-# One match per token, skipped run or bad character, so findall walks the text
-# once. A token is its text: its kind follows from its first character (see
-# _kind), and the end of input is the empty token "". Offsets are not kept;
-# an error finds its token's offset again by the same walk with finditer.
-# Every alternative matches one run with no nested repetition, so the walk is
-# linear in the text's length.
+# One match per token, skipped run or bad character. A token is its text: its
+# kind follows from its first character (see _kind), and the end of input is
+# the empty token "". Offsets are not kept; an error finds its token's offset
+# by a finditer walk over the whole text. Every alternative matches one run
+# with no nested repetition, so that walk is linear in the text's length.
 _TOKEN_RE = re.compile(
     rf"""
-    \s+|\#[^\n]*
+    \s+|{_COMMENT_RE.pattern}
   | (?P<token>{_TOKEN})
   | (?P<bad>.)
     """,
@@ -148,24 +148,28 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _split_tokens(text: str) -> list | None:
-    """The text's tokens as _TOKEN_RE finds them, one string object per
-    distinct text, taken by str.split without a match or tuple per token; or
-    None when splitting would not give them.
+def _tokens(text: str) -> list | None:
+    """The text's tokens as a _TOKEN_RE walk finds them, one string object
+    per distinct text; or None when the text holds a bad character.
 
-    With its parentheses padded with spaces, the text splits at exactly the
-    characters \\s matches (str.split and \\s agree on whitespace). When
-    each piece is one whole token, findall finds those pieces and nothing
-    else. A piece such as "Class:X" (a keyword glued to an id), or one that
-    holds a bad character or a comment's "#", is not one token, and the text
-    goes through findall. Each distinct piece is checked once, and a text
-    with a "#" in it is not split at all."""
+    With its comments cut and its parentheses padded with spaces, the text
+    splits at exactly the characters \\s matches (str.split and \\s agree on
+    whitespace). Each distinct piece is checked once, and most are one whole
+    token. Any other piece is a keyword glued to an id, as in "Class:X",
+    which _WHOLE_TOKEN_RE.findall takes apart as the walk would, or it holds
+    a bad character, which that findall skips where the walk reports it."""
     if "#" in text:
-        return None
+        text = _COMMENT_RE.sub("", text)
     texts: dict = {}
     pieces = text.replace("(", " ( ").replace(")", " ) ").split()
     tokens = list(map(texts.setdefault, pieces, pieces))
-    return tokens if all(map(_WHOLE_TOKEN_RE.fullmatch, texts)) else None
+    glued = list(filterfalse(_WHOLE_TOKEN_RE.fullmatch, texts))
+    if not glued:
+        return tokens
+    parts = {piece: _WHOLE_TOKEN_RE.findall(piece) for piece in glued}
+    if any("".join(found) != piece for piece, found in parts.items()):
+        return None
+    return [texts.setdefault(t, t) for piece in tokens for t in parts.get(piece, (piece,))]
 
 
 # first character of a token -> its kind; any other first character is a letter
@@ -199,18 +203,11 @@ class _Parser:
         }
         # one string object per distinct token text: every mention of an id is
         # then the same object, and set lookups over ids match by identity
-        self.tokens = _split_tokens(self.text)
+        self.tokens = _tokens(self.text)
         if self.tokens is None:
-            matches = _TOKEN_RE.findall(self.text)  # (token, bad) per match
-            if any(map(itemgetter(1), matches)):
-                bad = next(m for m in _TOKEN_RE.finditer(self.text) if m.lastgroup == "bad")
-                raise ParseError(
-                    f"unexpected character {bad.group()!r}",
-                    self.path,
-                    *_position(self.text, bad.start()),
-                )
-            tokens = list(filter(None, map(itemgetter(0), matches)))
-            self.tokens = list(map({}.setdefault, tokens, tokens))
+            bad = next(m for m in _TOKEN_RE.finditer(self.text) if m.lastgroup == "bad")
+            position = _position(self.text, bad.start())
+            raise ParseError(f"unexpected character {bad.group()!r}", self.path, *position)
         self.tokens.append("")
         self.pos = 0
         # class id -> the one Named of this document for it, made at the id's

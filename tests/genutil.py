@@ -7,8 +7,7 @@ case analysis, products by plain recursion that re-makes every factor per
 combination, each expression's and axiom's variants by itertools, the order
 of a SubClassOf pool's versions by nested products per block,
 edit distance by plain recursion and by the textbook dynamic program,
-tokens by the one-match-at-a-time finditer walk the parser once used
-and by one findall walk over the same pattern,
+tokens by the one-match-at-a-time finditer walk the parser once used,
 assignments and the split/permutation family by brute force, text positions
 by walking the text, normalization one character at a time, scoring by the
 plain scan without pruning, the equivalent-version stream by building every
@@ -457,17 +456,6 @@ def tokens_oracle(text: str) -> list:
             tokens.append((value if kind == "paren" else kind, value, match.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
-
-
-def findall_tokens_oracle(text: str) -> list | None:
-    """The token texts one findall walk over the oracle's token pattern gives,
-    then "" for the end of input; None when the text holds a character no
-    token can start with."""
-    matches = _TOKEN_ORACLE_RE.findall(text)  # (skip, paren, id, keyword, bad) per match
-    if any(match[4] for match in matches):
-        return None
-    return [paren or id_ or keyword for _, paren, id_, keyword, _ in matches
-            if paren or id_ or keyword] + [""]
 
 
 def line_column(text: str, offset: int) -> tuple:

@@ -186,18 +186,10 @@ TOKEN_PIECES = (
 BAD_PIECES = (":", "é", "1", "$", "_")
 
 
-@given(
-    st.lists(st.sampled_from(TOKEN_PIECES), max_size=40),
-    st.lists(st.tuples(st.integers(0, 40), st.sampled_from(BAD_PIECES)), max_size=3),
-)
-@example(["#", "\r", ":x", "\r\n", "("], [])  # a comment runs on past a lone CR
-@example(["a1", ":x", ")"], [(1, "é"), (3, "1")])  # "é" ends the keyword and is bad
-def test_tokens_match_the_finditer_oracle(pieces, bad_pieces):
-    """Valid text gives the oracle's token texts and kinds; invalid text
-    fails with the message, line and column of the oracle's first bad token."""
-    for position, piece in bad_pieces:
-        pieces.insert(min(position, len(pieces)), piece)
-    text = "".join(pieces)
+def assert_tokens_match_the_oracle(text: str):
+    """Valid text gives the oracle's token texts and kinds, one string object
+    per distinct text; invalid text fails with the message, line and column
+    of the oracle's first bad character."""
     expected = genutil.tokens_oracle(text)
     kind, value, offset = expected[-1]
     if kind == "eof":
@@ -205,51 +197,109 @@ def test_tokens_match_the_finditer_oracle(pieces, bad_pieces):
         assert [(parser._kind(token), token) for token in tokens] == [
             (oracle_kind, oracle_text) for oracle_kind, oracle_text, _ in expected
         ]
+        assert len(set(map(id, tokens))) == len(set(tokens))
         return
     line, column = genutil.line_column(text, offset)
     with pytest.raises(ParseError) as err:
-        parse_ontology(SourceDocument(text, "pieces.ofs"))
+        parse_ontology(SourceDocument(text, "doc.ofs"))
     assert (err.value.line, err.value.column) == (line, column)
     assert str(err.value) == (
-        f"pieces.ofs: unexpected character {value!r} at line {line}, column {column}"
+        f"doc.ofs: unexpected character {value!r} at line {line}, column {column}"
     )
+
+
+@given(
+    st.lists(st.sampled_from(TOKEN_PIECES), max_size=40),
+    st.lists(st.tuples(st.integers(0, 40), st.sampled_from(BAD_PIECES)), max_size=3),
+)
+@example(["#", "\r", ":x", "\r\n", "("], [])  # a comment runs on past a lone CR
+@example(["a1", ":x", ")"], [(1, "é"), (3, "1")])  # "é" ends the keyword and is bad
+def test_tokens_match_the_finditer_oracle(pieces, bad_pieces):
+    """Text built from tokens, whitespace, comments and bad characters."""
+    for position, piece in bad_pieces:
+        pieces.insert(min(position, len(pieces)), piece)
+    assert_tokens_match_the_oracle("".join(pieces))
 
 
 @settings(deadline=None)
 @given(st.integers(0, 10**9))
-def test_split_tokens_and_parses_match_the_findall_walk(seed):
-    """On laid-out documents with comments, every kind of line end and
-    whitespace, glued tokens, non-ASCII ids and bad characters: the split
-    path is taken exactly when splitting gives the findall walk's tokens,
-    the parser's tokens are that walk's, and parsing in lenient and strict
-    mode ends as it does when every text goes through findall."""
-    text = genutil.laid_out_document(random.Random(seed))
-    expected = genutil.findall_tokens_oracle(text)
-    split = text.replace("(", " ( ").replace(")", " ) ").split() + [""]
-    splittable = "#" not in text and split == expected
-    assert parser._split_tokens(text) == (expected[:-1] if splittable else None)
-    if expected is not None:
-        assert parser._Parser(SourceDocument(text), strict=False).tokens == expected
-    outcomes = [genutil.parse_outcome(text, strict) for strict in (False, True)]
+def test_tokens_of_laid_out_documents_match_the_oracle(seed):
+    """Laid-out documents with comments, every kind of line end and
+    whitespace, glued tokens, non-ASCII ids and bad characters."""
+    assert_tokens_match_the_oracle(genutil.laid_out_document(random.Random(seed)))
+
+
+class _RecordingPattern:
+    """A compiled pattern that records the length of each text its findall
+    and finditer are given."""
+
+    def __init__(self, pattern, lengths: list):
+        self.pattern, self.lengths = pattern, lengths
+
+    def findall(self, text, *args):
+        self.lengths.append(len(text))
+        return self.pattern.findall(text, *args)
+
+    def finditer(self, text, *args):
+        self.lengths.append(len(text))
+        return self.pattern.finditer(text, *args)
+
+    def __getattr__(self, name):
+        return getattr(self.pattern, name)
+
+
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        (
+            "# a commented document\nSubClassOf(:A :B) # note ( :x é\n# end\n",
+            ["SubClassOf", "(", ":A", ":B", ")"],
+        ),
+        (
+            "Declaration(Class:X)\nSubClassOf(:X ObjectSomeValuesFrom(:p :Y))\n",
+            ["Declaration", "(", "Class", ":X", ")",
+             "SubClassOf", "(", ":X", "ObjectSomeValuesFrom", "(", ":p", ":Y", ")", ")"],
+        ),
+    ],
+    ids=["comments", "glued"],
+)
+def test_a_valid_document_is_tokenized_with_no_walk_over_the_whole_text(text, tokens):
+    """Neither comments nor a keyword glued to an id send a regular-expression
+    walk over the whole text: the only walks are over glued pieces."""
+    lengths: list = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(parser, "_split_tokens", lambda text: None)
-        assert outcomes == [genutil.parse_outcome(text, strict) for strict in (False, True)]
+        for name in ("_TOKEN_RE", "_WHOLE_TOKEN_RE"):
+            patch.setattr(parser, name, _RecordingPattern(getattr(parser, name), lengths))
+        assert parser._Parser(SourceDocument(text), strict=False).tokens == tokens + [""]
+    assert all(length <= len("Class:X") for length in lengths)
 
 
 def test_tokenizing_stays_linear_on_a_long_adversarial_document():
     """About 300 KB of long whitespace runs, a 100 KB keyword, a long id and
-    a long comment, with one bad character at the very end."""
-    text = (
+    a long comment: with one bad character at the very end, the tokenizer
+    reports it; without it, the parse fails at the long keyword."""
+    valid = (
         "Ontology(" + " \t" * 40_000 + "\n" * 10_000 + "\u3000" * 10_000
         + "Declaration" + "a1" * 50_000 + " :" + "x" * 40_000
-        + " #" + "( :x é" * 5_000 + "\n" + "\r\n" * 5_000 + "$"
+        + " #" + "( :x é" * 5_000 + "\n" + "\r\n" * 5_000
     )
+    text = valid + "$"
     start = time.perf_counter()
     with pytest.raises(ParseError) as err:
         parse_ontology(SourceDocument(text, "long.ofs"))
     assert time.perf_counter() - start < 5.0
     line, column = genutil.line_column(text, len(text) - 1)
     assert str(err.value) == f"long.ofs: unexpected character '$' at line {line}, column {column}"
+    keyword = "Declaration" + "a1" * 50_000
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_ontology(SourceDocument(valid, "long.ofs"))
+    assert time.perf_counter() - start < 5.0
+    line, column = genutil.line_column(valid, valid.index(keyword))
+    assert str(err.value) == (
+        f"long.ofs: unexpected keyword {keyword!r} at line {line}, column {column} "
+        "(expected " + " or ".join(parser._ITEM_KEYWORDS) + ")"
+    )
 
 
 def nested_existentials(depth: int) -> str:
