@@ -395,12 +395,16 @@ def load_lexicon(doc: SourceDocument | str) -> dict[str, LexEntry]:
     """Load a TSV lexicon: id, preferred_name[, article[, property_phrase[, joiner]]].
 
     Empty cells mean "absent". Later rows override earlier ones for the same
-    id. Full-line ``#`` comments and blank lines are skipped.
+    id. Full-line ``#`` comments and blank lines are skipped. Rows end only
+    where ``SourceDocument.from_path`` ends a line (\\n, and \\r\\n or \\r
+    in a text passed directly), so error line numbers count lines as
+    ParseError does; other characters that ``str.splitlines`` breaks at, such
+    as \\x1c or U+2028, stay inside their cell.
     """
     if isinstance(doc, str):
         doc = SourceDocument(doc)
     entries: dict[str, LexEntry] = {}
-    for lineno, line in enumerate(doc.text.splitlines(), start=1):
+    for lineno, line in enumerate(_universal_newlines(doc.text).split("\n"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         cells = line.split("\t")

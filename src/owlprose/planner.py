@@ -1,13 +1,18 @@
 """Discourse planning: route each classified axiom to a leaf of the
 nucleus/satellite tree the realizer walks (RST, Mann & Thompson 1988).
 
-The tree has up to three blocks, in paragraph order: simple-direct,
-complex-direct and the indirect list. Leaves follow the group precedence Sc,
-Ec, Dc, Ca, Scr, Ecr inside each block, and axioms within a leaf keep frame
-order. Each planned axiom is the frame's own object, on one leaf. Indirect
-simple axioms share the direct leaves (an indirect SubClassOf names a
-specialisation), so only complex indirect axioms (Scr2/Ecr2) reach the
-trailing list, one leaf per axiom. Car, Dcr and Du axioms are never planned.
+``_SKELETON`` is the one table of the plan. It lists up to three blocks, in
+paragraph order: simple-direct, complex-direct and the indirect list. Each
+leaf row names the (group, direct) pairs it takes, so routing an axiom is one
+lookup, and leaves follow the group precedence Sc, Ec, Dc, Ca, Scr, Ecr
+inside each block. Axioms within a leaf keep frame order, and each planned
+axiom is the frame's own object, on one leaf. Indirect simple axioms share the
+direct leaves (an indirect SubClassOf names a specialisation), so only complex
+indirect axioms (Scr2/Ecr2) reach the trailing list, one leaf per axiom. No
+row lists Car, Dcr or Du, so those axioms are never planned.
+
+One rule sits outside the table: a direct Scr whose super is an intersection
+of named classes is folded into the kind-of leaf as an Sc axiom.
 """
 
 from __future__ import annotations
@@ -24,28 +29,32 @@ ELABORATION = "elaboration"
 CONDITION = "condition"
 LIST = "list"
 
-_DROPPED_GROUPS = ("Car", "Dcr", "Du")
-
 # Blocks in paragraph order: label, kind, relation, the connector the block
 # opens with when another block precedes it, and its leaves in plan order as
-# (label, kind, relation). A LIST leaf holds one axiom.
+# (label, kind, relation, the (group, direct) pairs routed to the leaf). A
+# LIST leaf holds one axiom. A pair no row lists (Car, Dcr, Du) is not planned.
 _SKELETON = (
     ("simple-direct", NUCLEUS, None, None, (
-        ("sc-super", NUCLEUS, None),
-        ("sc-specialised", NUCLEUS, None),
-        ("ec", SATELLITE, ELABORATION),
-        ("dc", SATELLITE, ELABORATION),
+        ("sc-super", NUCLEUS, None, (("Sc", True),)),
+        ("sc-specialised", NUCLEUS, None, (("Sc", False),)),
+        ("ec", SATELLITE, ELABORATION, (("Ec", True), ("Ec", False))),
+        ("dc", SATELLITE, ELABORATION, (("Dc", True), ("Dc", False))),
     )),
     ("complex-direct", SATELLITE, ELABORATION, "Additionally", (
-        ("ca", SATELLITE, ELABORATION),
-        ("scr", NUCLEUS, None),
-        ("ecr", SATELLITE, CONDITION),
+        ("ca", SATELLITE, ELABORATION, (("Ca", True),)),
+        ("scr", NUCLEUS, None, (("Scr", True),)),
+        ("ecr", SATELLITE, CONDITION, (("Ecr", True),)),
     )),
     ("indirect-list", SATELLITE, ELABORATION, None, (
-        ("indirect-scr", NUCLEUS, LIST),
-        ("indirect-ecr", NUCLEUS, LIST),
+        ("indirect-scr", NUCLEUS, LIST, (("Scr", False),)),
+        ("indirect-ecr", NUCLEUS, LIST, (("Ecr", False),)),
     )),
 )
+
+# The leaf label of each (group, direct) pair that a _SKELETON row lists.
+_LEAF_OF = {
+    pair: label for *_, leaf_specs in _SKELETON for label, *_, pairs in leaf_specs for pair in pairs
+}
 
 
 @dataclass
@@ -66,24 +75,6 @@ class RstNode:
     designated: str | None = None
 
 
-def _route(ca: ClassifiedAxiom) -> tuple[str, ClassifiedAxiom] | None:
-    """The leaf label for one classified axiom, or None when it is dropped."""
-    if ca.group in _DROPPED_GROUPS:
-        return None
-    if ca.group == "Sc":
-        return ("sc-super" if ca.direct else "sc-specialised", ca)
-    label = ca.group.lower()
-    if not ca.direct and ca.group in ("Scr", "Ecr"):
-        return (f"indirect-{label}", ca)
-    if ca.group == "Scr" and all(isinstance(op, Named) for op in conjuncts(ca.axiom.super)):
-        # A direct Scr's super is never named, so this is an intersection of
-        # named classes. A subclass of an intersection is a subclass of every
-        # conjunct, and the conjuncts then aggregate into the kind-of sentence
-        # instead of spawning a separate complex sentence.
-        return ("sc-super", ca._replace(group="Sc"))
-    return (label, ca)  # ec, dc, ca, scr, ecr
-
-
 def build_rst(frame: ClassFrame, classified: list[ClassifiedAxiom]) -> RstNode:
     """Arrange the classified frame into the paragraph tree.
 
@@ -95,13 +86,21 @@ def build_rst(frame: ClassFrame, classified: list[ClassifiedAxiom]) -> RstNode:
     """
     routed = {}
     for ca in classified:
-        if route := _route(ca):
-            routed.setdefault(route[0], []).append(route[1])
+        if ca.group == "Scr" and ca.direct and all(
+            isinstance(op, Named) for op in conjuncts(ca.axiom.super)
+        ):
+            # A direct Scr's super is never named, so this is an intersection
+            # of named classes. A subclass of an intersection is a subclass of
+            # every conjunct, and the conjuncts then aggregate into the
+            # kind-of sentence instead of spawning a separate complex one.
+            ca = ca._replace(group="Sc")
+        if label := _LEAF_OF.get((ca.group, ca.direct)):
+            routed.setdefault(label, []).append(ca)
 
     root = RstNode(NUCLEUS, None, f"class {frame.designated}", designated=frame.designated)
     for block_label, block_kind, block_relation, connector, leaf_specs in _SKELETON:
         children = []
-        for label, kind, relation in leaf_specs:
+        for label, kind, relation, _ in leaf_specs:
             axioms = routed.get(label)
             if axioms:
                 pieces = [[ca] for ca in axioms] if relation == LIST else [axioms]

@@ -1,10 +1,12 @@
 """Surface realization: walk the discourse tree, aggregate shared-subject
 statements, fill the sentence templates, and insert articles.
 
-realize walks the planned tree once, block by block, and hands each leaf to
-the template function its label names. Leaves are taken in plan order except
-the members leaf, which goes last in its block because its clause trails the
-sentence it merges onto.
+realize walks the planned tree once, block by block and leaf by leaf in plan
+order, and hands each leaf to the template function its label names in
+``_TEMPLATES``. The members clause trails its block: the builder holds it
+until the block ends and then merges it onto the block's last sentence. Each
+template records the group of the classified axioms it realizes, so record
+labels come from the classifier (and from the planner's Scr-to-Sc fold).
 
 The template catalogue, with F the described class; the leaves hold the
 frame's own axioms, with F on either side:
@@ -189,10 +191,8 @@ class _ParagraphBuilder:
         self.bare = renderer.np(self.described, articled=False)
         self.bodies: list[list] = []  # [labels, body] pairs
         self.block_start = 0
+        self.trailing: list[tuple[str, str]] = []  # (group, clause) held to the block's end
         self.embedded: list[tuple[str, str]] = []  # (group, sentence) per indirect axiom
-
-    def start_block(self):
-        self.block_start = len(self.bodies)
 
     def sentence(self, label: str, body: str):
         self.bodies.append([[label], body])
@@ -207,9 +207,15 @@ class _ParagraphBuilder:
             self.sentence(label, body)
 
     def end_block(self, connector: str | None):
+        """Merge the held clauses onto the block's last sentence, open the
+        block with its connector, and start the next block after it."""
+        for group, clause in self.trailing:
+            self.merge_or_sentence(group, clause, f"{self.subject} {clause}")
+        self.trailing.clear()
         if connector and len(self.bodies) > self.block_start:
             first = self.bodies[self.block_start]
             first[1] = f"{connector.lower()}, {first[1]}"
+        self.block_start = len(self.bodies)
 
     def paragraph(self) -> Paragraph:
         """Finalize the sentences; several indirect axioms become bullets."""
@@ -236,53 +242,54 @@ def _rest(p: _ParagraphBuilder, axiom) -> tuple:
     return axiom.operands[:i] + axiom.operands[i + 1 :]
 
 
-def _others(p: _ParagraphBuilder, leaf: RstNode) -> list[str]:
-    """The leaf's operands besides the described class, deduplicated, articled."""
+def _others(p: _ParagraphBuilder, leaf: RstNode) -> str:
+    """The leaf's operands besides the described class, deduplicated, articled
+    and joined."""
     operands = dict.fromkeys(op for ca in leaf.axioms for op in _rest(p, ca.axiom))
-    return [p.renderer.np(op, articled=True) for op in operands]
+    return comma_and([p.renderer.np(op, articled=True) for op in operands])
 
 
 def _sc_super(p: _ParagraphBuilder, leaf: RstNode):
     supers = dict.fromkeys(c for ca in leaf.axioms for c in conjuncts(ca.axiom.super))
     objects = comma_and([p.renderer.np(expr, articled=False) for expr in supers])
-    p.sentence("Sc", f"{p.subject} is a kind of {objects}")
+    p.sentence(leaf.axioms[0].group, f"{p.subject} is a kind of {objects}")
 
 
 def _sc_specialised(p: _ParagraphBuilder, leaf: RstNode):
     subs = dict.fromkeys(ca.axiom.sub for ca in leaf.axioms)
     objects = comma_and([p.renderer.np(expr, articled=False) for expr in subs])
     if len(subs) == 1:
-        p.sentence("Sc", f"a more specialised kind of {p.bare} is {objects}")
+        p.sentence(leaf.axioms[0].group, f"a more specialised kind of {p.bare} is {objects}")
     else:
-        p.sentence("Sc", f"more specialised kinds of {p.bare} are {objects}")
+        p.sentence(leaf.axioms[0].group, f"more specialised kinds of {p.bare} are {objects}")
 
 
 def _ec(p: _ParagraphBuilder, leaf: RstNode):
-    body = f"{p.subject} is defined as {comma_and(_others(p, leaf))}"
-    p.merge_or_sentence("Ec", body, body)
+    body = f"{p.subject} is defined as {_others(p, leaf)}"
+    p.merge_or_sentence(leaf.axioms[0].group, body, body)
 
 
 def _dc(p: _ParagraphBuilder, leaf: RstNode):
-    p.sentence("Dc", f"also {p.subject} is different from {comma_and(_others(p, leaf))}")
+    p.sentence(leaf.axioms[0].group, f"also {p.subject} is different from {_others(p, leaf)}")
 
 
 def _ca(p: _ParagraphBuilder, leaf: RstNode):
     individuals = dict.fromkeys(ca.axiom.individual for ca in leaf.axioms)
-    clause = f"has members {comma_and([p.renderer.name_of(i) for i in individuals])}"
-    p.merge_or_sentence("Ca", clause, f"{p.subject} {clause}")
+    names = comma_and([p.renderer.name_of(i) for i in individuals])
+    p.trailing.append((leaf.axioms[0].group, f"has members {names}"))
 
 
 def _scr(p: _ParagraphBuilder, leaf: RstNode):
     for ca in leaf.axioms:
         super_np = p.renderer.np(ca.axiom.super, articled=False)
-        p.sentence("Scr", f"{p.subject} is a kind of {super_np}")
+        p.sentence(ca.group, f"{p.subject} is a kind of {super_np}")
 
 
 def _ecr(p: _ParagraphBuilder, leaf: RstNode):
     for ca in leaf.axioms:
         objects = [p.renderer.np(op, articled=True) for op in _rest(p, ca.axiom)]
         clause = f"is defined as {comma_and(objects)}"
-        p.merge_or_sentence("Ecr", clause, f"{p.subject} {clause}")
+        p.merge_or_sentence(ca.group, clause, f"{p.subject} {clause}")
 
 
 def _indirect(p: _ParagraphBuilder, leaf: RstNode):
@@ -308,10 +315,7 @@ def realize(tree: RstNode, lexicon: dict, options: RealizeOptions | None = None)
     leaf contributes text, and an empty tree gives an empty paragraph."""
     builder = _ParagraphBuilder(_Renderer(lexicon, options or RealizeOptions()), tree.designated)
     for block in tree.children:
-        builder.start_block()
-        # The plan keeps precedence order (ca, scr, ecr), but the members
-        # clause always trails the sentence it merges onto.
-        for leaf in sorted(block.children, key=lambda node: node.label == "ca"):
+        for leaf in block.children:
             _TEMPLATES[leaf.label](builder, leaf)
         builder.end_block(block.connector)
     return builder.paragraph()

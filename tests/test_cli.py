@@ -684,6 +684,7 @@ def test_no_input_ends_in_a_traceback(case):
             ["verbalize", "--ontology", str(path), "--class", "all"],
             ["verbalize", "--ontology", str(path), "--class", class_id, "--strict"],
             ["verbalize", "--ontology", str(intact), "--class", f"@{path}"],
+            ["verbalize", "--ontology", str(intact), "--class", "all", "--lexicon", str(path)],
             ["survey", tmp],
             ["eval", "--reference", str(intact), "--candidate", str(path),
              "--class", class_id, "--cap", "3"],

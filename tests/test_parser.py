@@ -560,3 +560,27 @@ def test_load_lexicon_accepts_source_document(tmp_path):
     path.write_text(":A\tthing\n", encoding="utf-8")
     lexicon = load_lexicon(SourceDocument.from_path(path))
     assert lexicon[":A"].preferred_name == "thing"
+
+
+# characters str.splitlines breaks at that are not line ends in a source file
+NOT_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("char", list(NOT_LINE_ENDS), ids=lambda c: f"U+{ord(c):04X}")
+def test_load_lexicon_rows_end_only_at_line_ends(char, tmp_path):
+    lexicon = load_lexicon(f":A\tOne{char}Two\tan\n")
+    assert list(lexicon) == [":A"]
+    assert lexicon[":A"].preferred_name == f"One{char}Two"
+    assert lexicon[":A"].article == "an"
+    # the bad row is on line 2, as ParseError would count it
+    path = tmp_path / "lex.tsv"
+    path.write_bytes(f":A\tApple{char}Pie\n:B\n".encode())
+    with pytest.raises(LexiconFormatError) as error:
+        load_lexicon(SourceDocument.from_path(path))
+    assert str(error.value) == f"{path}:2: expected 2 to 5 tab-separated columns, got 1"
+
+
+def test_load_lexicon_counts_cr_and_crlf_in_a_string_as_line_ends():
+    with pytest.raises(LexiconFormatError) as error:
+        load_lexicon(":A\ta\r:B\tb\r\n\r\n:C\n")
+    assert str(error.value) == "<string>:4: expected 2 to 5 tab-separated columns, got 1"

@@ -17,6 +17,7 @@ from owlprose.model import (
     Named,
     SubClassOf,
 )
+from owlprose import planner, realizer
 from owlprose.planner import build_rst, leaves, render_debug
 
 D = ":F"
@@ -147,6 +148,32 @@ def test_tree_shape_for_a_full_frame():
     assert tree.children[1].connector == "Additionally"
     indirect = tree.children[2]
     assert all(len(leaf.axioms) == 1 for leaf in indirect.children)
+
+
+def test_realize_runs_the_templates_in_plan_order(monkeypatch):
+    ran = []
+    for label, template in list(realizer._TEMPLATES.items()):
+        def spy(p, leaf, template=template):
+            ran.append(leaf.label)
+            template(p, leaf)
+
+        monkeypatch.setitem(realizer._TEMPLATES, label, spy)
+    tree = build_rst(ClassFrame(D, FULL_FRAME), classify_all(FULL_FRAME))
+    realizer.realize(tree, {})
+    assert ran == [leaf.label for leaf in leaves(tree)]
+
+
+def test_the_skeleton_is_the_one_table_of_leaves():
+    rows = [row for *_, leaf_specs in planner._SKELETON for row in leaf_specs]
+    assert sorted(label for label, *_ in rows) == sorted(realizer._TEMPLATES)
+    pairs = [pair for *_, row_pairs in rows for pair in row_pairs]
+    assert len(pairs) == len(set(pairs))
+    rng = random.Random(23023)
+    for _ in range(200):
+        frame = genutil.gen_frame(rng)
+        for ca in classify_all(frame.axioms):
+            tree = build_rst(ClassFrame(D, [ca.axiom]), [ca])
+            assert bool(leaves(tree)) == (ca.group not in ("Car", "Dcr", "Du")), ca
 
 
 def test_connector_absent_without_simple_direct_text():
