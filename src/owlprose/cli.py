@@ -11,8 +11,8 @@ ontology's axioms. Batch selections are verbalized in sorted id order with
 each paragraph preceded by its class id; each paragraph is written as soon as
 it is made, and an unknown id in a batch is reported without losing the
 others. Diagnostics go to stderr; only data is written to stdout. Exit
-status: 0 on success, 1 on parse trouble or an unreadable input, 2 on an
-unknown class.
+status: 0 on success, 1 on parse trouble, an unreadable input or output
+that stdout's encoding cannot hold, 2 on an unknown class.
 """
 
 from __future__ import annotations
@@ -44,12 +44,7 @@ log = logging.getLogger("owlprose")
 
 
 def _read_id_list(path: str) -> list[str]:
-    ids = []
-    for line in SourceDocument.from_path(path).text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            ids.append(line)
-    return ids
+    return [line.strip() for _, line in SourceDocument.from_path(path).rows()]
 
 
 def positive_int(text: str) -> int:
@@ -113,6 +108,10 @@ def cmd_survey(args: argparse.Namespace) -> int:
         """Each readable file's ontology, parsed when the survey reaches it."""
         nonlocal skipped
         for path in sorted(directory.rglob("*.ofs")):
+            if not (path.is_file() or path.is_dir()):  # reading a FIFO would block
+                log.warning("skipping %s: not a regular file", path)
+                skipped += 1
+                continue
             try:
                 yield parse_ontology(SourceDocument.from_path(path), strict=args.strict)
             except (ParseError, UndeclaredEntity) as exc:  # the message names the file
@@ -237,7 +236,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UndeclaredEntity, LexiconFormatError, OSError) as exc:
+    # UnicodeEncodeError: stdout's encoding lacks a character of a name
+    except (ParseError, UndeclaredEntity, LexiconFormatError, OSError, UnicodeEncodeError) as exc:
         print(f"owlprose: {exc}", file=sys.stderr)
         return 1
 

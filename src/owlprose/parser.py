@@ -25,7 +25,6 @@ with UndeclaredEntity.
 
 from __future__ import annotations
 
-import codecs
 import logging
 import re
 from dataclasses import dataclass
@@ -94,33 +93,42 @@ class LexiconFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SourceDocument:
-    """A text plus where it came from, for error messages."""
+    """A text plus where it came from, for error messages.
+
+    The one place where a text becomes a document: one leading byte-order
+    mark is dropped, and \\r\\n and \\r become \\n, as text-mode open()
+    with the utf-8-sig codec reads them. A file and a string with the same
+    UTF-8 bytes make the same document."""
 
     text: str
     path: str = "<string>"
 
+    def __post_init__(self):
+        text = self.text.removeprefix("\ufeff")
+        object.__setattr__(self, "text", text.replace("\r\n", "\n").replace("\r", "\n"))
+
     @classmethod
     def from_path(cls, path) -> "SourceDocument":
-        """Read a UTF-8 file with universal newlines; one leading byte-order
-        mark is dropped, and lines and columns count from after it. A byte
-        that does not decode raises ParseError at its line and column."""
+        """Read and decode a UTF-8 file. A byte that does not decode raises
+        ParseError at its line and column in the document made of the text
+        before it."""
         with open(path, "rb") as handle:
-            data = handle.read().removeprefix(codecs.BOM_UTF8)
+            data = handle.read()
         try:
-            text = data.decode("utf-8")
+            return cls(data.decode("utf-8"), str(path))
         except UnicodeDecodeError as exc:
-            before = _universal_newlines(data[: exc.start].decode("utf-8"))
-            raise ParseError(
-                f"byte 0x{data[exc.start]:02x} is not valid UTF-8",
-                str(path),
-                *_position(before, len(before)),
-            ) from None
-        return cls(_universal_newlines(text), str(path))
+            before = cls(data[: exc.start].decode("utf-8")).text
+            message = f"byte 0x{data[exc.start]:02x} is not valid UTF-8"
+            raise ParseError(message, str(path), *_position(before, len(before))) from None
 
-
-def _universal_newlines(text: str) -> str:
-    """Line ends as text-mode open() reads them: \\r\\n and \\r become \\n."""
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    def rows(self):
+        """(line number, line) for each line that is neither blank nor a
+        full-line ``#`` comment. Rows end only at \\n: other characters
+        that Unicode counts as line breaks, such as \\x1c or U+2028, stay
+        in their row, so line numbers count lines as ParseError does."""
+        for lineno, line in enumerate(self.text.split("\n"), start=1):
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield lineno, line
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +403,13 @@ def load_lexicon(doc: SourceDocument | str) -> dict[str, LexEntry]:
     """Load a TSV lexicon: id, preferred_name[, article[, property_phrase[, joiner]]].
 
     Empty cells mean "absent". Later rows override earlier ones for the same
-    id. Full-line ``#`` comments and blank lines are skipped. Rows end only
-    where ``SourceDocument.from_path`` ends a line (\\n, and \\r\\n or \\r
-    in a text passed directly), so error line numbers count lines as
-    ParseError does; other characters that ``str.splitlines`` breaks at, such
-    as \\x1c or U+2028, stay inside their cell.
+    id. Full-line ``#`` comments and blank lines are skipped, and rows are
+    the document's (``SourceDocument.rows``).
     """
     if isinstance(doc, str):
         doc = SourceDocument(doc)
     entries: dict[str, LexEntry] = {}
-    for lineno, line in enumerate(_universal_newlines(doc.text).split("\n"), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in doc.rows():
         cells = line.split("\t")
         if not 2 <= len(cells) <= 5:
             raise LexiconFormatError(

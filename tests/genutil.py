@@ -174,7 +174,15 @@ LAYOUT_SPACES = (
     " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
 )
 LINE_ENDS = ("\n", "\r\n", "\r")
+# characters str.splitlines breaks at that are not line ends in a document
+NOT_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 BAD_CHARACTERS = ("$", "é", "∀", "1", "_", ";", "%", ":")
+
+
+def with_newlines(text: str) -> str:
+    """The text with each of LINE_ENDS made "\\n" by str.replace, as a
+    document holds it."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def laid_out_document(rng: random.Random) -> str:
@@ -212,6 +220,27 @@ def laid_out_document(rng: random.Random) -> str:
         offset = rng.randrange(len(text) + 1)
         text = text[:offset] + rng.choice(BAD_CHARACTERS) + text[offset:]
     return text
+
+
+def laid_out_lexicon(rng: random.Random) -> str:
+    """A lexicon row for each id of a generated ontology, two to five cells,
+    ends of each of LINE_ENDS, blank and comment lines between rows, cells
+    padded with spaces or holding a NOT_LINE_ENDS character, and in about a
+    sixth of the lexicons one row of a bad shape: one cell, six cells or an
+    article that is not a/an/the."""
+    ontology = gen_ontology(rng)
+    ids = sorted(ontology.classes) + sorted(ontology.properties)
+    rows = []
+    for iri in ids:
+        cells = [iri, f"name{rng.choice(('', ' ', *NOT_LINE_ENDS))}of {iri[1:]}",
+                 rng.choice(("", "a", "an", "the")), "is related to", "in"]
+        rows.append("\t".join(f" {cell} " if rng.random() < 0.2 else cell
+                              for cell in cells[: rng.randint(2, 5)]))
+        rows += rng.choices(("", "  ", "# note\tx", " # x"), k=rng.randint(0, 1))
+    if rows and rng.random() < 1 / 6:
+        bad = rng.choice((":Bad", ":Bad\tx\ty\tz\tw\tv", ":Bad\tx\tsome"))
+        rows.insert(rng.randrange(len(rows) + 1), bad)
+    return "".join(row + rng.choice(LINE_ENDS) for row in rows)
 
 
 

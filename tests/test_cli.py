@@ -291,6 +291,33 @@ def test_a_byte_order_mark_is_dropped(capsys, tmp_path, marked):
     assert "A more specialised kind of fever is ague." in outputs[0][1]
 
 
+@pytest.mark.parametrize("char", list(genutil.NOT_LINE_ENDS), ids=lambda c: f"U+{ord(c):04X}")
+def test_an_id_list_line_is_one_id(capsys, ontology_path, tmp_path, char):
+    """Only line ends end an id in an id list: a line that holds another
+    character str.splitlines breaks at is one unknown id, not two ids."""
+    ids = tmp_path / "ids.txt"
+    ids.write_text(f":Fever{char}:Ague\n", encoding="utf-8")
+    assert verbalize("--ontology", ontology_path, "--class", f"@{ids}") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"owlprose: unknown class :Fever{char}:Ague\n"
+
+
+def test_an_id_list_with_cr_line_ends_and_a_mark_selects_the_same_classes(
+    capsys, ontology_path, tmp_path
+):
+    outputs = []
+    for data in (b":Fever\n# note\n\n:Ague\n", b"\xef\xbb\xbf:Fever\r# note\r\n\r:Ague"):
+        ids = tmp_path / "ids.txt"
+        ids.write_bytes(data)
+        status = verbalize("--ontology", ontology_path, "--class", f"@{ids}")
+        outputs.append((status, *capsys.readouterr()))
+    assert outputs[1] == outputs[0]
+    status, out, err = outputs[0]
+    assert (status, err) == (0, "")
+    assert [chunk.splitlines()[0] for chunk in out.split("\n\n")] == [":Ague", ":Fever"]
+
+
 def test_undecodable_byte_after_a_byte_order_mark_counts_columns_after_it(capsys, tmp_path):
     bad = tmp_path / "marked.ofs"
     bad.write_bytes(b"\xef\xbb\xbf" + NOT_UTF8)
@@ -606,13 +633,13 @@ def test_version_string(capsys):
     assert out == "owlprose 0.1.0 (grammar 1)\n"
 
 
-def fresh(*args) -> subprocess.CompletedProcess:
+def fresh(*args, timeout=60, **environ) -> subprocess.CompletedProcess:
     """python -m owlprose.cli with the arguments, in a fresh interpreter with
-    only src/ on the path."""
+    only src/ on the path and the given environment variables set."""
     return subprocess.run(
         [sys.executable, "-m", "owlprose.cli", *args],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), **environ),
+        capture_output=True, encoding="utf-8", timeout=timeout,
     )
 
 
@@ -641,6 +668,33 @@ def test_an_in_process_run_keeps_the_log_records(tmp_path):
     assert (status, out, err) == (child.returncode, child.stdout, child.stderr)
     assert f"WARNING: skipping {bad}: unexpected end of input at line 2" in err
     assert err.endswith("skipped 1 file(s)\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="the platform has no FIFOs")
+def test_survey_skips_a_fifo(tmp_path):
+    """A FIFO named like an ontology is skipped, not read: reading it would
+    wait for a writer that never comes."""
+    (tmp_path / "good.ofs").write_text("SubClassOf(:A :B)\n", encoding="utf-8")
+    fifo = tmp_path / "x.ofs"
+    os.mkfifo(fifo)
+    child = fresh("survey", str(tmp_path), timeout=10)
+    assert child.returncode == 0
+    assert child.stderr.splitlines()[-2:] == [
+        f"WARNING: skipping {fifo}: not a regular file", "skipped 1 file(s)"
+    ]
+    assert "Sc,2,1.0000,1.0000" in child.stdout.splitlines()
+
+
+def test_a_name_stdout_cannot_encode_ends_in_one_line(tmp_path, ontology_path):
+    """With an ASCII stdout, a lexicon name holding "é" ends the run with one
+    message and exit status 1, not a traceback."""
+    lexicon = tmp_path / "cafe.tsv"
+    lexicon.write_text(":Fever\tcafé fever\n", encoding="utf-8")
+    child = fresh("verbalize", "--ontology", ontology_path, "--lexicon", str(lexicon),
+                  "--class", ":Fever", PYTHONIOENCODING="ascii")
+    assert (child.returncode, child.stdout) == (1, "")
+    [message] = child.stderr.splitlines()
+    assert message.startswith("owlprose: 'ascii' codec can't encode character '\\xe9'")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Parser, serializer and lexicon loader."""
 
 import logging
+import pathlib
 import random
 import re
 import tempfile
@@ -189,8 +190,10 @@ BAD_PIECES = (":", "é", "1", "$", "_")
 def assert_tokens_match_the_oracle(text: str):
     """Valid text gives the oracle's token texts and kinds, one string object
     per distinct text; invalid text fails with the message, line and column
-    of the oracle's first bad character."""
-    expected = genutil.tokens_oracle(text)
+    of the oracle's first bad character. The oracle reads the text as a
+    document holds it, every line end made \\n."""
+    text_held = genutil.with_newlines(text)
+    expected = genutil.tokens_oracle(text_held)
     kind, value, offset = expected[-1]
     if kind == "eof":
         tokens = parser._Parser(SourceDocument(text), strict=False).tokens
@@ -199,7 +202,7 @@ def assert_tokens_match_the_oracle(text: str):
         ]
         assert len(set(map(id, tokens))) == len(set(tokens))
         return
-    line, column = genutil.line_column(text, offset)
+    line, column = genutil.line_column(text_held, offset)
     with pytest.raises(ParseError) as err:
         parse_ontology(SourceDocument(text, "doc.ofs"))
     assert (err.value.line, err.value.column) == (line, column)
@@ -212,7 +215,7 @@ def assert_tokens_match_the_oracle(text: str):
     st.lists(st.sampled_from(TOKEN_PIECES), max_size=40),
     st.lists(st.tuples(st.integers(0, 40), st.sampled_from(BAD_PIECES)), max_size=3),
 )
-@example(["#", "\r", ":x", "\r\n", "("], [])  # a comment runs on past a lone CR
+@example(["#", "\r", ":x", "\r\n", "("], [])  # a lone CR ends a comment
 @example(["a1", ":x", ")"], [(1, "é"), (3, "1")])  # "é" ends the keyword and is bad
 def test_tokens_match_the_finditer_oracle(pieces, bad_pieces):
     """Text built from tokens, whitespace, comments and bad characters."""
@@ -486,6 +489,40 @@ def test_one_byte_order_mark_is_dropped(tmp_path):
     assert "'\\ufeff'" in str(err.value)
 
 
+def read_in_text_mode(data: bytes) -> str:
+    """The bytes as Python's own text mode reads them from a file: UTF-8,
+    one leading byte-order mark dropped, universal newlines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "doc")
+        path.write_bytes(data)
+        with open(path, encoding="utf-8-sig") as handle:
+            return handle.read()
+
+
+def lexicon_outcome(text: str):
+    try:
+        return load_lexicon(text)
+    except LexiconFormatError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_a_string_reads_as_its_utf8_bytes_read_in_text_mode(seed, bom):
+    """parse_ontology and load_lexicon make of a string what they make of
+    the text Python's text mode reads from the string's UTF-8 bytes: the
+    same result, or the same error type, message, line, column and expected
+    set. The strings are laid-out documents and lexicons, with every kind
+    of line end, with and without a leading byte-order mark."""
+    rng = random.Random(seed)
+    mark = "\ufeff" if bom else ""
+    for text in (mark + genutil.laid_out_document(rng), mark + genutil.laid_out_lexicon(rng)):
+        read = read_in_text_mode(text.encode("utf-8"))
+        for strict in (False, True):
+            assert genutil.parse_outcome(text, strict) == genutil.parse_outcome(read, strict)
+        assert lexicon_outcome(text) == lexicon_outcome(read)
+
+
 def test_serialize_expression_nests():
     expr = Intersection((Named(":A"), Existential(":p", Named(":B"))))
     assert (
@@ -562,11 +599,7 @@ def test_load_lexicon_accepts_source_document(tmp_path):
     assert lexicon[":A"].preferred_name == "thing"
 
 
-# characters str.splitlines breaks at that are not line ends in a source file
-NOT_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-@pytest.mark.parametrize("char", list(NOT_LINE_ENDS), ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize("char", list(genutil.NOT_LINE_ENDS), ids=lambda c: f"U+{ord(c):04X}")
 def test_load_lexicon_rows_end_only_at_line_ends(char, tmp_path):
     lexicon = load_lexicon(f":A\tOne{char}Two\tan\n")
     assert list(lexicon) == [":A"]
