@@ -11,8 +11,13 @@ ontology's axioms. Batch selections are verbalized in sorted id order with
 each paragraph preceded by its class id; each paragraph is written as soon as
 it is made, and an unknown id in a batch is reported without losing the
 others. Diagnostics go to stderr; only data is written to stdout. Exit
-status: 0 on success, 1 on parse trouble, an unreadable input or output
-that stdout's encoding cannot hold, 2 on an unknown class.
+status: 0 on success, 1 on parse trouble, an unreadable input, output that
+stdout's encoding cannot hold or a stdout that cannot be written (a closed
+pipe, a full device), 2 on an unknown class.
+
+The parser and the model, which every command needs, load with this module;
+each command imports the rest of what it runs, so ``--version`` and
+``--help`` load nothing more and ``eval`` never loads the planner.
 """
 
 from __future__ import annotations
@@ -23,9 +28,7 @@ import os
 import pathlib
 import sys
 
-from . import __version__
-from .classifier import classify_frame_axiom
-from .evaluate import DEFAULT_CAP, emit_report as emit_eval_report, score_submission
+from . import DEFAULT_CAP, __version__
 from .model import UnknownClass, collect_frame, frames
 from .parser import (
     GRAMMAR_VERSION,
@@ -36,9 +39,6 @@ from .parser import (
     load_lexicon,
     parse_ontology,
 )
-from .planner import build_rst, render_debug
-from .realizer import RealizeOptions, realize
-from .survey import emit_report as emit_survey_report, survey
 
 log = logging.getLogger("owlprose")
 
@@ -58,6 +58,10 @@ def positive_int(text: str) -> int:
 
 
 def cmd_verbalize(args: argparse.Namespace) -> int:
+    from .classifier import classify_frame_axiom
+    from .planner import build_rst, render_debug
+    from .realizer import RealizeOptions, realize
+
     ontology = parse_ontology(SourceDocument.from_path(args.ontology), strict=args.strict)
     lexicon = {}
     lexicon_path = args.lexicon or os.environ.get("OWLPROSE_LEXICON")
@@ -98,6 +102,8 @@ def cmd_verbalize(args: argparse.Namespace) -> int:
 
 
 def cmd_survey(args: argparse.Namespace) -> int:
+    from .survey import emit_report, survey
+
     directory = pathlib.Path(args.directory)
     if not directory.is_dir():
         print(f"owlprose: not a readable directory: {directory}", file=sys.stderr)
@@ -124,11 +130,13 @@ def cmd_survey(args: argparse.Namespace) -> int:
     stats = survey(corpus())
     if skipped:
         print(f"skipped {skipped} file(s)", file=sys.stderr)
-    sys.stdout.write(emit_survey_report(stats))
+    sys.stdout.write(emit_report(stats))
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluate import emit_report, score_submission
+
     reference = parse_ontology(SourceDocument.from_path(args.reference), strict=args.strict)
     candidate = parse_ontology(SourceDocument.from_path(args.candidate), strict=args.strict)
     side_frames = {}
@@ -152,7 +160,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.mean_only:
         print(f"{report.mean:.4f}")
     else:
-        sys.stdout.write(emit_eval_report(report))
+        sys.stdout.write(emit_report(report))
     return 0
 
 
@@ -231,11 +239,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flush_stdout() -> None:
+    """Write out what stdout still holds, so that a failed write (a closed
+    pipe, a full disk) ends in main's one-line message rather than in a note
+    at exit. What could not be written is dropped: stdout's descriptor is
+    pointed at the null device for the interpreter's own flush at exit."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:
+            _flush_stdout()
     # UnicodeEncodeError: stdout's encoding lacks a character of a name
     except (ParseError, UndeclaredEntity, LexiconFormatError, OSError, UnicodeEncodeError) as exc:
         print(f"owlprose: {exc}", file=sys.stderr)

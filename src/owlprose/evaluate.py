@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
+from . import DEFAULT_CAP
 from .model import (
     Axiom,
     ClassAssertion,
@@ -58,8 +59,6 @@ from .model import (
     conjuncts,
 )
 from .parser import serialize_axiom, serialize_expression, term_text
-
-DEFAULT_CAP = 10_000
 
 
 class EquivalentExplosion(RuntimeError):

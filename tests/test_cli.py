@@ -1,5 +1,6 @@
 """Command-line behavior: selectors, formats, exit codes, stream separation."""
 
+import inspect
 import json
 import logging
 import os
@@ -13,7 +14,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from owlprose import cli, model
+from owlprose import cli, evaluate, model
 from owlprose.cli import main
 from owlprose.model import Ontology
 from owlprose.parser import MAX_NESTING, SourceDocument, parse_ontology
@@ -695,6 +696,44 @@ def test_a_name_stdout_cannot_encode_ends_in_one_line(tmp_path, ontology_path):
     assert (child.returncode, child.stdout) == (1, "")
     [message] = child.stderr.splitlines()
     assert message.startswith("owlprose: 'ascii' codec can't encode character '\\xe9'")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="the platform has no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["verbalize", "--ontology", str(ROOT / "fixtures" / "appendix_01.ofs"),
+     "--class", ":LowerTrunkStructure"],
+    ["survey", str(ROOT / "fixtures")],
+    ["eval", "--reference", str(ROOT / "fixtures" / "appendix_01.ofs"),
+     "--candidate", str(ROOT / "fixtures" / "appendix_01.ofs"),
+     "--class", ":LowerTrunkStructure"],
+], ids=lambda argv: argv[0])
+def test_a_failed_final_flush_ends_in_one_line(argv):
+    """With buffered stdout on a full device, the write fails only when
+    stdout is flushed; that still ends in one message and exit status 1."""
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "owlprose.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED=""),
+            stdout=full, stderr=subprocess.PIPE, encoding="utf-8", timeout=60,
+        )
+    assert child.returncode == 1
+    [message] = child.stderr.splitlines()
+    assert message.startswith("owlprose: [Errno 28]")
+
+
+def test_eval_help_states_evaluates_default_cap(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "--help"])
+    assert exit_info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"most equivalent versions to scan (default {evaluate.DEFAULT_CAP})" in help_text
+    args = cli.build_parser().parse_args(
+        ["eval", "--reference", "r", "--candidate", "c", "--class", ":A"]
+    )
+    assert args.cap == evaluate.DEFAULT_CAP
+    cap = inspect.signature(evaluate.score_submission).parameters["cap"]
+    assert cap.default == evaluate.DEFAULT_CAP
 
 
 # ---------------------------------------------------------------------------
