@@ -15,8 +15,9 @@ makes one Named per class id per parsed document, so every mention of an id
 in that document is the same object, and a tuple, set or dict comparison of
 two such mentions stops at the identity check. A Named built anywhere else
 (by the equivalence family, by a test, by another parse) is equal to it by
-value, as before. Lexicon entries are frozen too; Ontology and ClassFrame
-are mutable dataclasses.
+value, as before. Lexicon entries are frozen dataclasses with slots too, so
+a lexicon keeps no ``__dict__`` per id; Ontology and ClassFrame are mutable
+dataclasses.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def mentions(axiom: Axiom, iri: str) -> bool:
 # Lexicon entries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexEntry:
     """One lexicon row: surface name plus optional article, property phrase
     and joiner for an id (class, property or individual); the lexicon dict

@@ -18,6 +18,9 @@ The ``Ontology(...)`` wrapper is optional: a document may also be a bare
 sequence of declarations and axioms (or empty). Identifiers are ``:``-prefixed
 tokens without whitespace; ``#`` starts a comment running to end of line.
 
+The parser reads the tokens once, left to right, and works out a token's line
+and column only when it raises an error there.
+
 By default, ids referenced by axioms without a declaration are auto-declared
 with a warning (their kind inferred from position); strict mode rejects them
 with UndeclaredEntity.
@@ -196,19 +199,17 @@ def _position(text: str, offset: int) -> tuple[int, int]:
 
 class _Parser:
     """Tokenizes a whole document up front, then parses it by recursive
-    descent into a fresh Ontology."""
+    descent into a fresh Ontology.
+
+    The descent reads the tokens once, left to right, from one iterator:
+    each grammar step is handed the token already taken and checks it in
+    place, so nothing looks ahead. A token's position in the text is worked
+    out only when an error names it."""
 
     def __init__(self, doc: SourceDocument, strict: bool):
         self.text = doc.text
         self.path = doc.path
         self.strict = strict
-        self.ontology = Ontology()
-        # declaration keyword -> the kind named in warnings, the id set it fills
-        self.declarations = {
-            "Class": ("class", self.ontology.classes),
-            "ObjectProperty": ("property", self.ontology.properties),
-            "NamedIndividual": ("individual", self.ontology.individuals),
-        }
         # one string object per distinct token text: every mention of an id is
         # then the same object, and set lookups over ids match by identity
         self.tokens = _tokens(self.text)
@@ -217,10 +218,6 @@ class _Parser:
             position = _position(self.text, bad.start())
             raise ParseError(f"unexpected character {bad.group()!r}", self.path, *position)
         self.tokens.append("")
-        self.pos = 0
-        # class id -> the one Named of this document for it, made at the id's
-        # first mention as a class expression
-        self.named: dict = {}
 
     def error(self, index: int, expected=(), message: str | None = None) -> ParseError:
         """The ParseError at the token with that index; the message defaults
@@ -236,118 +233,167 @@ class _Parser:
         starts = (m.start() for m in _TOKEN_RE.finditer(self.text) if m.lastgroup == "token")
         return next(islice(starts, index, None), len(self.text))
 
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def advance(self) -> str:
-        self.pos += 1
-        return self.tokens[self.pos - 1]
-
-    def expect(self, kind: str) -> str:
-        token = self.tokens[self.pos]
-        if _kind(token) != kind:
-            raise self.error(self.pos, (kind,))
-        self.pos += 1
-        return token
-
-    def reference(self, iri: str, declaration: str) -> str:
-        """The id just consumed; an undeclared id is auto-declared as the kind
-        the declaration keyword names, or rejected in strict mode."""
-        ontology = self.ontology
-        if iri in ontology.classes or iri in ontology.properties or iri in ontology.individuals:
-            return iri
-        if self.strict:
-            line = _position(self.text, self.offset(self.pos - 1))[0]
-            raise UndeclaredEntity(f"{self.path}: {iri} referenced at line {line} but never declared")
-        kind, pool = self.declarations[declaration]
-        log.warning("%s: auto-declaring undeclared %s %s", self.path, kind, iri)
-        pool.add(iri)
-        return iri
-
-    # -- grammar ----------------------------------------------------------
-
     def parse_document(self) -> Ontology:
-        wrapped = self.peek() == "Ontology"
-        if wrapped:
-            self.advance()
-            self.expect("(")
-        ends = ("", ")") if wrapped else ("",)  # the tokens that end the items
-        while self.peek() not in ends:
-            self.parse_item()
-        if wrapped:
-            self.expect(")")
-        self.expect("eof")
-        return self.ontology
+        """The ontology of the whole token list, which ends in the end-of-input
+        token "". Every check fails on "", so no step takes past it.
 
-    def parse_item(self):
-        """One declaration, whose id joins its kind's id set, or one axiom,
-        appended to the ontology's axioms."""
-        keyword = self.advance()
-        if keyword not in _ITEM_KEYWORDS:
-            message = f"unexpected keyword {keyword!r}" if _kind(keyword) == "keyword" else None
-            raise self.error(self.pos - 1, _ITEM_KEYWORDS, message)
-        if keyword == "Declaration":
-            # ( Kind ( :id ) ), read token by token: the first token out of
-            # place raises
-            self.expect("(")
-            declared = self.advance()
-            if declared not in self.declarations:
-                raise self.error(self.pos - 1, tuple(self.declarations))
-            _, ids = self.declarations[declared]
-            self.expect("(")
-            iri = self.expect("id")
-            self.expect(")")
-            self.expect(")")
-            ids.add(iri)
-            return
-        self.expect("(")
-        if keyword == "SubClassOf":
-            axiom = SubClassOf(self.parse_expression(), self.parse_expression())
-        elif keyword == "EquivalentClasses":
-            axiom = EquivalentClasses(self.parse_operands())
-        elif keyword == "DisjointClasses":
-            axiom = DisjointClasses(self.parse_operands())
-        elif keyword == "ClassAssertion":
-            expr = self.parse_expression()
-            axiom = ClassAssertion(expr, self.reference(self.expect("id"), "NamedIndividual"))
-        else:
-            union_class = self.reference(self.expect("id"), "Class")
-            axiom = DisjointUnion(union_class, self.parse_operands())
-        self.expect(")")
-        self.ontology.axioms.append(axiom)
+        Each token is compared where it is taken: "(" and ")" by equality, an
+        id by its first character ":". A class id met before resolves through
+        the named dict before any call; the grammar functions run only for a
+        first mention, a constructor or an error."""
+        tokens, strict = self.tokens, self.strict
+        ontology = Ontology()
+        classes, properties = ontology.classes, ontology.properties
+        individuals = ontology.individuals
+        append = ontology.axioms.append
+        # declaration keyword -> the kind named in warnings, the id set it fills
+        declarations = {
+            "Class": ("class", classes),
+            "ObjectProperty": ("property", properties),
+            "NamedIndividual": ("individual", individuals),
+        }
+        # class id -> the one Named of this document for it, made at the id's
+        # first mention as a class expression
+        named: dict = {}
+        known = named.get
+        rest = iter(tokens)
+        take = rest.__next__
 
-    def parse_operands(self, depth: int = 1) -> tuple:
-        """Two or more expressions, as many as follow."""
-        operands = [self.parse_expression(depth), self.parse_expression(depth)]
-        while _kind(self.peek()) in ("id", "keyword"):
-            operands.append(self.parse_expression(depth))
-        return tuple(operands)
+        def taken() -> int:
+            """The index of the token taken last."""
+            return len(tokens) - rest.__length_hint__() - 1
 
-    def parse_expression(self, depth: int = 1) -> ClassExpression:
-        """One expression; a constructor here sits at nesting level depth."""
-        token = self.advance()
-        # a class id met before is its Named already: reference() ran at the
-        # first mention, which declared the id or raised
-        named = self.named.get(token)
-        if named is not None:
-            return named
-        if _kind(token) == "id":
-            named = self.named[token] = Named(self.reference(token, "Class"))
-            return named
-        if token not in _CONSTRUCTORS:
-            raise self.error(self.pos - 1, (":id",) + _CONSTRUCTORS)
-        if depth > MAX_NESTING:
-            raise self.error(
-                self.pos - 1, message=f"expression nested deeper than {MAX_NESTING} levels"
-            )
-        self.expect("(")
-        if token == "ObjectIntersectionOf":
-            expr = Intersection(self.parse_operands(depth + 1))
-        else:
-            prop = self.reference(self.expect("id"), "ObjectProperty")
-            expr = Existential(prop, self.parse_expression(depth + 1))
-        self.expect(")")
-        return expr
+        def reference(iri: str, declaration: str) -> str:
+            """The id taken last; an undeclared id is auto-declared as the
+            kind the declaration keyword names, or rejected in strict mode."""
+            if iri in classes or iri in properties or iri in individuals:
+                return iri
+            if strict:
+                line = _position(self.text, self.offset(taken()))[0]
+                raise UndeclaredEntity(
+                    f"{self.path}: {iri} referenced at line {line} but never declared"
+                )
+            kind, pool = declarations[declaration]
+            log.warning("%s: auto-declaring undeclared %s %s", self.path, kind, iri)
+            pool.add(iri)
+            return iri
+
+        def expression(token: str, depth: int) -> ClassExpression:
+            """The expression that starts at the token taken last, which is
+            not a class id met before; a constructor here sits at nesting
+            level depth."""
+            if token[:1] == ":":
+                expr = named[token] = Named(reference(token, "Class"))
+                return expr
+            if token not in _CONSTRUCTORS:
+                raise self.error(taken(), (":id",) + _CONSTRUCTORS)
+            if depth > MAX_NESTING:
+                raise self.error(
+                    taken(), message=f"expression nested deeper than {MAX_NESTING} levels"
+                )
+            if take() != "(":
+                raise self.error(taken(), ("(",))
+            if token == "ObjectIntersectionOf":
+                return Intersection(operands(depth + 1))
+            prop = take()
+            if prop[:1] != ":":
+                raise self.error(taken(), ("id",))
+            if prop not in properties:
+                reference(prop, "ObjectProperty")
+            token = take()
+            expr = Existential(prop, known(token) or expression(token, depth + 1))
+            if take() != ")":
+                raise self.error(taken(), (")",))
+            return expr
+
+        def operands(depth: int) -> tuple:
+            """Two or more expressions, as many as follow, and the ")" after
+            them."""
+            token = take()
+            found = [known(token) or expression(token, depth)]
+            token = take()
+            found.append(known(token) or expression(token, depth))
+            token = take()
+            while token != ")":
+                if token == "(" or not token:
+                    raise self.error(taken(), (")",))
+                found.append(known(token) or expression(token, depth))
+                token = take()
+            return tuple(found)
+
+        try:
+            token = take()
+            wrapped = token == "Ontology"
+            if wrapped:
+                if take() != "(":
+                    raise self.error(taken(), ("(",))
+                token = take()
+            end = ")" if wrapped else ""  # besides "", the token that ends the items
+            while token and token != end:
+                # one declaration, whose id joins its kind's id set, or one
+                # axiom, appended to the ontology's axioms
+                if token not in _ITEM_KEYWORDS:
+                    keyword = _kind(token) == "keyword"
+                    message = f"unexpected keyword {token!r}" if keyword else None
+                    raise self.error(taken(), _ITEM_KEYWORDS, message)
+                if take() != "(":
+                    raise self.error(taken(), ("(",))
+                if token == "SubClassOf":
+                    token = take()
+                    sub = known(token) or expression(token, 1)
+                    token = take()
+                    axiom = SubClassOf(sub, known(token) or expression(token, 1))
+                    if take() != ")":
+                        raise self.error(taken(), (")",))
+                    append(axiom)
+                elif token == "Declaration":
+                    # ( Kind ( :id ) ): the first token out of place raises
+                    declared = take()
+                    if declared not in declarations:
+                        raise self.error(taken(), tuple(declarations))
+                    if take() != "(":
+                        raise self.error(taken(), ("(",))
+                    iri = take()
+                    if iri[:1] != ":":
+                        raise self.error(taken(), ("id",))
+                    if take() != ")" or take() != ")":
+                        raise self.error(taken(), (")",))
+                    declarations[declared][1].add(iri)
+                elif token == "EquivalentClasses":
+                    append(EquivalentClasses(operands(1)))
+                elif token == "DisjointClasses":
+                    append(DisjointClasses(operands(1)))
+                elif token == "ClassAssertion":
+                    token = take()
+                    expr = known(token) or expression(token, 1)
+                    individual = take()
+                    if individual[:1] != ":":
+                        raise self.error(taken(), ("id",))
+                    if individual not in individuals:
+                        reference(individual, "NamedIndividual")
+                    if take() != ")":
+                        raise self.error(taken(), (")",))
+                    append(ClassAssertion(expr, individual))
+                else:
+                    union_class = take()
+                    if union_class[:1] != ":":
+                        raise self.error(taken(), ("id",))
+                    if union_class not in classes:
+                        reference(union_class, "Class")
+                    append(DisjointUnion(union_class, operands(1)))
+                token = take()
+            if wrapped:
+                if token != ")":
+                    raise self.error(taken(), (")",))
+                token = take()
+            if token:
+                raise self.error(taken(), ("eof",))
+        finally:
+            # expression and operands reach each other through these cells:
+            # emptying them breaks that cycle, so reference counting alone
+            # frees the parse once it returns or raises
+            del expression, operands
+        return ontology
 
 
 def parse_ontology(doc: SourceDocument | str, strict: bool = False) -> Ontology:

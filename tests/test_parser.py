@@ -421,6 +421,13 @@ def test_each_class_id_is_one_named_per_document(seed, dropped):
             assert named == first[named.iri] and named is not first[named.iri]
 
 
+ITEM = (
+    "(expected Declaration or SubClassOf or EquivalentClasses or DisjointClasses"
+    " or ClassAssertion or DisjointUnion)"
+)
+EXPRESSION = "(expected :id or ObjectIntersectionOf or ObjectSomeValuesFrom)"
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -437,9 +444,90 @@ def test_each_class_id_is_one_named_per_document(seed, dropped):
             "unexpected 'SubClassOf' at line 1, column 23 (expected ))",
         ),
         ("Declaration(Class(:A)", "unexpected end of input at line 1, column 22 (expected ))"),
+        # the item keyword
+        ("Nonsense(:A :B)", f"unexpected keyword 'Nonsense' at line 1, column 1 {ITEM}"),
+        (
+            "Declaration(Class(:A))\nOntology(\n)",
+            f"unexpected keyword 'Ontology' at line 2, column 1 {ITEM}",
+        ),
+        (":A", f"unexpected ':A' at line 1, column 1 {ITEM}"),
+        ("SubClassOf(:A :B) )", f"unexpected ')' at line 1, column 19 {ITEM}"),
+        # each "("
+        ("Ontology :A", "unexpected ':A' at line 1, column 10 (expected ()"),
+        ("Ontology", "unexpected end of input at line 1, column 9 (expected ()"),
+        ("Declaration Class(:A))", "unexpected 'Class' at line 1, column 13 (expected ()"),
+        ("SubClassOf :A :B)", "unexpected ':A' at line 1, column 12 (expected ()"),
+        (
+            "SubClassOf(:A ObjectIntersectionOf :B :C)",
+            "unexpected ':B' at line 1, column 36 (expected ()",
+        ),
+        # each ")"
+        ("SubClassOf(:A :B :C)", "unexpected ':C' at line 1, column 18 (expected ))"),
+        ("SubClassOf(:A :B", "unexpected end of input at line 1, column 17 (expected ))"),
+        ("ClassAssertion(:A :i :j)", "unexpected ':j' at line 1, column 22 (expected ))"),
+        ("EquivalentClasses(:A :B :C (", "unexpected '(' at line 1, column 28 (expected ))"),
+        ("DisjointUnion(:A :B :C", "unexpected end of input at line 1, column 23 (expected ))"),
+        (
+            "SubClassOf(:A ObjectIntersectionOf(:B :C ()",
+            "unexpected '(' at line 1, column 42 (expected ))",
+        ),
+        (
+            "Ontology(\n  Declaration(Class(:A))\n  SubClassOf(:A ObjectSomeValuesFrom(:p\n"
+            "    ObjectIntersectionOf(:A :B)\n    :C))\n)",
+            "unexpected ':C' at line 5, column 5 (expected ))",
+        ),
+        # the ClassAssertion individual, the DisjointUnion class, the Existential property
+        ("ClassAssertion(:A Foo)", "unexpected 'Foo' at line 1, column 19 (expected id)"),
+        (
+            "ClassAssertion(:A\n  ObjectIntersectionOf(:B :C))",
+            "unexpected 'ObjectIntersectionOf' at line 2, column 3 (expected id)",
+        ),
+        (
+            "DisjointUnion(ObjectIntersectionOf(:A :B) :C :D)",
+            "unexpected 'ObjectIntersectionOf' at line 1, column 15 (expected id)",
+        ),
+        (
+            "SubClassOf(:A ObjectSomeValuesFrom(ObjectIntersectionOf(:B :C) :D))",
+            "unexpected 'ObjectIntersectionOf' at line 1, column 36 (expected id)",
+        ),
+        (
+            "SubClassOf(:A ObjectSomeValuesFrom(Class :D))",
+            "unexpected 'Class' at line 1, column 36 (expected id)",
+        ),
+        # the start of an expression
+        ("SubClassOf(( :A)", f"unexpected '(' at line 1, column 12 {EXPRESSION}"),
+        ("SubClassOf(Class :A)", f"unexpected 'Class' at line 1, column 12 {EXPRESSION}"),
+        ("SubClassOf(", f"unexpected end of input at line 1, column 12 {EXPRESSION}"),
+        (
+            "SubClassOf(:A ObjectSomeValuesFrom(:p))",
+            f"unexpected ')' at line 1, column 38 {EXPRESSION}",
+        ),
+        # the second operand
+        ("SubClassOf(:A)", f"unexpected ')' at line 1, column 14 {EXPRESSION}"),
+        ("EquivalentClasses(:A)", f"unexpected ')' at line 1, column 21 {EXPRESSION}"),
+        ("DisjointClasses(:A\n)", f"unexpected ')' at line 2, column 1 {EXPRESSION}"),
+        ("DisjointUnion(:A :B)", f"unexpected ')' at line 1, column 20 {EXPRESSION}"),
+        (
+            "SubClassOf(:A ObjectIntersectionOf(:B))",
+            f"unexpected ')' at line 1, column 38 {EXPRESSION}",
+        ),
+        # the Ontology( close and the trailing end of input
+        (
+            "Ontology(SubClassOf(:A :B)",
+            "unexpected end of input at line 1, column 27 (expected ))",
+        ),
+        ("Ontology(", "unexpected end of input at line 1, column 10 (expected ))"),
+        (
+            "Ontology(\nSubClassOf(:A :B)\n) :X",
+            "unexpected ':X' at line 3, column 3 (expected eof)",
+        ),
+        ("Ontology(SubClassOf(:A :B)))", "unexpected ')' at line 1, column 28 (expected eof)"),
     ],
 )
 def test_a_malformed_declaration_fails_at_its_first_wrong_token(doc, message):
+    """Every place the grammar takes a token, a declaration's and an axiom's
+    alike: the error names the first token out of place, its line and column
+    and what the grammar expected there."""
     with pytest.raises(ParseError) as err:
         parse_ontology(doc)
     assert str(err.value) == f"<string>: {message}"
