@@ -19,7 +19,7 @@ frame, which ``model.frames`` has already proved mention it.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .model import (
     Axiom,
@@ -39,12 +39,9 @@ class NotInFrame(ValueError):
     """The axiom does not mention the designated class."""
 
 
-class ClassifiedAxiom(NamedTuple):
-    """An axiom with its group label and orientation w.r.t. a designated class."""
-
-    axiom: Axiom
-    group: str
-    direct: bool
+ClassifiedAxiom = namedtuple("ClassifiedAxiom", ("axiom", "group", "direct"))
+ClassifiedAxiom.__doc__ = """An axiom with its group label and orientation w.r.t. a
+designated class."""
 
 
 # group label stem per axiom kind; complex axioms add "r", except DisjointUnion

@@ -39,10 +39,8 @@ from __future__ import annotations
 
 import sys
 import unicodedata
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import islice
-from typing import NamedTuple
 
 from . import DEFAULT_CAP
 from .model import (
@@ -56,6 +54,7 @@ from .model import (
     Intersection,
     Named,
     SubClassOf,
+    _Record,
     conjuncts,
 )
 from .parser import serialize_axiom, serialize_expression, term_text
@@ -93,15 +92,14 @@ def normalize(text: str) -> str:
     return " ".join(stripped.split())
 
 
-class _Pack(NamedTuple):
-    """Texts packed side by side into one int for _distances. Text k holds
-    the bits shift .. shift + length - 1 of segments[k], one bit per
-    character, and a zero guard bit follows each nonempty text."""
-
-    peq: dict  # character -> the bits at which it occurs, over every text
-    mask: int  # every segment bit, no guard bit
-    firsts: int  # the first bit of each nonempty segment
-    segments: list  # (shift, length) per text, in order
+# Texts packed side by side into one int for _distances. Text k holds the
+# bits shift .. shift + length - 1 of segments[k], one bit per character, and
+# a zero guard bit follows each nonempty text. The fields:
+# - peq: character -> the bits at which it occurs, over every text;
+# - mask: every segment bit, no guard bit;
+# - firsts: the first bit of each nonempty segment;
+# - segments: (shift, length) per text, in order.
+_Pack = namedtuple("_Pack", ("peq", "mask", "firsts", "segments"))
 
 
 def _pack(texts) -> _Pack:
@@ -220,9 +218,9 @@ class _SimilarityRows(dict):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EquivalentSet:
-    versions: list = field(default_factory=list)  # per version, its axioms' texts
+class EquivalentSet(_Record):
+    def __init__(self, versions=None):
+        self.versions = [] if versions is None else versions  # per version, its axioms' texts
 
 
 _END = object()
@@ -594,21 +592,19 @@ def enumerate_equivalents(axioms: list, cap: int = DEFAULT_CAP) -> EquivalentSet
 # ---------------------------------------------------------------------------
 
 
-class AxiomScore(NamedTuple):
-    """One report row: the canonical serializations of a reference axiom and
-    of the candidate axiom assigned to it ("" for none), and their score."""
-
-    reference_text: str
-    candidate_text: str
-    score: float
+AxiomScore = namedtuple("AxiomScore", ("reference_text", "candidate_text", "score"))
+AxiomScore.__doc__ = """One report row: the canonical serializations of a reference axiom and
+of the candidate axiom assigned to it ("" for none), and their score."""
 
 
-@dataclass
-class SimilarityReport:
-    per_axiom: list
-    mean: float
-    best_version_index: int
-    truncated: bool = False
+class SimilarityReport(_Record):
+    def __init__(
+        self, per_axiom: list, mean: float, best_version_index: int, truncated: bool = False
+    ):
+        self.per_axiom = per_axiom
+        self.mean = mean
+        self.best_version_index = best_version_index
+        self.truncated = truncated
 
 
 def _assignment_mean(

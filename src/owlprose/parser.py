@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 from itertools import filterfalse, islice
 
 from .model import (
@@ -46,6 +45,7 @@ from .model import (
     Named,
     Ontology,
     SubClassOf,
+    _Value,
     expressions_of,
 )
 
@@ -94,8 +94,7 @@ class LexiconFormatError(ValueError):
     """A lexicon row had the wrong shape or an invalid article."""
 
 
-@dataclass(frozen=True)
-class SourceDocument:
+class SourceDocument(_Value):
     """A text plus where it came from, for error messages.
 
     The one place where a text becomes a document: one leading byte-order
@@ -103,12 +102,20 @@ class SourceDocument:
     with the utf-8-sig codec reads them. A file and a string with the same
     UTF-8 bytes make the same document."""
 
-    text: str
-    path: str = "<string>"
+    __slots__ = ("text", "path")
 
-    def __post_init__(self):
-        text = self.text.removeprefix("\ufeff")
+    def __init__(self, text: str, path: str = "<string>"):
+        text = text.removeprefix("\ufeff")
         object.__setattr__(self, "text", text.replace("\r\n", "\n").replace("\r", "\n"))
+        object.__setattr__(self, "path", path)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.text, self.path) == (other.text, other.path)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.text, self.path))
 
     @classmethod
     def from_path(cls, path) -> "SourceDocument":

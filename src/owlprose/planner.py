@@ -17,10 +17,8 @@ of named classes is folded into the kind-of leaf as an Sc axiom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .classifier import ClassifiedAxiom
-from .model import ClassFrame, Named, conjuncts
+from .model import ClassFrame, Named, _Record, conjuncts
 
 NUCLEUS = "nucleus"
 SATELLITE = "satellite"
@@ -57,8 +55,7 @@ _LEAF_OF = {
 }
 
 
-@dataclass
-class RstNode:
+class RstNode(_Record):
     """One node of the discourse tree.
 
     Leaves carry axioms and no children; the relation is the node's relation
@@ -66,13 +63,23 @@ class RstNode:
     root also records which class the tree describes.
     """
 
-    kind: str  # NUCLEUS or SATELLITE
-    relation: str | None
-    label: str
-    axioms: list = field(default_factory=list)
-    children: list = field(default_factory=list)
-    connector: str | None = None
-    designated: str | None = None
+    def __init__(
+        self,
+        kind: str,  # NUCLEUS or SATELLITE
+        relation: str | None,
+        label: str,
+        axioms=None,
+        children=None,
+        connector: str | None = None,
+        designated: str | None = None,
+    ):
+        self.kind = kind
+        self.relation = relation
+        self.label = label
+        self.axioms = [] if axioms is None else axioms
+        self.children = [] if children is None else children
+        self.connector = connector
+        self.designated = designated
 
 
 def build_rst(frame: ClassFrame, classified: list[ClassifiedAxiom]) -> RstNode:

@@ -38,36 +38,51 @@ leading colon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .model import (
     Existential,
     Intersection,
     Named,
     SubClassOf,
+    _Record,
+    _Value,
     conjuncts,
     expressions_of,
 )
 from .planner import RstNode
 
-@dataclass(frozen=True)
-class RealizeOptions:
-    elide_rolegroup: bool = False
-    guess_articles: bool = False
+
+class RealizeOptions(_Value):
+    __slots__ = ("elide_rolegroup", "guess_articles")
+
+    def __init__(self, elide_rolegroup: bool = False, guess_articles: bool = False):
+        object.__setattr__(self, "elide_rolegroup", elide_rolegroup)
+        object.__setattr__(self, "guess_articles", guess_articles)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.elide_rolegroup, self.guess_articles) == (
+                other.elide_rolegroup, other.guess_articles
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.elide_rolegroup, self.guess_articles))
 
 
-@dataclass
-class Paragraph:
+class Paragraph(_Record):
     """Finalized sentences plus an optional trailing bulleted list.
 
     records pairs each emitted unit with the group labels it came from
     (merged sentences carry joined labels, e.g. "Scr+Ecr").
     """
 
-    sentences: list = field(default_factory=list)
-    bullet_header: str | None = None
-    bullets: list = field(default_factory=list)
-    records: list = field(default_factory=list)
+    def __init__(
+        self, sentences=None, bullet_header: str | None = None, bullets=None, records=None
+    ):
+        self.sentences = [] if sentences is None else sentences
+        self.bullet_header = bullet_header
+        self.bullets = [] if bullets is None else bullets
+        self.records = [] if records is None else records
 
     @property
     def text(self) -> str:

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .classifier import group_of
-from .model import Ontology, class_ids
+from .model import Ontology, _Record, class_ids
 
 ROLES = {
     "taxonomy": frozenset(("Sc", "Scr")),
@@ -36,14 +35,20 @@ ROLES = {
 }
 
 
-@dataclass
-class PatternStats:
+class PatternStats(_Record):
     """Tallies from one survey run."""
 
-    per_pattern: Counter = field(default_factory=Counter)
-    total_classes: int = 0
-    role_containment: Counter = field(default_factory=Counter)
-    group_containment: Counter = field(default_factory=Counter)
+    def __init__(
+        self,
+        per_pattern=None,
+        total_classes: int = 0,
+        role_containment=None,
+        group_containment=None,
+    ):
+        self.per_pattern = Counter() if per_pattern is None else per_pattern
+        self.total_classes = total_classes
+        self.role_containment = Counter() if role_containment is None else role_containment
+        self.group_containment = Counter() if group_containment is None else group_containment
 
     @property
     def nonempty_classes(self) -> int:

@@ -1,7 +1,6 @@
 """Round-trip evaluation: text measures, the equivalence family, scoring."""
 
 import csv
-import dataclasses
 import io
 import itertools
 import random
@@ -854,9 +853,8 @@ def substitute_id(node, old: str, new: str):
         return Named(new) if node.iri == old else node
     if isinstance(node, tuple):
         return tuple(substitute_id(item, old, new) for item in node)
-    if dataclasses.is_dataclass(node):
-        fields = dataclasses.fields(node)
-        return type(node)(*(substitute_id(getattr(node, f.name), old, new) for f in fields))
+    if fields := getattr(type(node), "__slots__", ()):
+        return type(node)(*(substitute_id(getattr(node, name), old, new) for name in fields))
     return node
 
 
@@ -865,9 +863,8 @@ def named_ids(node) -> list:
         return [node.iri]
     if isinstance(node, tuple):
         return [iri for item in node for iri in named_ids(item)]
-    if dataclasses.is_dataclass(node):
-        return [iri for f in dataclasses.fields(node) for iri in named_ids(getattr(node, f.name))]
-    return []
+    fields = getattr(type(node), "__slots__", ())
+    return [iri for name in fields for iri in named_ids(getattr(node, name))]
 
 
 @st.composite

@@ -1,7 +1,5 @@
 """The fixtures directory is consistent with its manifest."""
 
-import dataclasses
-
 from owlprose.parser import SourceDocument, load_lexicon, parse_ontology
 from owlprose.realizer import RealizeOptions
 
@@ -10,7 +8,7 @@ def test_fixtures_directory_is_self_consistent(fixture_dir, manifest):
     named = [name for entry in manifest.values() for name in (entry["ontology"], entry["lexicon"])]
     present = sorted(path.name for path in fixture_dir.iterdir() if path.name != "manifest.json")
     assert sorted(named) == present
-    option_fields = {field.name for field in dataclasses.fields(RealizeOptions)}
+    option_fields = set(RealizeOptions.__slots__)
     for name, entry in manifest.items():
         assert (entry["ontology"], entry["lexicon"]) == (f"{name}.ofs", f"{name}.tsv")
         ontology_doc = SourceDocument.from_path(fixture_dir / entry["ontology"])

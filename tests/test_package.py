@@ -1,8 +1,10 @@
 """The package namespace and what each entry point loads.
 
 Every public name of ``owlprose`` loads its submodule on first access, so an
-entry point loads only the modules it runs. The load checks run in a fresh
-interpreter, with only src/ on the path, and read ``sys.modules`` there.
+entry point loads only the modules it runs, and none of them loads a module
+that generates code at import (``dataclasses``, with ``inspect``) or
+``typing``. The load checks run in a fresh interpreter, with only src/ on the
+path, and read ``sys.modules`` there.
 """
 
 import importlib
@@ -21,10 +23,10 @@ FIXTURE = str(ROOT / "fixtures" / "appendix_01.ofs")
 CLASS = ":LowerTrunkStructure"
 
 
-def fresh_python(code: str) -> str:
-    """The stdout of ``python -c code`` in a fresh interpreter."""
+def fresh_python(code: str, *flags: str) -> str:
+    """The stdout of ``python *flags -c code`` in a fresh interpreter."""
     child = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, encoding="utf-8", timeout=60,
     )
@@ -32,12 +34,16 @@ def fresh_python(code: str) -> str:
     return child.stdout
 
 
-LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'owlprose')))"
+def modules_after(code: str, *flags: str) -> set:
+    """Every module a fresh interpreter holds after running code."""
+    return set(json.loads(
+        fresh_python(f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))", *flags)
+    ))
 
 
 def loaded_after(code: str) -> set:
     """The owlprose modules a fresh interpreter holds after running code."""
-    return set(json.loads(fresh_python(f"import json, sys\n{code}\n{LOADED}")))
+    return {name for name in modules_after(code) if name.split(".")[0] == "owlprose"}
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +134,37 @@ COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_each_command_loads_only_its_own_modules(command):
-    extra, expected = COMMANDS[command]
-    argv = [command, *extra]
-    loaded = loaded_after(
+def run_command(command: str) -> str:
+    """Code that runs one CLI command line in process, stdout discarded."""
+    extra, _ = COMMANDS[command]
+    return (
         "import contextlib, io\n"
         "from owlprose.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    try:\n"
-        f"        assert main({argv!r}) == 0\n"
+        f"        assert main({[command, *extra]!r}) == 0\n"
         "    except SystemExit as exit:\n"
         "        assert exit.code == 0\n"
     )
-    assert loaded == expected
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_loads_only_its_own_modules(command):
+    assert loaded_after(run_command(command)) == COMMANDS[command][1]
+
+
+# Modules no entry point needs whose import costs start-up time: dataclasses,
+# with the inspect (and ast and dis) that it imports, and typing.
+START_UP_COSTS = {"dataclasses", "inspect", "typing"}
+
+
+@pytest.mark.parametrize("code", [
+    "import owlprose.parser",
+    *(run_command(command) for command in sorted(COMMANDS)),
+], ids=["import owlprose.parser", *sorted(COMMANDS)])
+def test_no_entry_point_loads_dataclasses_inspect_or_typing(code):
+    """Against a bare interpreter started with the same flags. Both skip
+    site (-S), which may import typing itself, through a .pth file."""
+    bare = modules_after("", "-S") & START_UP_COSTS
+    assert modules_after(code, "-S") & START_UP_COSTS == bare
+    assert not bare
