@@ -10,11 +10,13 @@ Identifiers are plain ``:``-prefixed tokens kept as strings (including the
 colon); human-readable names live in the lexicon, not here.
 
 Expressions, axioms and lexicon entries are frozen value classes with slots:
-an instance has no ``__dict__``, a field cannot be set or deleted, and
-equality and hashing compare the classes and then the field values. Each
-class writes its own ``__init__``, ``__eq__`` and ``__hash__``, which are
-hot; ``_Record`` and ``_Value`` hold the cold parts that every record class
-of the package shares, so importing the package generates no code.
+an instance has no ``__dict__``, a field cannot be set or deleted, and two
+values are equal when they have the same class and equal field values. Each
+class states its fields once, as its ``__slots__``, and writes only its
+``__init__`` (checks, defaults and keywords). ``_Value`` holds the one
+``__eq__`` and ``__hash__`` of every frozen class in the package; they, the
+repr, pickling and ``copy`` all read the field list that ``_Value`` works out
+when a class is created, so importing the package generates no code.
 Ontology and ClassFrame are mutable records: equal by value and unhashable.
 
 The parser makes one Named per class id per parsed document, so every
@@ -25,6 +27,8 @@ parse) is equal to it by value.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 
 class UnknownClass(KeyError):
@@ -39,15 +43,17 @@ class _Record:
     """What every record class shares: the repr ``Name(field=value, ...)``,
     and for a mutable record, equality by class and field values and no hash.
 
-    A frozen value's fields are its ``__slots__`` in constructor order, and it
-    defines its own ``__eq__`` and ``__hash__``. A record without slots is
-    mutable, and its fields are its attributes in the order its ``__init__``
-    sets them."""
+    A frozen value's fields are its base's, then the ``__slots__`` its class
+    declares, in constructor order: a subclass that declares no slot has its
+    base's fields. ``_Value`` works them out once per class, as ``_fields``.
+    A mutable record declares no slots and keeps ``_fields`` empty: its
+    fields are its attributes in the order its ``__init__`` sets them."""
 
     __slots__ = ()
+    _fields = ()
 
     def __repr__(self):
-        names = self.__slots__ or vars(self)
+        names = self._fields or vars(self)
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{type(self).__qualname__}({fields})"
 
@@ -60,11 +66,32 @@ class _Record:
 
 
 class _Value(_Record):
-    """A frozen record: its fields are set once, by ``__init__`` through
-    ``object.__setattr__``, and are then read-only. Pickling and ``copy``
-    rebuild an instance from its field values without calling ``__init__``."""
+    """A frozen record: equal to an instance of the same class whose field
+    values are equal, and hashed by its field values. Its fields are set
+    once, by ``__init__`` through ``object.__setattr__``, and are then
+    read-only. Pickling and ``copy`` rebuild an instance from its field
+    values without calling ``__init__``.
+
+    When a class is created, ``__init_subclass__`` works out its fields by
+    ``_Record``'s rule and ``_key``, the ``attrgetter`` that reads them: the
+    field value itself for a one-field class, a tuple of the values
+    otherwise."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += cls.__dict__.get("__slots__", ())
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -73,10 +100,10 @@ class _Value(_Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __getstate__(self):
-        return [getattr(self, name) for name in self.__slots__]
+        return [getattr(self, name) for name in self._fields]
 
     def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
+        for name, value in zip(self._fields, state):
             object.__setattr__(self, name, value)
 
 
@@ -92,14 +119,6 @@ class Named(_Value):
     def __init__(self, iri: str):
         object.__setattr__(self, "iri", iri)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.iri,) == (other.iri,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.iri,))
-
 
 class Intersection(_Value):
     """Conjunction of two or more class expressions, in source order."""
@@ -111,14 +130,6 @@ class Intersection(_Value):
             raise ValueError("intersection needs at least two operands")
         object.__setattr__(self, "operands", operands)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.operands,) == (other.operands,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.operands,))
-
 
 class Existential(_Value):
     """Existential restriction: ``property some filler``."""
@@ -128,14 +139,6 @@ class Existential(_Value):
     def __init__(self, prop: str, filler: ClassExpression):
         object.__setattr__(self, "prop", prop)
         object.__setattr__(self, "filler", filler)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.prop, self.filler) == (other.prop, other.filler)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.prop, self.filler))
 
 
 ClassExpression = Named | Intersection | Existential
@@ -152,14 +155,6 @@ class SubClassOf(_Value):
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "super", super)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.sub, self.super) == (other.sub, other.super)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.sub, self.super))
-
 
 class EquivalentClasses(_Value):
     __slots__ = ("operands",)
@@ -168,14 +163,6 @@ class EquivalentClasses(_Value):
         if len(operands) < 2:
             raise ValueError("EquivalentClasses needs at least two operands")
         object.__setattr__(self, "operands", operands)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.operands,) == (other.operands,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.operands,))
 
 
 class DisjointClasses(_Value):
@@ -186,14 +173,6 @@ class DisjointClasses(_Value):
             raise ValueError("DisjointClasses needs at least two operands")
         object.__setattr__(self, "operands", operands)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.operands,) == (other.operands,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.operands,))
-
 
 class ClassAssertion(_Value):
     __slots__ = ("expr", "individual")
@@ -201,14 +180,6 @@ class ClassAssertion(_Value):
     def __init__(self, expr: ClassExpression, individual: str):
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "individual", individual)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.expr, self.individual) == (other.expr, other.individual)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.expr, self.individual))
 
 
 class DisjointUnion(_Value):
@@ -219,14 +190,6 @@ class DisjointUnion(_Value):
             raise ValueError("DisjointUnion needs at least two disjuncts")
         object.__setattr__(self, "union_class", union_class)
         object.__setattr__(self, "disjuncts", disjuncts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.union_class, self.disjuncts) == (other.union_class, other.disjuncts)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.union_class, self.disjuncts))
 
 
 Axiom = SubClassOf | EquivalentClasses | DisjointClasses | ClassAssertion | DisjointUnion
@@ -308,16 +271,6 @@ class LexEntry(_Value):
         object.__setattr__(self, "article", article)
         object.__setattr__(self, "property_phrase", property_phrase)
         object.__setattr__(self, "joiner", joiner)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.preferred_name, self.article, self.property_phrase, self.joiner) == (
-                other.preferred_name, other.article, other.property_phrase, other.joiner
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.preferred_name, self.article, self.property_phrase, self.joiner))
 
 
 # ---------------------------------------------------------------------------

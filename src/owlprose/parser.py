@@ -109,14 +109,6 @@ class SourceDocument(_Value):
         object.__setattr__(self, "text", text.replace("\r\n", "\n").replace("\r", "\n"))
         object.__setattr__(self, "path", path)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.text, self.path) == (other.text, other.path)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.text, self.path))
-
     @classmethod
     def from_path(cls, path) -> "SourceDocument":
         """Read and decode a UTF-8 file. A byte that does not decode raises

@@ -58,16 +58,6 @@ class RealizeOptions(_Value):
         object.__setattr__(self, "elide_rolegroup", elide_rolegroup)
         object.__setattr__(self, "guess_articles", guess_articles)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.elide_rolegroup, self.guess_articles) == (
-                other.elide_rolegroup, other.guess_articles
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.elide_rolegroup, self.guess_articles))
-
 
 class Paragraph(_Record):
     """Finalized sentences plus an optional trailing bulleted list.

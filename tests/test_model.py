@@ -7,7 +7,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from owlprose.model import (
     ClassAssertion,
@@ -253,6 +253,41 @@ def test_objects_built_from_the_same_arguments_are_equal_with_equal_hashes(make)
         assert one == other and hash(one) == hash(other)
 
 
+def structure(node):
+    """node as plain data that no value class's __eq__ or __hash__ reads: a
+    frozen value becomes its class followed by its fields' structures, a
+    tuple the tuple of its items' structures, and anything else stays."""
+    if isinstance(node, tuple):
+        return tuple(structure(item) for item in node)
+    fields = getattr(type(node), "__slots__", None)
+    if fields is None:
+        return node
+    return (type(node), *(structure(getattr(node, name)) for name in fields))
+
+
+@settings(max_examples=150, deadline=None)
+@given(first=MAKERS, second=MAKERS)
+@example(first=lambda: A, second=lambda: B)
+@example(first=lambda: Intersection((A, B)), second=lambda: Intersection((A, C)))
+@example(first=lambda: EquivalentClasses((A, B)), second=lambda: EquivalentClasses((B, A)))
+@example(first=lambda: DisjointClasses((A, B)), second=lambda: DisjointClasses((A, B, C)))
+@example(first=lambda: Intersection((A, B)), second=lambda: DisjointClasses((A, B)))
+@example(first=lambda: SubClassOf(A, B), second=lambda: SubClassOf(A, C))
+def test_values_are_equal_exactly_when_class_and_field_values_are(first, second):
+    """Two independently made values, and every value inside them, compare
+    as their structures do, and equal values hash alike. No value equals
+    its field values, bare or as a tuple, although it may hash like them."""
+    for one in values_in(first()):
+        fields = tuple(getattr(one, name) for name in type(one).__slots__)
+        assert one != fields and one != fields[0]
+        for other in values_in(second()):
+            equal = structure(one) == structure(other)
+            assert (one == other) is equal and (other == one) is equal
+            assert (one != other) is not equal
+            if equal:
+                assert hash(one) == hash(other)
+
+
 @settings(max_examples=150, deadline=None)
 @given(make=MAKERS)
 def test_the_same_fields_in_another_class_are_unequal(make):
@@ -346,6 +381,34 @@ def test_keywords_and_defaults_construct_as_before():
     empty = {"classes": set(), "properties": set(), "individuals": set(), "axioms": []}
     assert vars(first) == empty
     assert first.classes is not second.classes and first.axioms is not second.axioms
+
+
+class SubNamed(Named):
+    """A subclass that declares no slot of its own, at module level so that
+    pickle finds it by name."""
+
+    __slots__ = ()
+
+
+class SubExistential(Existential):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (SubNamed(":A"), "SubNamed(iri=':A')"),
+        (SubExistential(":p", SubNamed(":B")), "SubExistential(prop=':p', filler=SubNamed(iri=':B'))"),
+    ],
+)
+def test_a_subclass_that_declares_no_slot_has_its_base_fields(value, text):
+    assert repr(value) == text
+    twins = [copy.copy(value), copy.deepcopy(value)]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        twins.append(pickle.loads(pickle.dumps(value, protocol)))
+    for twin in twins:
+        assert type(twin) is type(value) and repr(twin) == text
+        assert twin == value and hash(twin) == hash(value)
 
 
 def test_an_instance_of_a_subclass_is_not_equal_to_the_class_instance():
