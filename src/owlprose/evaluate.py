@@ -496,8 +496,8 @@ def _axiom_unit_variants(axiom: Axiom):
             yield [term_text(keyword, (axiom.union_class, *texts))]
 
 
-def _unit_variants(variants, *args):
-    """The text lists variants(*args) gives, each holding the canonical
+def _unit_variants(variants):
+    """The text lists the variants iterator gives, each holding the canonical
     serialization of each axiom of a variant in order, less each variant
     whose sorted texts equal an earlier one's.
 
@@ -507,7 +507,7 @@ def _unit_variants(variants, *args):
     would drop it as a duplicate.
     """
     seen = set()
-    for texts in variants(*args):
+    for texts in variants:
         key = tuple(sorted(texts))
         if key not in seen:
             seen.add(key)
@@ -531,14 +531,16 @@ def _units(axioms: list) -> tuple:
             pool = pools.get(axiom.sub)
             if pool is None:
                 pool = pools[axiom.sub] = []
-                units.append(_Drawn(_unit_variants(_subclass_pool_variants, axiom.sub, pool)))
+                # a generator's body first runs at its first draw, when the
+                # pool holds every axiom with this sub
+                units.append(_Drawn(_unit_variants(_subclass_pool_variants(axiom.sub, pool))))
                 ties.append(None)
             pool.append(axiom)
         else:
             positions = held.setdefault(axiom, [])
             tie = positions[-1] if positions else None
             if tie is None:
-                units.append(_Drawn(_unit_variants(_axiom_unit_variants, axiom)))
+                units.append(_Drawn(_unit_variants(_axiom_unit_variants(axiom))))
             else:
                 units.append(units[tie])
             ties.append(tie)

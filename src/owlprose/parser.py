@@ -18,8 +18,10 @@ The ``Ontology(...)`` wrapper is optional: a document may also be a bare
 sequence of declarations and axioms (or empty). Identifiers are ``:``-prefixed
 tokens without whitespace; ``#`` starts a comment running to end of line.
 
-The parser reads the tokens once, left to right, and works out a token's line
-and column only when it raises an error there.
+_tokens cuts a whole document into tokens up front. parse_ontology then reads
+them once, left to right, by a recursive descent in plain functions over one
+iterator, and works out a token's line and column only when it raises an
+error there.
 
 By default, ids referenced by axioms without a declaration are auto-declared
 with a warning (their kind inferred from position); strict mode rejects them
@@ -144,10 +146,11 @@ _WHOLE_TOKEN_RE = re.compile(_TOKEN)
 _COMMENT_RE = re.compile(r"\#[^\n]*")
 
 # One match per token, skipped run or bad character. A token is its text: its
-# kind follows from its first character (see _kind), and the end of input is
-# the empty token "". Offsets are not kept; an error finds its token's offset
-# by a finditer walk over the whole text. Every alternative matches one run
-# with no nested repetition, so that walk is linear in the text's length.
+# first character tells its kind ("(" and ")" stand for themselves, ":" starts
+# an id, a letter a keyword), and the end of input is the empty token "".
+# Offsets are not kept; an error finds its token's offset by a finditer walk
+# over the whole text (_offset). Every alternative matches one run with no
+# nested repetition, so that walk is linear in the text's length.
 _TOKEN_RE = re.compile(
     rf"""
     \s+|{_COMMENT_RE.pattern}
@@ -158,37 +161,34 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokens(text: str) -> list | None:
-    """The text's tokens as a _TOKEN_RE walk finds them, one string object
-    per distinct text; or None when the text holds a bad character.
+def _tokens(doc: SourceDocument) -> list:
+    """The document's tokens as a _TOKEN_RE walk finds them, then the end of
+    input "", one string object per distinct text: every mention of an id is
+    then the same object, and set lookups over ids match by identity. A bad
+    character raises ParseError at its line and column.
 
     With its comments cut and its parentheses padded with spaces, the text
     splits at exactly the characters \\s matches (str.split and \\s agree on
     whitespace). Each distinct piece is checked once, and most are one whole
     token. Any other piece is a keyword glued to an id, as in "Class:X",
     which _WHOLE_TOKEN_RE.findall takes apart as the walk would, or it holds
-    a bad character, which that findall skips where the walk reports it."""
+    a bad character, which that findall skips and the walk finds."""
+    text = doc.text
     if "#" in text:
         text = _COMMENT_RE.sub("", text)
     texts: dict = {}
     pieces = text.replace("(", " ( ").replace(")", " ) ").split()
     tokens = list(map(texts.setdefault, pieces, pieces))
     glued = list(filterfalse(_WHOLE_TOKEN_RE.fullmatch, texts))
-    if not glued:
-        return tokens
-    parts = {piece: _WHOLE_TOKEN_RE.findall(piece) for piece in glued}
-    if any("".join(found) != piece for piece, found in parts.items()):
-        return None
-    return [texts.setdefault(t, t) for piece in tokens for t in parts.get(piece, (piece,))]
-
-
-# first character of a token -> its kind; any other first character is a letter
-_KINDS = {"": "eof", "(": "(", ")": ")", ":": "id"}
-
-
-def _kind(token: str) -> str:
-    """The token's kind: "eof", the parenthesis itself, "id" or "keyword"."""
-    return _KINDS.get(token[:1], "keyword")
+    if glued:
+        parts = {piece: _WHOLE_TOKEN_RE.findall(piece) for piece in glued}
+        if any("".join(found) != piece for piece, found in parts.items()):
+            bad = next(m for m in _TOKEN_RE.finditer(doc.text) if m.lastgroup == "bad")
+            position = _position(doc.text, bad.start())
+            raise ParseError(f"unexpected character {bad.group()!r}", doc.path, *position)
+        tokens = [texts.setdefault(t, t) for piece in tokens for t in parts.get(piece, (piece,))]
+    tokens.append("")
+    return tokens
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -196,210 +196,180 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-class _Parser:
-    """Tokenizes a whole document up front, then parses it by recursive
-    descent into a fresh Ontology.
-
-    The descent reads the tokens once, left to right, from one iterator:
-    each grammar step is handed the token already taken and checks it in
-    place, so nothing looks ahead. A token's position in the text is worked
-    out only when an error names it."""
-
-    def __init__(self, doc: SourceDocument, strict: bool):
-        self.text = doc.text
-        self.path = doc.path
-        self.strict = strict
-        # one string object per distinct token text: every mention of an id is
-        # then the same object, and set lookups over ids match by identity
-        self.tokens = _tokens(self.text)
-        if self.tokens is None:
-            bad = next(m for m in _TOKEN_RE.finditer(self.text) if m.lastgroup == "bad")
-            position = _position(self.text, bad.start())
-            raise ParseError(f"unexpected character {bad.group()!r}", self.path, *position)
-        self.tokens.append("")
-
-    def error(self, index: int, expected=(), message: str | None = None) -> ParseError:
-        """The ParseError at the token with that index; the message defaults
-        to naming the token (or the end of input) as unexpected."""
-        token = self.tokens[index]
-        if message is None:
-            message = f"unexpected {token!r}" if token else "unexpected end of input"
-        return ParseError(message, self.path, *_position(self.text, self.offset(index)), expected)
-
-    def offset(self, index: int) -> int:
-        """Where the token with that index starts, found by walking the text
-        again; the end of input sits at the text's end."""
-        starts = (m.start() for m in _TOKEN_RE.finditer(self.text) if m.lastgroup == "token")
-        return next(islice(starts, index, None), len(self.text))
-
-    def parse_document(self) -> Ontology:
-        """The ontology of the whole token list, which ends in the end-of-input
-        token "". Every check fails on "", so no step takes past it.
-
-        Each token is compared where it is taken: "(" and ")" by equality, an
-        id by its first character ":". A class id met before resolves through
-        the named dict before any call; the grammar functions run only for a
-        first mention, a constructor or an error."""
-        tokens, strict = self.tokens, self.strict
-        ontology = Ontology()
-        classes, properties = ontology.classes, ontology.properties
-        individuals = ontology.individuals
-        append = ontology.axioms.append
-        # declaration keyword -> the kind named in warnings, the id set it fills
-        declarations = {
-            "Class": ("class", classes),
-            "ObjectProperty": ("property", properties),
-            "NamedIndividual": ("individual", individuals),
-        }
-        # class id -> the one Named of this document for it, made at the id's
-        # first mention as a class expression
-        named: dict = {}
-        known = named.get
-        rest = iter(tokens)
-        take = rest.__next__
-
-        def taken() -> int:
-            """The index of the token taken last."""
-            return len(tokens) - rest.__length_hint__() - 1
-
-        def reference(iri: str, declaration: str) -> str:
-            """The id taken last; an undeclared id is auto-declared as the
-            kind the declaration keyword names, or rejected in strict mode."""
-            if iri in classes or iri in properties or iri in individuals:
-                return iri
-            if strict:
-                line = _position(self.text, self.offset(taken()))[0]
-                raise UndeclaredEntity(
-                    f"{self.path}: {iri} referenced at line {line} but never declared"
-                )
-            kind, pool = declarations[declaration]
-            log.warning("%s: auto-declaring undeclared %s %s", self.path, kind, iri)
-            pool.add(iri)
-            return iri
-
-        def expression(token: str, depth: int) -> ClassExpression:
-            """The expression that starts at the token taken last, which is
-            not a class id met before; a constructor here sits at nesting
-            level depth."""
-            if token[:1] == ":":
-                expr = named[token] = Named(reference(token, "Class"))
-                return expr
-            if token not in _CONSTRUCTORS:
-                raise self.error(taken(), (":id",) + _CONSTRUCTORS)
-            if depth > MAX_NESTING:
-                raise self.error(
-                    taken(), message=f"expression nested deeper than {MAX_NESTING} levels"
-                )
-            if take() != "(":
-                raise self.error(taken(), ("(",))
-            if token == "ObjectIntersectionOf":
-                return Intersection(operands(depth + 1))
-            prop = take()
-            if prop[:1] != ":":
-                raise self.error(taken(), ("id",))
-            if prop not in properties:
-                reference(prop, "ObjectProperty")
-            token = take()
-            expr = Existential(prop, known(token) or expression(token, depth + 1))
-            if take() != ")":
-                raise self.error(taken(), (")",))
-            return expr
-
-        def operands(depth: int) -> tuple:
-            """Two or more expressions, as many as follow, and the ")" after
-            them."""
-            token = take()
-            found = [known(token) or expression(token, depth)]
-            token = take()
-            found.append(known(token) or expression(token, depth))
-            token = take()
-            while token != ")":
-                if token == "(" or not token:
-                    raise self.error(taken(), (")",))
-                found.append(known(token) or expression(token, depth))
-                token = take()
-            return tuple(found)
-
-        try:
-            token = take()
-            wrapped = token == "Ontology"
-            if wrapped:
-                if take() != "(":
-                    raise self.error(taken(), ("(",))
-                token = take()
-            end = ")" if wrapped else ""  # besides "", the token that ends the items
-            while token and token != end:
-                # one declaration, whose id joins its kind's id set, or one
-                # axiom, appended to the ontology's axioms
-                if token not in _ITEM_KEYWORDS:
-                    keyword = _kind(token) == "keyword"
-                    message = f"unexpected keyword {token!r}" if keyword else None
-                    raise self.error(taken(), _ITEM_KEYWORDS, message)
-                if take() != "(":
-                    raise self.error(taken(), ("(",))
-                if token == "SubClassOf":
-                    token = take()
-                    sub = known(token) or expression(token, 1)
-                    token = take()
-                    axiom = SubClassOf(sub, known(token) or expression(token, 1))
-                    if take() != ")":
-                        raise self.error(taken(), (")",))
-                    append(axiom)
-                elif token == "Declaration":
-                    # ( Kind ( :id ) ): the first token out of place raises
-                    declared = take()
-                    if declared not in declarations:
-                        raise self.error(taken(), tuple(declarations))
-                    if take() != "(":
-                        raise self.error(taken(), ("(",))
-                    iri = take()
-                    if iri[:1] != ":":
-                        raise self.error(taken(), ("id",))
-                    if take() != ")" or take() != ")":
-                        raise self.error(taken(), (")",))
-                    declarations[declared][1].add(iri)
-                elif token == "EquivalentClasses":
-                    append(EquivalentClasses(operands(1)))
-                elif token == "DisjointClasses":
-                    append(DisjointClasses(operands(1)))
-                elif token == "ClassAssertion":
-                    token = take()
-                    expr = known(token) or expression(token, 1)
-                    individual = take()
-                    if individual[:1] != ":":
-                        raise self.error(taken(), ("id",))
-                    if individual not in individuals:
-                        reference(individual, "NamedIndividual")
-                    if take() != ")":
-                        raise self.error(taken(), (")",))
-                    append(ClassAssertion(expr, individual))
-                else:
-                    union_class = take()
-                    if union_class[:1] != ":":
-                        raise self.error(taken(), ("id",))
-                    if union_class not in classes:
-                        reference(union_class, "Class")
-                    append(DisjointUnion(union_class, operands(1)))
-                token = take()
-            if wrapped:
-                if token != ")":
-                    raise self.error(taken(), (")",))
-                token = take()
-            if token:
-                raise self.error(taken(), ("eof",))
-        finally:
-            # expression and operands reach each other through these cells:
-            # emptying them breaks that cycle, so reference counting alone
-            # frees the parse once it returns or raises
-            del expression, operands
-        return ontology
+def _offset(text: str, index: int) -> int:
+    """Where the token with that index starts, found by walking the text
+    again; the end of input sits at the text's end."""
+    starts = (m.start() for m in _TOKEN_RE.finditer(text) if m.lastgroup == "token")
+    return next(islice(starts, index, None), len(text))
 
 
 def parse_ontology(doc: SourceDocument | str, strict: bool = False) -> Ontology:
-    """Parse a document into an Ontology, axioms in document order."""
+    """Parse a document into an Ontology, axioms in document order.
+
+    The descent reads the token list of _tokens once, left to right, from
+    one iterator: each grammar step is handed the token already taken and
+    checks it in place, so nothing looks ahead. Every check fails on the
+    end-of-input token "", so no step takes past it. "(" and ")" are
+    compared by equality, an id by its first character ":". A class id met
+    before resolves through the named dict before any call; the grammar
+    functions run only for a first mention, a constructor or an error. A
+    token's position in the text is worked out only when an error names it."""
     if isinstance(doc, str):
         doc = SourceDocument(doc)
-    return _Parser(doc, strict).parse_document()
+    text, path = doc.text, doc.path
+    tokens = _tokens(doc)
+    ontology = Ontology()
+    classes, properties = ontology.classes, ontology.properties
+    individuals = ontology.individuals
+    append = ontology.axioms.append
+    # declaration keyword -> the kind named in warnings, the id set it fills
+    declarations = {
+        "Class": ("class", classes),
+        "ObjectProperty": ("property", properties),
+        "NamedIndividual": ("individual", individuals),
+    }
+    # class id -> the one Named of this document for it, made at the id's
+    # first mention as a class expression
+    named: dict = {}
+    known = named.get
+    rest = iter(tokens)
+    take = rest.__next__
+
+    def error(expected=(), message: str | None = None) -> ParseError:
+        """The ParseError at the token taken last; the message defaults to
+        naming the token (or the end of input) as unexpected."""
+        index = len(tokens) - rest.__length_hint__() - 1
+        if message is None:
+            token = tokens[index]
+            message = f"unexpected {token!r}" if token else "unexpected end of input"
+        return ParseError(message, path, *_position(text, _offset(text, index)), expected)
+
+    def reference(iri: str, declaration: str) -> str:
+        """The id taken last; an undeclared id is auto-declared as the
+        kind the declaration keyword names, or rejected in strict mode."""
+        if iri in classes or iri in properties or iri in individuals:
+            return iri
+        if strict:
+            line = error().line
+            raise UndeclaredEntity(f"{path}: {iri} referenced at line {line} but never declared")
+        kind, pool = declarations[declaration]
+        log.warning("%s: auto-declaring undeclared %s %s", path, kind, iri)
+        pool.add(iri)
+        return iri
+
+    def expression(token: str, depth: int) -> ClassExpression:
+        """The expression that starts at the token taken last, which is
+        not a class id met before; a constructor here sits at nesting
+        level depth."""
+        if token[:1] == ":":
+            expr = named[token] = Named(reference(token, "Class"))
+            return expr
+        if token not in _CONSTRUCTORS:
+            raise error((":id",) + _CONSTRUCTORS)
+        if depth > MAX_NESTING:
+            raise error(message=f"expression nested deeper than {MAX_NESTING} levels")
+        if take() != "(":
+            raise error(("(",))
+        if token == "ObjectIntersectionOf":
+            return Intersection(operands(depth + 1))
+        prop = take()
+        if prop[:1] != ":":
+            raise error(("id",))
+        if prop not in properties:
+            reference(prop, "ObjectProperty")
+        token = take()
+        expr = Existential(prop, known(token) or expression(token, depth + 1))
+        if take() != ")":
+            raise error((")",))
+        return expr
+
+    def operands(depth: int) -> tuple:
+        """Two or more expressions, as many as follow, and the ")" after
+        them."""
+        token = take()
+        found = [known(token) or expression(token, depth)]
+        token = take()
+        found.append(known(token) or expression(token, depth))
+        token = take()
+        while token != ")":
+            if token == "(" or not token:
+                raise error((")",))
+            found.append(known(token) or expression(token, depth))
+            token = take()
+        return tuple(found)
+
+    try:
+        token = take()
+        wrapped = token == "Ontology"
+        if wrapped:
+            if take() != "(":
+                raise error(("(",))
+            token = take()
+        end = ")" if wrapped else ""  # besides "", the token that ends the items
+        while token and token != end:
+            # one declaration, whose id joins its kind's id set, or one
+            # axiom, appended to the ontology's axioms
+            if token not in _ITEM_KEYWORDS:
+                message = f"unexpected keyword {token!r}" if token[:1].isalpha() else None
+                raise error(_ITEM_KEYWORDS, message)
+            if take() != "(":
+                raise error(("(",))
+            if token == "SubClassOf":
+                token = take()
+                sub = known(token) or expression(token, 1)
+                token = take()
+                axiom = SubClassOf(sub, known(token) or expression(token, 1))
+                if take() != ")":
+                    raise error((")",))
+                append(axiom)
+            elif token == "Declaration":
+                # ( Kind ( :id ) ): the first token out of place raises
+                declared = take()
+                if declared not in declarations:
+                    raise error(tuple(declarations))
+                if take() != "(":
+                    raise error(("(",))
+                iri = take()
+                if iri[:1] != ":":
+                    raise error(("id",))
+                if take() != ")" or take() != ")":
+                    raise error((")",))
+                declarations[declared][1].add(iri)
+            elif token == "EquivalentClasses":
+                append(EquivalentClasses(operands(1)))
+            elif token == "DisjointClasses":
+                append(DisjointClasses(operands(1)))
+            elif token == "ClassAssertion":
+                token = take()
+                expr = known(token) or expression(token, 1)
+                individual = take()
+                if individual[:1] != ":":
+                    raise error(("id",))
+                if individual not in individuals:
+                    reference(individual, "NamedIndividual")
+                if take() != ")":
+                    raise error((")",))
+                append(ClassAssertion(expr, individual))
+            else:
+                union_class = take()
+                if union_class[:1] != ":":
+                    raise error(("id",))
+                if union_class not in classes:
+                    reference(union_class, "Class")
+                append(DisjointUnion(union_class, operands(1)))
+            token = take()
+        if wrapped:
+            if token != ")":
+                raise error((")",))
+            token = take()
+        if token:
+            raise error(("eof",))
+    finally:
+        # expression and operands reach each other through these cells:
+        # emptying them breaks that cycle, so reference counting alone
+        # frees the parse once it returns or raises
+        del expression, operands
+    return ontology
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,20 @@ def drop_declarations(rng: random.Random, ontology: Ontology, share: float) -> O
     return Ontology(declared, ontology.properties, ontology.individuals, ontology.axioms)
 
 
+def broken_by_one_edit(rng: random.Random, text: str) -> str:
+    """The text broken by one edit at a random offset: a bad character or a
+    parenthesis inserted, the text cut there, or a lone ":" inserted."""
+    offset = rng.randrange(len(text) + 1)
+    edit = rng.randrange(4)
+    if edit == 0:
+        return text[:offset] + rng.choice("$é∀1_;%") + text[offset:]
+    if edit == 1:
+        return text[:offset] + rng.choice("()") + text[offset:]
+    if edit == 2:
+        return text[:offset]
+    return text[:offset] + " : " + text[offset:]
+
+
 def ontology_text(ontology: Ontology) -> str:
     """The ontology in the functional syntax the parser reads: a declaration
     for each of its classes, properties and individuals, then the axioms."""

@@ -28,7 +28,13 @@ from owlprose.model import (
     frames,
     mentions,
 )
-from owlprose.parser import SourceDocument, load_lexicon, parse_ontology
+from owlprose.parser import (
+    ParseError,
+    SourceDocument,
+    UndeclaredEntity,
+    load_lexicon,
+    parse_ontology,
+)
 from owlprose.realizer import RealizeOptions
 
 import genutil
@@ -166,7 +172,9 @@ def test_a_parsed_model_holds_no_reference_cycle(seed, share):
     frames build: with the cyclic collector off, dropping all of it leaves
     the collector nothing to find. The lexicon has one row per declared id;
     about that share of the classes lose their declaration, so the parse
-    auto-declares those the axioms mention."""
+    auto-declares those the axioms mention. A failed parse of the document
+    broken by one edit, lenient or strict, leaves nothing either once its
+    error is dropped."""
     rng = random.Random(seed)
     ontology = genutil.drop_declarations(rng, genutil.gen_ontology(rng), share)
     text = genutil.ontology_text(ontology)
@@ -184,6 +192,13 @@ def test_a_parsed_model_holds_no_reference_cycle(seed, share):
         index = frames(parsed)
         del parsed, entries, index
         assert gc.collect() == 0
+        broken = genutil.broken_by_one_edit(rng, text)
+        for strict in (False, True):
+            try:
+                parse_ontology(broken, strict=strict)
+            except (ParseError, UndeclaredEntity):
+                pass
+            assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()

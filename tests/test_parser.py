@@ -187,6 +187,16 @@ TOKEN_PIECES = (
 BAD_PIECES = (":", "é", "1", "$", "_")
 
 
+def token_kind(token: str) -> str:
+    """A token's kind by its first character: "eof" for the end of input "",
+    the parenthesis itself, "id" after ":", and "keyword" otherwise."""
+    if not token:
+        return "eof"
+    if token in "()":
+        return token
+    return "id" if token[0] == ":" else "keyword"
+
+
 def assert_tokens_match_the_oracle(text: str):
     """Valid text gives the oracle's token texts and kinds, one string object
     per distinct text; invalid text fails with the message, line and column
@@ -196,8 +206,8 @@ def assert_tokens_match_the_oracle(text: str):
     expected = genutil.tokens_oracle(text_held)
     kind, value, offset = expected[-1]
     if kind == "eof":
-        tokens = parser._Parser(SourceDocument(text), strict=False).tokens
-        assert [(parser._kind(token), token) for token in tokens] == [
+        tokens = parser._tokens(SourceDocument(text))
+        assert [(token_kind(token), token) for token in tokens] == [
             (oracle_kind, oracle_text) for oracle_kind, oracle_text, _ in expected
         ]
         assert len(set(map(id, tokens))) == len(set(tokens))
@@ -273,7 +283,7 @@ def test_a_valid_document_is_tokenized_with_no_walk_over_the_whole_text(text, to
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_TOKEN_RE", "_WHOLE_TOKEN_RE"):
             patch.setattr(parser, name, _RecordingPattern(getattr(parser, name), lengths))
-        assert parser._Parser(SourceDocument(text), strict=False).tokens == tokens + [""]
+        assert parser._tokens(SourceDocument(text)) == tokens + [""]
     assert all(length <= len("Class:X") for length in lengths)
 
 

@@ -260,16 +260,7 @@ def broken_document(rng: random.Random) -> str:
     """A generated ontology's text, some of its declarations dropped so that
     strict mode has undeclared ids to find, broken by one edit."""
     ontology = genutil.drop_declarations(rng, genutil.gen_ontology(rng), 0.2)
-    text = genutil.ontology_text(ontology)
-    offset = rng.randrange(len(text) + 1)
-    edit = rng.randrange(4)
-    if edit == 0:
-        return text[:offset] + rng.choice("$é∀1_;%") + text[offset:]
-    if edit == 1:
-        return text[:offset] + rng.choice("()") + text[offset:]
-    if edit == 2:
-        return text[:offset]
-    return text[:offset] + " : " + text[offset:]
+    return genutil.broken_by_one_edit(rng, genutil.ontology_text(ontology))
 
 
 def parse_errors_surface():
