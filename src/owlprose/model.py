@@ -2,9 +2,12 @@
 and per-class frames.
 
 A class's frame is every axiom that mentions it, at any depth, in ontology
-order; ``class_ids`` is the one definition of "mentions". ``collect_frame``
-scans the axioms for one class; ``frames`` builds the frame of every declared
-class in a single pass, for the whole-ontology commands.
+order. "Mentions" has two readings: ``class_ids`` gives every class id an
+axiom mentions, and ``mentions`` tests one id with a walk that stops at the
+first match; the tests hold both to ``genutil.class_ids_oracle``.
+``collect_frame`` scans the axioms for one class with ``mentions``; ``frames``
+builds the frame of every declared class in a single pass over
+``class_ids``, for the whole-ontology commands.
 
 Identifiers are plain ``:``-prefixed tokens kept as strings (including the
 colon); human-readable names live in the lexicon, not here.
@@ -244,9 +247,66 @@ def class_ids(axiom: Axiom) -> set:
     return out
 
 
+def _base_kind(value, kinds: tuple, what: str) -> type:
+    """The first of ``kinds`` that value is an instance of, for a walk that
+    dispatches on the exact class and meets an instance of a subclass;
+    TypeError when there is none."""
+    for kind in kinds:
+        if isinstance(value, kind):
+            return kind
+    raise TypeError(f"not {what}: {value!r}")
+
+
+def _mentioned(expr: ClassExpression, iri: str) -> bool:
+    """True iff the class id is named anywhere in the expression; an
+    Existential's property is never a class mention."""
+    kind = expr.__class__
+    # the loop steps down an Existential's filler, and dispatches again on
+    # the base class of a subclass instance
+    while True:
+        if kind is Named:
+            return expr.iri == iri
+        if kind is Existential:
+            expr = expr.filler
+            kind = expr.__class__
+        elif kind is Intersection:
+            for operand in expr.operands:
+                if _mentioned(operand, iri):
+                    return True
+            return False
+        else:
+            kind = _base_kind(expr, ClassExpression.__args__, "a class expression")
+
+
 def mentions(axiom: Axiom, iri: str) -> bool:
-    """True iff the class id occurs anywhere in the axiom, at any depth."""
-    return iri in class_ids(axiom)
+    """True iff the class id occurs anywhere in the axiom, at any depth: the
+    DisjointUnion class included, the individual of a ClassAssertion never,
+    as ``class_ids`` reads it.
+
+    The walk returns at the first match and builds no set, tuple or Named:
+    an axiom costs a class check and an attribute read per expression it
+    visits. It dispatches on each value's exact class; an instance of a
+    subclass of an axiom or expression class is walked as its base, and a
+    value that is neither raises TypeError when the walk reaches it."""
+    kind = axiom.__class__
+    while True:
+        if kind is SubClassOf:
+            return _mentioned(axiom.sub, iri) or _mentioned(axiom.super, iri)
+        if kind is ClassAssertion:
+            return _mentioned(axiom.expr, iri)
+        if kind is EquivalentClasses or kind is DisjointClasses:
+            operands = axiom.operands
+        elif kind is DisjointUnion:
+            if axiom.union_class == iri:
+                return True
+            operands = axiom.disjuncts
+        else:
+            kind = _base_kind(axiom, Axiom.__args__, "an axiom")
+            continue
+        for expr in operands:
+            if _mentioned(expr, iri):
+                return True
+        return False
 
 
 # ---------------------------------------------------------------------------

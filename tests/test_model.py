@@ -5,10 +5,13 @@ import copy
 import gc
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import owlprose.model as model
+from owlprose.classifier import NotInFrame, classify
 from owlprose.model import (
     ClassAssertion,
     ClassFrame,
@@ -29,6 +32,7 @@ from owlprose.model import (
     mentions,
 )
 from owlprose.parser import (
+    MAX_NESTING,
     ParseError,
     SourceDocument,
     UndeclaredEntity,
@@ -107,10 +111,12 @@ def test_collect_frame_empty_frame_is_allowed():
 
 
 def check_walk(ontology):
-    """class_ids, mentions and frames against the oracles, on one ontology."""
+    """class_ids, mentions, collect_frame and frames against the oracles, on
+    one ontology. A property id is probed too: an Existential's property is
+    never a class mention."""
     index = frames(ontology)
     assert index.keys() == ontology.classes
-    probes = ontology.classes | ontology.individuals | {":Nowhere"}
+    probes = ontology.classes | ontology.properties | ontology.individuals | {":Nowhere"}
     for axiom in ontology.axioms:
         expected = genutil.class_ids_oracle(axiom)
         assert class_ids(axiom) == expected
@@ -119,8 +125,24 @@ def check_walk(ontology):
     for iri, frame in index.items():
         assert frame.designated == iri
         oracle = genutil.frame_oracle(ontology, iri).axioms
-        assert len(frame.axioms) == len(oracle)
-        assert all(got is want for got, want in zip(frame.axioms, oracle))
+        for got in (frame.axioms, collect_frame(ontology, iri).axioms):
+            assert len(got) == len(oracle)
+            assert all(one is want for one, want in zip(got, oracle))
+
+
+class SubNamed(Named):
+    """A subclass that declares no slot of its own, at module level so that
+    pickle finds it by name."""
+
+    __slots__ = ()
+
+
+class SubExistential(Existential):
+    __slots__ = ()
+
+
+class SubSubClassOf(SubClassOf):
+    __slots__ = ()
 
 
 HAND_BUILT = {
@@ -130,6 +152,7 @@ HAND_BUILT = {
     ),
     "nested fillers": Ontology(
         classes={":A", ":B", ":C"},
+        properties={":p", ":q"},
         axioms=[
             SubClassOf(A, Existential(":p", Intersection((B, Existential(":q", C))))),
             EquivalentClasses((B, Existential(":p", Existential(":q", C)))),
@@ -137,6 +160,7 @@ HAND_BUILT = {
     ),
     "named twice": Ontology(
         classes={":A", ":B"},
+        properties={":p"},
         axioms=[
             SubClassOf(A, Intersection((B, Existential(":p", A)))),
             DisjointClasses((A, Existential(":p", A))),
@@ -147,6 +171,22 @@ HAND_BUILT = {
         individuals={":B"},
         axioms=[ClassAssertion(A, ":B"), SubClassOf(B, A)],
     ),
+    "property shares a class id": Ontology(
+        classes={":A", ":B", ":C"},
+        properties={":A"},
+        axioms=[SubClassOf(B, Existential(":A", C)), ClassAssertion(Existential(":A", B), ":i")],
+    ),
+    # instances of subclasses are walked as their base classes
+    "value subclasses": Ontology(
+        classes={":A", ":B", ":C"},
+        properties={":p"},
+        axioms=[
+            SubSubClassOf(SubNamed(":A"), SubExistential(":p", B)),
+            SubClassOf(SubNamed(":A"), B),
+            EquivalentClasses((C, SubExistential(":p", Intersection((SubNamed(":A"), B))))),
+            DisjointUnion(":C", (SubNamed(":B"), A)),
+        ],
+    ),
     "empty": Ontology(),
 }
 
@@ -156,12 +196,100 @@ def test_walk_matches_the_oracle_on_hand_built_cases(name):
     check_walk(HAND_BUILT[name])
 
 
+def deep_expression(bottom: str):
+    """An expression MAX_NESTING constructors deep, alternating Existential
+    and an Intersection whose deeper operand comes after the decoy :D, with
+    ``bottom`` named only at the bottom."""
+    expr = Named(bottom)
+    for level in range(MAX_NESTING):
+        expr = Existential(":p", expr) if level % 2 else Intersection((Named(":D"), expr))
+    return expr
+
+
+DEEP = deep_expression(":X")
+DEEP_POSITIONS = {
+    "SubClassOf sub": SubClassOf(DEEP, Named(":D")),
+    "SubClassOf super": SubClassOf(Named(":D"), DEEP),
+    "EquivalentClasses operand": EquivalentClasses((Named(":D"), DEEP)),
+    "DisjointClasses operand": DisjointClasses((Named(":D"), DEEP)),
+    "ClassAssertion expression": ClassAssertion(DEEP, ":i"),
+    "DisjointUnion disjunct": DisjointUnion(":D", (Named(":E"), DEEP)),
+}
+
+
+@pytest.mark.parametrize("position", sorted(DEEP_POSITIONS))
+def test_walk_finds_a_mention_at_the_bottom_of_the_deepest_expression(position):
+    """The only mention of :X lies MAX_NESTING constructors down, the
+    deepest the parser reads, so the walk must pass every level to find it."""
+    ontology = Ontology(
+        classes={":X", ":D", ":E"},
+        properties={":p"},
+        individuals={":i"},
+        axioms=[DEEP_POSITIONS[position]],
+    )
+    assert parse_ontology(genutil.ontology_text(ontology)) == ontology
+    assert mentions(ontology.axioms[0], ":X")
+    check_walk(ontology)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), share=st.sampled_from((0.0, 0.3)))
 def test_walk_matches_the_oracle_on_generated_ontologies(seed, share):
     rng = random.Random(seed)
     ontology = genutil.gen_ontology(rng, max_axioms=12)
     check_walk(genutil.drop_declarations(rng, ontology, share))
+
+
+def test_a_frame_scan_calls_mentions_once_per_axiom_and_builds_no_id_set(monkeypatch):
+    """collect_frame reaches model.mentions through the module attribute,
+    which a tracer can wrap to count the scan, once per axiom; neither the
+    scan nor classify's membership check calls class_ids or expressions_of."""
+    calls = Counter()
+
+    def count(name):
+        original = getattr(model, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(model, name, counted)
+
+    for name in ("mentions", "class_ids", "expressions_of"):
+        count(name)
+    rng = random.Random(7)
+    for _ in range(20):
+        ontology = genutil.drop_declarations(rng, genutil.gen_ontology(rng, max_axioms=12), 0.3)
+        for iri in sorted(ontology.classes):
+            before = calls["mentions"]
+            collect_frame(ontology, iri)
+            assert calls["mentions"] - before == len(ontology.axioms)
+            for axiom in ontology.axioms:
+                try:
+                    classify(axiom, iri)
+                except NotInFrame:
+                    pass
+    assert calls["mentions"] > 0
+    assert calls["class_ids"] == calls["expressions_of"] == 0
+
+
+@pytest.mark.parametrize(
+    "walk", [class_ids, lambda axiom: mentions(axiom, ":Nowhere")], ids=["class_ids", "mentions"]
+)
+def test_a_value_that_is_not_an_axiom_or_an_expression_raises_type_error(walk):
+    for value in (A, ":A", None, ClassFrame(":A", [SubClassOf(A, B)])):
+        with pytest.raises(TypeError, match="^not an axiom: "):
+            walk(value)
+    for axiom in (
+        SubClassOf(A, ":B"),
+        SubClassOf(":A", B),
+        EquivalentClasses((A, Existential(":p", ":B"))),
+        DisjointClasses((A, Intersection((B, SubClassOf(A, B))))),
+        ClassAssertion(None, ":i"),
+        DisjointUnion(":A", (B, ":C")),
+    ):
+        with pytest.raises(TypeError, match="^not a class expression: "):
+            walk(axiom)
 
 
 # each example runs two full collections, about 40 ms in a pytest process
@@ -396,17 +524,6 @@ def test_keywords_and_defaults_construct_as_before():
     empty = {"classes": set(), "properties": set(), "individuals": set(), "axioms": []}
     assert vars(first) == empty
     assert first.classes is not second.classes and first.axioms is not second.axioms
-
-
-class SubNamed(Named):
-    """A subclass that declares no slot of its own, at module level so that
-    pickle finds it by name."""
-
-    __slots__ = ()
-
-
-class SubExistential(Existential):
-    __slots__ = ()
 
 
 @pytest.mark.parametrize(
