@@ -57,7 +57,7 @@ _STEMS = {
 def group_of(axiom: Axiom) -> str:
     """The axiom's group label: its kind's stem, plus "r" when a top-level
     expression is not a named class, never for DisjointUnion."""
-    stem = _STEMS[type(axiom)]
+    stem = _STEMS[axiom._kind]
     if stem != "Du":
         for expr in expressions_of(axiom):
             if not isinstance(expr, Named):

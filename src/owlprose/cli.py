@@ -6,14 +6,15 @@ Usage:
     owlprose eval --reference FILE --candidate FILE --class ID
 
 The class selector is a single id (":Settlement"), "@FILE" naming a file with
-one id per line, or "all". Every selected frame comes from one pass over the
-ontology's axioms. Batch selections are verbalized in sorted id order with
-each paragraph preceded by its class id; each paragraph is written as soon as
-it is made, and an unknown id in a batch is reported without losing the
-others. Diagnostics go to stderr; only data is written to stdout. Exit
-status: 0 on success, 1 on parse trouble, an unreadable input, output that
-stdout's encoding cannot hold or a stdout that cannot be written (a closed
-pipe, a full device), 2 on an unknown class.
+one id per line, or "all". A batch selection takes every frame from one pass
+over the ontology's axioms (``model.frames``); a one-class run scans the
+axioms for its one frame alone (``model.collect_frame``). Batch selections are
+verbalized in sorted id order with each paragraph preceded by its class id;
+each paragraph is written as soon as it is made, and an unknown id in a batch
+is reported without losing the others. Diagnostics go to stderr; only data is
+written to stdout. Exit status: 0 on success, 1 on parse trouble, an
+unreadable input, output that stdout's encoding cannot hold or a stdout that
+cannot be written (a closed pipe, a full device), 2 on an unknown class.
 
 The parser and the model, which every command needs, load with this module;
 each command imports the rest of what it runs, so ``--version`` and
@@ -43,10 +44,6 @@ from .parser import (
 log = logging.getLogger("owlprose")
 
 
-def _read_id_list(path: str) -> list[str]:
-    return [line.strip() for _, line in SourceDocument.from_path(path).rows()]
-
-
 def positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -71,14 +68,18 @@ def cmd_verbalize(args: argparse.Namespace) -> int:
     if args.class_id == "all":
         ids, batch = sorted(ontology.classes), True
     elif args.class_id.startswith("@"):
-        ids, batch = sorted(_read_id_list(args.class_id[1:])), True
+        rows = SourceDocument.from_path(args.class_id[1:]).rows()
+        ids, batch = sorted(line.strip() for _, line in rows), True
     else:
         ids, batch = [args.class_id], False
+    if batch:
+        index = frames(ontology)
+    else:
+        index = {iri: collect_frame(ontology, iri) for iri in ids if iri in ontology.classes}
 
     options = RealizeOptions(
         elide_rolegroup=args.elide_rolegroup, guess_articles=args.guess_articles
     )
-    index = frames(ontology)
     unknown = 0
     separator = ""  # a blank line between batch paragraphs
     for class_id in ids:

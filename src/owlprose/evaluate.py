@@ -483,7 +483,7 @@ def _axiom_unit_variants(axiom: Axiom):
     if not isinstance(axiom, (EquivalentClasses, DisjointClasses, ClassAssertion, DisjointUnion)):
         raise TypeError(f"not an axiom: {axiom!r}")
     yield [serialize_axiom(axiom)]
-    keyword = type(axiom).__name__
+    keyword = axiom._kind.__name__
     if isinstance(axiom, (EquivalentClasses, DisjointClasses)):
         for texts in islice(_ordered_variants(axiom.operands), 1, None):
             yield [term_text(keyword, texts)]

@@ -22,6 +22,12 @@ repr, pickling and ``copy`` all read the field list that ``_Value`` works out
 when a class is created, so importing the package generates no code.
 Ontology and ClassFrame are mutable records: equal by value and unhashable.
 
+Each of the eight model classes is its own kind, as its class attribute
+``_kind``, which a subclass inherits. Every dispatch on a value's kind reads
+it (``mentions``, ``classifier.group_of``, ``parser.serialize_axiom``, the
+evaluator's variants), so an instance of a subclass is walked, classified,
+serialized and scored as its base kind. Only equality compares classes.
+
 The parser makes one Named per class id per parsed document, so every
 mention of an id in that document is the same object, and a tuple, set or
 dict comparison of two such mentions stops at the identity check. A Named
@@ -197,6 +203,10 @@ class DisjointUnion(_Value):
 
 Axiom = SubClassOf | EquivalentClasses | DisjointClasses | ClassAssertion | DisjointUnion
 
+for _class in (*ClassExpression.__args__, *Axiom.__args__):
+    _class._kind = _class
+del _class
+
 
 def expressions_of(axiom: Axiom) -> tuple:
     """The top-level class expressions (operands) of an axiom, subject first.
@@ -247,35 +257,23 @@ def class_ids(axiom: Axiom) -> set:
     return out
 
 
-def _base_kind(value, kinds: tuple, what: str) -> type:
-    """The first of ``kinds`` that value is an instance of, for a walk that
-    dispatches on the exact class and meets an instance of a subclass;
-    TypeError when there is none."""
-    for kind in kinds:
-        if isinstance(value, kind):
-            return kind
-    raise TypeError(f"not {what}: {value!r}")
-
-
 def _mentioned(expr: ClassExpression, iri: str) -> bool:
     """True iff the class id is named anywhere in the expression; an
     Existential's property is never a class mention."""
-    kind = expr.__class__
-    # the loop steps down an Existential's filler, and dispatches again on
-    # the base class of a subclass instance
-    while True:
-        if kind is Named:
-            return expr.iri == iri
-        if kind is Existential:
+    try:
+        # step down Existential fillers to the first expression of another kind
+        while (kind := expr._kind) is Existential:
             expr = expr.filler
-            kind = expr.__class__
-        elif kind is Intersection:
-            for operand in expr.operands:
-                if _mentioned(operand, iri):
-                    return True
-            return False
-        else:
-            kind = _base_kind(expr, ClassExpression.__args__, "a class expression")
+    except AttributeError:  # not a model value
+        kind = None
+    if kind is Named:
+        return expr.iri == iri
+    if kind is Intersection:
+        for operand in expr.operands:
+            if _mentioned(operand, iri):
+                return True
+        return False
+    raise TypeError(f"not a class expression: {expr!r}")
 
 
 def mentions(axiom: Axiom, iri: str) -> bool:
@@ -284,29 +282,26 @@ def mentions(axiom: Axiom, iri: str) -> bool:
     as ``class_ids`` reads it.
 
     The walk returns at the first match and builds no set, tuple or Named:
-    an axiom costs a class check and an attribute read per expression it
-    visits. It dispatches on each value's exact class; an instance of a
-    subclass of an axiom or expression class is walked as its base, and a
-    value that is neither raises TypeError when the walk reaches it."""
-    kind = axiom.__class__
-    while True:
-        if kind is SubClassOf:
-            return _mentioned(axiom.sub, iri) or _mentioned(axiom.super, iri)
-        if kind is ClassAssertion:
-            return _mentioned(axiom.expr, iri)
-        if kind is EquivalentClasses or kind is DisjointClasses:
-            operands = axiom.operands
-        elif kind is DisjointUnion:
-            if axiom.union_class == iri:
-                return True
-            operands = axiom.disjuncts
-        else:
-            kind = _base_kind(axiom, Axiom.__args__, "an axiom")
-            continue
-        for expr in operands:
-            if _mentioned(expr, iri):
-                return True
-        return False
+    an axiom costs a kind read and an attribute read per expression it
+    visits. It dispatches on each value's ``_kind``, so it walks an instance
+    of a subclass as its base kind and raises TypeError at any other value."""
+    kind = getattr(axiom, "_kind", None)
+    if kind is SubClassOf:
+        return _mentioned(axiom.sub, iri) or _mentioned(axiom.super, iri)
+    if kind is ClassAssertion:
+        return _mentioned(axiom.expr, iri)
+    if kind is EquivalentClasses or kind is DisjointClasses:
+        operands = axiom.operands
+    elif kind is DisjointUnion:
+        if axiom.union_class == iri:
+            return True
+        operands = axiom.disjuncts
+    else:
+        raise TypeError(f"not an axiom: {axiom!r}")
+    for expr in operands:
+        if _mentioned(expr, iri):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -397,14 +397,15 @@ def serialize_expression(expr: ClassExpression) -> str:
 def serialize_axiom(axiom: Axiom) -> str:
     """Canonical single-line rendering; parsing it back recovers the axiom.
 
-    The keyword is the axiom's class name. The arguments are the expressions
+    The keyword is the name of the axiom's kind, so an instance of a subclass
+    is written as its base. The arguments are the expressions
     model.expressions_of gives, in its order, then a ClassAssertion's
     individual; a DisjointUnion's union class comes as a Named, which
     serializes to its id. A non-axiom raises TypeError from expressions_of."""
     parts = [serialize_expression(expr) for expr in expressions_of(axiom)]
     if isinstance(axiom, ClassAssertion):
         parts.append(axiom.individual)
-    return term_text(type(axiom).__name__, parts)
+    return term_text(axiom._kind.__name__, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ many axioms of the group the frame holds.
 A group label depends only on the axiom (``classifier.group_of``), so the
 survey reads each axiom once: it takes the axiom's label and the class ids it
 mentions (``model.class_ids``, the frame rule) and adds the label to the
-group set of each declared class among them. It builds no frames.
+group set of each declared class among them. It builds no frames, and it
+tallies each distinct group set once, by the number of classes that have it.
 
 The report gives every frequency against two denominators, all classes and
 classes with a nonempty frame, because either population can be the one of
@@ -55,9 +56,9 @@ class PatternStats(_Record):
         return self.total_classes - self.per_pattern.get("", 0)
 
 
-def _class_groups(ontology: Ontology) -> Iterable[set]:
-    """Each declared class's set of group labels, from one pass over the
-    axioms. Mentioned but undeclared ids get no set."""
+def _group_sets(ontology: Ontology) -> Counter:
+    """How many declared classes have each set of group labels, from one pass
+    over the axioms. Mentioned but undeclared ids get no set."""
     groups = {iri: set() for iri in ontology.classes}
     for axiom in ontology.axioms:
         group = group_of(axiom)
@@ -65,7 +66,7 @@ def _class_groups(ontology: Ontology) -> Iterable[set]:
             members = groups.get(iri)
             if members is not None:
                 members.add(group)
-    return groups.values()
+    return Counter(map(frozenset, groups.values()))
 
 
 def survey(corpus: Iterable[Ontology]) -> PatternStats:
@@ -75,14 +76,15 @@ def survey(corpus: Iterable[Ontology]) -> PatternStats:
     read once, and none is held once its tally is taken."""
     stats = PatternStats()
     # map, not a loop variable, so no ontology is bound while the next is made
-    for class_groups in map(_class_groups, corpus):
-        for groups in class_groups:
-            stats.per_pattern["".join(sorted(groups))] += 1
-            stats.total_classes += 1
-            stats.group_containment.update(groups)
+    for group_sets in map(_group_sets, corpus):
+        for groups, classes in group_sets.items():
+            stats.per_pattern["".join(sorted(groups))] += classes
+            stats.total_classes += classes
+            for group in groups:
+                stats.group_containment[group] += classes
             for role, members in ROLES.items():
                 if groups & members:
-                    stats.role_containment[role] += 1
+                    stats.role_containment[role] += classes
     return stats
 
 

@@ -156,6 +156,38 @@ def test_batch_on_a_generated_ontology_equals_single_runs(tmp_path, seed, extra)
     assert run([*base, "--class", f"@{id_file}"]) == expected
 
 
+@pytest.mark.parametrize("seed", [5, 13, 34])
+def test_a_one_class_run_collects_its_own_frame_alone(tmp_path, monkeypatch, seed):
+    """A one-class verbalize scans for its own frame and never builds every
+    frame; each class's output is its paragraph in --class all, and an
+    unknown class prints one line, collects nothing and exits 2."""
+    ontology = genutil.gen_ontology(random.Random(seed), max_axioms=24)
+    path = tmp_path / "generated.ofs"
+    path.write_text(genutil.ontology_text(ontology), encoding="utf-8")
+    calls = []
+
+    def count(name):
+        original = getattr(cli, name)
+
+        def counted(ontology, *rest):
+            calls.append((name, *rest))
+            return original(ontology, *rest)
+
+        monkeypatch.setattr(cli, name, counted)
+
+    for name in ("frames", "collect_frame"):
+        count(name)
+    base = ["verbalize", "--ontology", str(path)]
+    single_runs = concatenated_single_runs(base, ontology.classes)
+    assert calls == [("collect_frame", iri) for iri in sorted(ontology.classes)]
+    calls.clear()
+    assert run([*base, "--class", "all"]) == single_runs
+    assert calls == [("frames",)]
+    calls.clear()
+    assert run([*base, "--class", ":Nope"]) == (2, "", "owlprose: unknown class :Nope\n")
+    assert calls == []
+
+
 def test_whole_ontology_commands_walk_each_frame_once(tmp_path, monkeypatch):
     """Linear work, counted: survey and verbalize --class all call class_ids
     exactly once per axiom, where a scan per class would call it classes x

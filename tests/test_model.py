@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import owlprose.model as model
 from owlprose.classifier import NotInFrame, classify
+from owlprose.evaluate import score_submission
 from owlprose.model import (
     ClassAssertion,
     ClassFrame,
@@ -38,6 +39,7 @@ from owlprose.parser import (
     UndeclaredEntity,
     load_lexicon,
     parse_ontology,
+    serialize_axiom,
 )
 from owlprose.realizer import RealizeOptions
 
@@ -142,6 +144,22 @@ class SubExistential(Existential):
 
 
 class SubSubClassOf(SubClassOf):
+    __slots__ = ()
+
+
+class SubEquivalentClasses(EquivalentClasses):
+    __slots__ = ()
+
+
+class SubDisjointClasses(DisjointClasses):
+    __slots__ = ()
+
+
+class SubClassAssertion(ClassAssertion):
+    __slots__ = ()
+
+
+class SubDisjointUnion(DisjointUnion):
     __slots__ = ()
 
 
@@ -549,3 +567,58 @@ def test_an_instance_of_a_subclass_is_not_equal_to_the_class_instance():
 
     assert Sub(":A") != A and A != Sub(":A")
     assert Sub(":A") == Sub(":A")
+
+
+# per axiom kind: an instance of a slot-less subclass holding slot-less
+# subclass expressions, the equal axiom of the base kinds, and an equivalent
+# re-coding of it that only a later version of the family matches
+SUBCLASS_AXIOMS = {
+    "SubClassOf": (
+        SubSubClassOf(SubNamed(":A"), Intersection((SubExistential(":p", SubNamed(":B")), C))),
+        SubClassOf(A, Intersection((Existential(":p", B), C))),
+        [SubClassOf(A, C), SubClassOf(A, Existential(":p", B))],
+    ),
+    "EquivalentClasses": (
+        SubEquivalentClasses((SubNamed(":A"), SubExistential(":p", SubNamed(":B")), C)),
+        EquivalentClasses((A, Existential(":p", B), C)),
+        [EquivalentClasses((C, Existential(":p", B), A))],
+    ),
+    "DisjointClasses": (
+        SubDisjointClasses((SubNamed(":A"), SubNamed(":B"))),
+        DisjointClasses((A, B)),
+        [DisjointClasses((B, A))],
+    ),
+    "ClassAssertion": (
+        SubClassAssertion(Intersection((SubExistential(":p", SubNamed(":A")), B)), ":i"),
+        ClassAssertion(Intersection((Existential(":p", A), B)), ":i"),
+        [ClassAssertion(Intersection((B, Existential(":p", A))), ":i")],
+    ),
+    "DisjointUnion": (
+        SubDisjointUnion(":A", (SubNamed(":B"), SubExistential(":p", Intersection((C, B))))),
+        DisjointUnion(":A", (B, Existential(":p", Intersection((C, B))))),
+        [DisjointUnion(":A", (B, Existential(":p", Intersection((B, C)))))],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUBCLASS_AXIOMS))
+def test_an_instance_of_a_subclass_is_classified_serialized_and_scored_as_its_base(kind):
+    """Every stage that picks an axiom's kind reads an instance of a subclass
+    as its base: the classifier's group and directness, the serialization's
+    keyword, the parse of that text, and the round-trip score in either role
+    and over the reference's equivalent versions."""
+    mine, base, recoded = SUBCLASS_AXIOMS[kind]
+    assert mine != base
+    for iri in class_ids(base):
+        assert classify(mine, iri)[1:] == classify(base, iri)[1:]
+    text = serialize_axiom(mine)
+    assert text == serialize_axiom(base) and text.startswith(f"{kind}(")
+    ontology = Ontology({":A", ":B", ":C"}, {":p"}, {":i"}, [mine])
+    assert parse_ontology(genutil.ontology_text(ontology)).axioms == [base]
+    frame = lambda axioms: ClassFrame(":A", axioms)
+    for candidate, reference in ((mine, base), (base, mine)):
+        report = score_submission(frame([candidate]), frame([reference]))
+        assert (report.mean, report.best_version_index) == (1.0, 0)
+    report = score_submission(frame(recoded), frame([mine]))
+    assert report == score_submission(frame(recoded), frame([base]))
+    assert report.mean == 1.0 and report.best_version_index > 0
