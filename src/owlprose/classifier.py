@@ -12,9 +12,11 @@ designated class is its subject, the first of its top-level expressions
 (``model.expressions_of``); a ClassAssertion is always direct.
 
 ``classify`` first checks that the axiom mentions the designated class and
-raises NotInFrame when it does not; ``classify_frame_axiom`` is the same
-classification without that check, for axioms taken from the class's own
-frame, which ``model.frames`` has already proved mention it.
+raises NotInFrame when it does not; an axiom whose subject is the class
+passes without a walk. ``classify_frame_axiom`` is the same classification
+without that check, for axioms taken from the class's own frame, which
+``model.frames`` has already proved mention it. Each raises TypeError for
+anything that is not an axiom, as ``group_of`` does.
 """
 
 from __future__ import annotations
@@ -56,8 +58,11 @@ _STEMS = {
 
 def group_of(axiom: Axiom) -> str:
     """The axiom's group label: its kind's stem, plus "r" when a top-level
-    expression is not a named class, never for DisjointUnion."""
-    stem = _STEMS[axiom._kind]
+    expression is not a named class, never for DisjointUnion. Raises
+    TypeError for anything that is not an axiom."""
+    stem = _STEMS.get(getattr(axiom, "_kind", None))
+    if stem is None:
+        raise TypeError(f"not an axiom: {axiom!r}")
     if stem != "Du":
         for expr in expressions_of(axiom):
             if not isinstance(expr, Named):
@@ -65,23 +70,28 @@ def group_of(axiom: Axiom) -> str:
     return stem
 
 
+def _subject_is(axiom: Axiom, designated: str) -> bool:
+    """Whether the axiom's subject is the designated class as a Named."""
+    subject = expressions_of(axiom)[0]
+    return isinstance(subject, Named) and subject.iri == designated
+
+
 def classify_frame_axiom(axiom: Axiom, designated: str) -> ClassifiedAxiom:
     """``classify`` for an axiom of the designated class's frame: the caller
     vouches that the axiom mentions the class, so nothing checks it."""
-    subject = expressions_of(axiom)[0]
-    direct = isinstance(axiom, ClassAssertion) or (
-        isinstance(subject, Named) and subject.iri == designated
-    )
+    direct = isinstance(axiom, ClassAssertion) or _subject_is(axiom, designated)
     return ClassifiedAxiom(axiom, group_of(axiom), direct)
 
 
 def classify(axiom: Axiom, designated: str) -> ClassifiedAxiom:
     """Assign the group label and directness relative to the designated class.
 
-    Raises NotInFrame when the axiom does not mention the class."""
-    if not mentions(axiom, designated):
+    Raises NotInFrame when the axiom does not mention the class. An axiom
+    whose subject is the class mentions it, so only the others are walked."""
+    direct = _subject_is(axiom, designated)
+    if not direct and not mentions(axiom, designated):
         raise NotInFrame(f"axiom does not mention {designated}")
-    return classify_frame_axiom(axiom, designated)
+    return ClassifiedAxiom(axiom, group_of(axiom), direct or isinstance(axiom, ClassAssertion))
 
 
 def frame_groups(frame: ClassFrame) -> frozenset:

@@ -33,13 +33,24 @@ one loop over a reference text's characters gives its distance to every
 candidate text. Each packed text is followed by a zero guard bit, and the
 invariant is that the match mask and both vertical delta vectors stay zero
 at every guard, so no carry or shift crosses from one text into the next.
+
+A row resumes from a prefix it shares with a recent row. The DP column after
+a prefix of a reference text depends on that prefix and the packed candidates
+alone, so the rows of one scored submission keep the column after each prefix
+of the last few texts they scored and start each new text from the longest
+prefix it shares with one of them, as a trie walk of approximate matching
+shares the columns of a common prefix (Shang and Merrett, IEEE TKDE 1996).
+Versions that differ in conjunct order share long prefixes. Every row is the
+one a pass from the first character gives, and the kept columns, about two
+ints as wide as the pack per character of a few texts, are bounded by the
+rows kept, not by the versions scanned, so --cap still bounds memory.
 """
 
 from __future__ import annotations
 
 import sys
 import unicodedata
-from collections import Counter, namedtuple
+from collections import Counter, deque, namedtuple
 from itertools import islice
 
 from . import DEFAULT_CAP
@@ -92,7 +103,7 @@ def normalize(text: str) -> str:
     return " ".join(stripped.split())
 
 
-# Texts packed side by side into one int for _distances. Text k holds the
+# Texts packed side by side into one int for _advance. Text k holds the
 # bits shift .. shift + length - 1 of segments[k], one bit per character, and
 # a zero guard bit follows each nonempty text. The fields:
 # - peq: character -> the bits at which it occurs, over every text;
@@ -123,42 +134,67 @@ def _pack(texts) -> _Pack:
     return _Pack(peq, mask, firsts, segments)
 
 
-def _distances(text: str, pack: _Pack) -> list:
-    """The edit distance from text to each packed text, in pack order, by one
-    bit-parallel pass over the characters of text.
+def _advance(text: str, pack: _Pack, columns: list) -> None:
+    """Extend columns to every prefix of text by bit-parallel steps over the
+    characters of text that columns does not cover yet.
 
-    Myers' algorithm (J. ACM 1999) in Hyyrö's 2001 formulation, with several
-    patterns in one word as Hyyrö, Fredriksson and Navarro (ACM JEA 2005)
-    pack them; a Python int has no fixed width, so every packed text fits.
-    Bit i of pv (mv) is set when the DP column's vertical delta at that row
-    of its text is +1 (-1). The guard-bit invariant: eq, pv and mv are zero
-    at every guard bit. So the carry of (eq & pv) + pv out of one segment
-    stops at its guard; mh, being under pv, is zero there too, and mh << 1
-    shifts a zero into each segment's first bit; ph << 1 takes its top-row
-    +1 there from firsts. ph is masked to the segment bits before the shift
-    (a bit it had at a guard would only land on a bit firsts sets anyway),
-    which keeps every int nonnegative: CPython's bitwise operations are
-    slower on negative ints. After the pass the distance to text k is
-    len(text) plus the +1s less the -1s of its column: an empty packed text
-    gives len(text), and an empty text gives each packed text's length.
-    """
-    peq, mask, firsts, segments = pack
-    pv, mv = mask, 0
-    for ch in text:
+    columns[i] is the DP column (pv, mv) after text[:i], against every
+    packed text at once; it starts with at least the column of the empty
+    prefix, (pack.mask, 0). Myers' algorithm (J. ACM 1999) in Hyyrö's 2001
+    formulation, with several patterns in one word as Hyyrö, Fredriksson and
+    Navarro (ACM JEA 2005) pack them; a Python int has no fixed width, so
+    every packed text fits. Bit i of pv (mv) is set when the column's
+    vertical delta at that row of its text is +1 (-1). The guard-bit
+    invariant: eq, pv and mv are zero at every guard bit. So the carry of
+    (eq & pv) + pv out of one segment stops at its guard; mh, being under
+    pv, is zero there too, and mh << 1 shifts a zero into each segment's
+    first bit; ph << 1 takes its top-row +1 there from firsts. ph may hold
+    a bit at a guard, or past the last segment, where no segment bit reads
+    it: its shift moves a guard's bit onto a bit that firsts sets anyway,
+    mv is under xv, and pv is masked. Each complement is an XOR with mask
+    or with ones, every bit up to the last segment's top, not a ~, which
+    keeps every int nonnegative: CPython's bitwise operations are slower on
+    negative ints.
+
+    A step reads only the column before it and one character, so the
+    column after a prefix depends on that prefix and the pack alone: a text
+    that shares a prefix with another may start from the other's column
+    after it."""
+    peq, mask, firsts, _ = pack
+    ones = (1 << mask.bit_length()) - 1
+    pv, mv = columns[-1]
+    append = columns.append
+    for ch in text[len(columns) - 1 :]:
         eq = peq.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = (mv | ~(xh | pv)) & mask
+        ph = ((xh | pv) ^ mask) | mv
         mh = pv & xh
         ph = (ph << 1) | firsts
-        pv = ((mh << 1) | ~(xv | ph)) & mask
+        pv = ((mh << 1) | ((xv | ph) ^ ones)) & mask
         mv = ph & xv
-    n = len(text)
+        append((pv, mv))
+
+
+def _column_distances(n: int, column: tuple, segments: list) -> list:
+    """The edit distance to each packed text from a text of length n whose
+    column after its last character is column: n plus the +1s less the -1s
+    of the packed text's segment. An empty packed text gives n, and an empty
+    text, whose column is the first, gives each packed text's length."""
+    pv, mv = column
     distances = []
     for shift, length in segments:
         bits = (1 << length) - 1
         distances.append(n + (pv >> shift & bits).bit_count() - (mv >> shift & bits).bit_count())
     return distances
+
+
+def _distances(text: str, pack: _Pack) -> list:
+    """The edit distance from text to each packed text, in pack order, by one
+    bit-parallel pass over the characters of text (see _advance)."""
+    columns = [(pack.mask, 0)]
+    _advance(text, pack, columns)
+    return _column_distances(len(text), columns[-1], pack.segments)
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -180,14 +216,38 @@ def similarity(candidate: str, reference: str) -> float:
     return _similarity_row(reference, _pack([candidate]))[0]
 
 
-def _similarity_row(reference: str, pack: _Pack) -> list:
+def _similarity_row(reference: str, pack: _Pack, columns: list | None = None) -> list:
     """similarity(candidate, reference) for each packed candidate text, in
-    order, from one _distances pass over the reference."""
+    order, from one _advance pass over the reference.
+
+    columns, when given, holds the column after each prefix of the reference
+    already known, the empty prefix first (see _advance): the pass resumes
+    after the last of them, and leaves in columns the column after every
+    prefix of the reference."""
+    if columns is None:
+        columns = [(pack.mask, 0)]
+    _advance(reference, pack, columns)
     n = len(reference)
     return [
         _score(distance, max(length, n))
-        for (_, length), distance in zip(pack.segments, _distances(reference, pack))
+        for (_, length), distance in zip(
+            pack.segments, _column_distances(n, columns[-1], pack.segments)
+        )
     ]
+
+
+def _shared_prefix(a: str, b: str, low: int) -> int:
+    """The length of the longest common prefix of a and b, which share at
+    least their first low characters: a binary search over slices, each
+    compared in C."""
+    high = min(len(a), len(b))
+    while low < high:
+        middle = (low + high + 1) // 2
+        if a.startswith(b[low:middle], low):
+            low = middle
+        else:
+            high = middle - 1
+    return low
 
 
 class _Normalized(dict):
@@ -202,14 +262,37 @@ class _Normalized(dict):
 class _SimilarityRows(dict):
     """Reference text -> its similarity row: the similarity of each candidate
     text to it, in candidate order. The candidate texts are packed once, and
-    a missing row is scored on first use by _similarity_row."""
+    a missing row is scored on first use by _similarity_row.
+
+    The versions of a reference differ mostly in conjunct order, so a text
+    often begins with a prefix of a text scored just before it. The rows
+    keep, for each of the last KEPT texts they scored, the column after each
+    of its prefixes (see _advance), and a new row starts from the column
+    after the longest prefix it shares with one of them: its pass runs only
+    over the characters after that prefix. That is exact, since the column
+    after a prefix depends on the prefix and the pack alone, so every row is
+    the one a pass from the first character gives. The kept columns are
+    bounded by the rows kept, not by the versions scanned: each kept text
+    holds about two ints per character, each as wide as the pack."""
+
+    KEPT = 8
 
     def __init__(self, candidate_texts: list):
         super().__init__()
         self.pack = _pack(candidate_texts)
+        self.recent = deque(maxlen=self.KEPT)  # (text, its columns), oldest first
 
     def __missing__(self, reference: str) -> list:
-        row = self[reference] = _similarity_row(reference, self.pack)
+        shared, source = 0, [(self.pack.mask, 0)]
+        probe = reference[:1]  # a text that begins with it shares more
+        for text, columns in self.recent:
+            if shared < len(reference) and text.startswith(probe):
+                shared = _shared_prefix(reference, text, shared + 1)
+                source = columns
+                probe = reference[: shared + 1]
+        columns = source[: shared + 1]
+        row = self[reference] = _similarity_row(reference, self.pack, columns)
+        self.recent.append((reference, columns))
         return row
 
 

@@ -327,8 +327,11 @@ def realize(tree: RstNode, lexicon: dict, options: RealizeOptions | None = None)
 
 
 def _embedded_sentence(renderer: _Renderer, axiom) -> str:
-    """An indirect axiom (Scr2 or Ecr2) re-expressed from its own subject's perspective."""
-    subject, *rest = (renderer.np(expr, articled=True) for expr in expressions_of(axiom))
+    """An indirect axiom (Scr2 or Ecr2) re-expressed from its own subject's
+    perspective. Each operand is rendered once, in the form its branch uses."""
+    subject, *rest = expressions_of(axiom)
+    subject_text = renderer.np(subject, articled=True)
     if isinstance(axiom, SubClassOf) and not isinstance(axiom.super, Intersection):
-        return f"{subject} is a kind of {renderer.np(axiom.super, articled=False)}"
-    return f"{subject} is defined as {comma_and(rest)}"
+        return f"{subject_text} is a kind of {renderer.np(axiom.super, articled=False)}"
+    defined = comma_and([renderer.np(expr, articled=True) for expr in rest])
+    return f"{subject_text} is defined as {defined}"

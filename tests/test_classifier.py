@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import genutil
+from owlprose import classifier
 from owlprose.classifier import (
     NotInFrame,
     classify,
@@ -23,9 +24,11 @@ from owlprose.model import (
     Existential,
     Intersection,
     Named,
+    Ontology,
     SubClassOf,
     frames,
 )
+from owlprose.survey import survey
 
 D = ":F"
 F, A, B = Named(D), Named(":A"), Named(":B")
@@ -78,6 +81,40 @@ def test_disjoint_union_is_always_simple():
 def test_classify_rejects_foreign_axiom():
     with pytest.raises(NotInFrame):
         classify(SubClassOf(A, B), D)
+
+
+def test_classify_walks_only_an_axiom_whose_subject_is_not_the_class(monkeypatch):
+    walked = []
+    mentions = classifier.mentions
+
+    def spy(axiom, iri):
+        walked.append(axiom)
+        return mentions(axiom, iri)
+
+    monkeypatch.setattr(classifier, "mentions", spy)
+    assert classify(SubClassOf(F, COMPLEX), D) == (SubClassOf(F, COMPLEX), "Scr", True)
+    assert classify(ClassAssertion(F, ":x"), D).direct
+    assert walked == []
+    foreign = ClassAssertion(Existential(":p", A), ":x")
+    with pytest.raises(NotInFrame):
+        classify(foreign, D)
+    assert classify(SubClassOf(A, F), D).direct is False
+    assert walked == [foreign, SubClassOf(A, F)]
+
+
+@pytest.mark.parametrize("value", [":A", Named(":A"), None], ids=["str", "Named", "None"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        group_of,
+        lambda value: classify(value, D),
+        lambda value: survey([Ontology({":A"}, set(), set(), [value])]),
+    ],
+    ids=["group_of", "classify", "survey"],
+)
+def test_a_value_that_is_not_an_axiom_raises_type_error(call, value):
+    with pytest.raises(TypeError, match="not an axiom"):
+        call(value)
 
 
 def test_pattern_label_sorts_and_dedups():

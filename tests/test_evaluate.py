@@ -187,6 +187,41 @@ def test_one_row_pass_gives_each_candidate_its_own_distance(case):
     ]
 
 
+@st.composite
+def references_sharing_prefixes(draw):
+    """More reference texts than _SimilarityRows keeps columns for, in any
+    order, that share prefixes: cuts of one base text with varied tails,
+    among them the base, prefixes of it and of each other, and the empty
+    text; and 0-4 candidate texts over the same alphabet."""
+    alphabet = draw(st.sampled_from(["ab", "abc xyz", "aé€😀 "]))
+    base = draw(st.text(alphabet=alphabet, min_size=1, max_size=24))
+    tail = st.text(alphabet=alphabet, max_size=6)
+    cut = st.integers(0, len(base)).map(lambda k: base[:k])
+    references = draw(
+        st.lists(st.tuples(cut, tail).map("".join), min_size=_SimilarityRows.KEPT,
+                 max_size=3 * _SimilarityRows.KEPT)
+    )
+    references = draw(st.permutations([*references, base, ""]))
+    candidates = draw(st.lists(st.one_of(st.text(alphabet=alphabet, max_size=24), cut),
+                               max_size=4))
+    return references, candidates
+
+
+@given(references_sharing_prefixes())
+@example((["", "a", "ab", "abc", "abd", "ab", "b", "abcd", "a", "", "abce"], ["abc", ""]))
+@example(([("é€ " * 8)[:k] for k in range(24, -1, -2)], ["é€", "€é " * 3]))
+def test_resumed_rows_equal_rows_from_the_first_character(case):
+    """A row that starts from the column after a prefix it shares with a kept
+    row equals the row of a pass over every character, and the oracle's."""
+    references, candidates = case
+    rows = _SimilarityRows(candidates)
+    for reference in references:
+        row = rows[reference]
+        assert row == _similarity_row(reference, rows.pack)
+        assert row == [genutil.similarity_oracle(c, reference) for c in candidates]
+    assert len(rows.recent) <= _SimilarityRows.KEPT
+
+
 def test_similarity_examples():
     assert similarity("abce", "abcd") == 0.75
     assert similarity("", "") == 1.0

@@ -224,6 +224,26 @@ def test_single_indirect_axiom_becomes_an_aspect_sentence():
     assert paragraph.records[0][0] == "Scr"
 
 
+def test_an_indirect_axiom_renders_each_operand_once(monkeypatch):
+    """The "is a kind of" branch renders the super bare, and only bare."""
+    rendered = []
+    np = _Renderer.np
+
+    def spy(self, expr, articled):
+        rendered.append((expr, articled))
+        return np(self, expr, articled)
+
+    monkeypatch.setattr(_Renderer, "np", spy)
+    sub = Intersection((A, Existential(":partOf", F)))
+    super_ = Existential(":partOf", A)
+    paragraph = verbalize([SubClassOf(sub, super_)])
+    assert paragraph.sentences == [
+        "Another relevant aspect of fever is that disease that is part of fever is a kind of "
+        "is part of disease."
+    ]
+    assert [call for call in rendered if call[0] == super_] == [(super_, False)]
+
+
 def test_several_indirect_axioms_become_bullets():
     paragraph = verbalize(
         [
